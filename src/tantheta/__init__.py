@@ -40,6 +40,7 @@ from .harness import (
     GenConfig,
     SweepSummary,
     TrialReport,
+    Verification,
     generate_instance,
     run_sweep,
     run_trial,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bounds import m_total
-from .errors import TanThetaError
+from .errors import ConfigInvalid, TanThetaError
 from .families import (
     rank_one_build,
     rank_one_inner_expected,
@@ -22,21 +22,15 @@ from .families import (
 from .harness import (
     GenConfig,
     MARGIN_FAILURE_THRESHOLD,
-    TrialReport,
+    REPORT_FIELDS,
+    Verification,
     format_float,
     report_to_json_line,
     run_sweep,
     run_trial,
     write_reports,
 )
-from .model import load_instance
-from .riccati import extract_angular_operator, verify_lemma_identities
-from .spectral import (
-    find_disposition,
-    perturbed_partition,
-    projection_distance,
-    unperturbed_projector,
-)
+from .model import load_instance, read_json
 
 
 def _print_kv(pairs) -> None:
@@ -67,10 +61,7 @@ def _bound_pairs(D: float, d: float, v: float):
 
 
 def _pairs_to_json(pairs) -> str:
-    out = {}
-    for key, value in pairs:
-        out[key] = value
-    return json.dumps(out)
+    return json.dumps(dict(pairs))
 
 
 def cmd_bound(args) -> int:
@@ -97,24 +88,18 @@ def cmd_trial(args) -> int:
     if args.json:
         print(report_to_json_line(report))
     else:
-        pairs = [
-            (name, getattr(report, name))
-            for name in (
-                "seed", "dims", "D", "d", "v", "region", "distance", "bound",
-                "margin", "apriori", "x_norm", "riccati_residual",
-                "lemma_max_residual", "method", "cross_method_deviation",
-                "elapsed_ms",
-            )
-        ]
-        _print_kv(pairs)
+        _print_kv(
+            (name, getattr(report, name)) for name in REPORT_FIELDS + ("elapsed_ms",)
+        )
     return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = read_json(args.config)
     trials = int(raw.pop("trials"))
     ratio_grid = [float(r) for r in raw.pop("ratio_grid")]
+    if trials < 1 or not ratio_grid:
+        raise ConfigInvalid("a sweep needs trials >= 1 and a non-empty ratio_grid")
     cfg = GenConfig(
         dim0=int(raw["dim0"]),
         dim1=int(raw["dim1"]),
@@ -137,44 +122,32 @@ def cmd_sweep(args) -> int:
     return 1 if violated or summary.failures > 0 else 0
 
 
-def _measure(block):
-    disp = find_disposition(block)
-    partition = perturbed_partition(block, disp)
-    distance = projection_distance(unperturbed_projector(block), partition.P0)
-    return disp, distance
-
-
 def cmd_example(args) -> int:
     gamma, a = args.gamma, args.a
     if args.family == "rank1-inner":
         if args.v is None:
             raise TanThetaError("rank1-inner requires --v (the single coupling)")
-        block = rank_one_build(gamma, a, 0.0, args.v)
-        disp, distance = _measure(block)
-        expected = rank_one_inner_expected(disp.d, args.v)
+        ver = Verification(rank_one_build(gamma, a, 0.0, args.v))
+        expected = rank_one_inner_expected(ver.disposition.d, args.v)
     elif args.family == "rank1-outer":
         if args.b is None:
             raise TanThetaError("rank1-outer requires --b (total coupling norm)")
         _, _, b1, b2 = rank_one_outer_params(gamma, a, args.b)
-        block = rank_one_build(gamma, a, b1, b2)
-        disp, distance = _measure(block)
-        ev = m_total(disp.D, disp.d, args.b)
-        expected = ev.projection_bound
+        ver = Verification(rank_one_build(gamma, a, b1, b2))
+        expected = m_total(ver.disposition.D, ver.disposition.d, args.b).projection_bound
     else:
         if args.b is None:
             raise TanThetaError("circulant requires --b (total coupling norm)")
         _, b1, b2 = circulant_case_params(gamma, a, args.b)
-        block = circulant_build(gamma, a, b1, b2)
-        disp, distance = _measure(block)
-        ev = m_total(disp.D, disp.d, args.b)
-        expected = ev.projection_bound
-    v = block.v_norm
-    bound = m_total(disp.D, disp.d, v).projection_bound
+        ver = Verification(circulant_build(gamma, a, b1, b2))
+        expected = m_total(ver.disposition.D, ver.disposition.d, args.b).projection_bound
+    disp, distance = ver.disposition, ver.distance
+    bound = ver.bound.projection_bound
     pairs = [
         ("family", args.family),
         ("D", disp.D),
         ("d", disp.d),
-        ("v", v),
+        ("v", ver.v),
         ("distance", distance),
         ("closed_form", expected),
         ("bound", bound),
@@ -189,11 +162,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
-    block = load_instance(args.instance)
-    disp = find_disposition(block)
-    partition = perturbed_partition(block, disp)
-    ang = extract_angular_operator(partition, block)
-    audit = verify_lemma_identities(ang, block, seed=args.seed)
+    ver = Verification(load_instance(args.instance), seed=args.seed)
+    ang, audit = ver.angular, ver.audit
     if args.json:
         payload = {
             "x_norm": ang.norm,
@@ -276,7 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TanThetaError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (
+        TanThetaError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

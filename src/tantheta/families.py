@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .bounds import RADICAND_GUARD, sin_arctan
+from .bounds import RADICAND_GUARD, phi_maximizer, sin_arctan
 from .errors import DomainError
 from .model import BlockOperator, make_block_operator
 
@@ -49,17 +49,7 @@ def rank_one_outer_params(gamma: float, a: float, b: float) -> tuple:
     Requires sqrt(gamma^2 - a^2) <= b < sqrt(2 gamma (gamma - a)). The
     returned z0 is the single in-gap eigenvalue of the tuned instance.
     """
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
-    b_lo = math.sqrt(gamma * gamma - a * a)
-    b_hi = math.sqrt(2.0 * gamma * (gamma - a))
-    if not b_lo * (1.0 - RADICAND_GUARD) <= b < b_hi:
-        raise DomainError(f"b = {b} is outside [{b_lo}, {b_hi})")
-    if a == 0.0:
-        z0 = 0.0
-    else:
-        h = (2.0 * gamma * gamma - b * b) / (2.0 * a)
-        z0 = h - math.sqrt(max(h * h - gamma * gamma, 0.0))
+    z0 = phi_maximizer(gamma, a, b)[0]
     t = (b * b * (gamma - z0) + (gamma * gamma - z0 * z0) * (a - z0)) / (
         2.0 * gamma * b * b
     )

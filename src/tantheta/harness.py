@@ -2,16 +2,19 @@
 verification, and deterministic batch sweeps with JSONL/CSV reporting."""
 from __future__ import annotations
 
+import csv
+import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .bounds import m_total
 from .errors import ConfigInvalid, NoConvergence, TanThetaError
-from .model import SpectralDisposition, make_block_operator
+from .model import BlockOperator, SpectralDisposition, make_block_operator
 from .riccati import (
     extract_angular_operator,
     solve_riccati_fixed_point,
@@ -65,11 +68,11 @@ class GenConfig:
             raise ConfigInvalid("need dim0 >= 1 and dim1 >= 2")
         if not (self.D > 0.0 and 0.0 < self.d <= self.D / 2.0):
             raise ConfigInvalid(f"need 0 < d <= D/2, got d={self.d}, D={self.D}")
-        if self.ratio < 0.0 or self.ratio >= math.sqrt(self.D / self.d):
+        if not 0.0 <= self.ratio < math.sqrt(self.D / self.d):
             raise ConfigInvalid(
                 f"ratio must lie in [0, sqrt(D/d)), got {self.ratio}"
             )
-        if self.span <= 0.0:
+        if not self.span > 0.0:
             raise ConfigInvalid("span must be positive")
         if not 0 <= self.seed <= _MASK64:
             raise ConfigInvalid("seed must be a 64-bit unsigned integer")
@@ -139,7 +142,6 @@ class TrialReport:
     x_norm: float
     riccati_residual: float
     lemma_max_residual: float
-    method: str
     elapsed_ms: float
     cross_method_deviation: Optional[float] = None
 
@@ -161,47 +163,86 @@ class SweepSummary:
     max_distance_bound_ratio: Optional[float]
 
 
+@dataclass(frozen=True)
+class Verification:
+    """The verification pipeline of one block operator: disposition, ||B||,
+    perturbed partition, angular operator, projector distance, bound and
+    identity audit.
+
+    Each stage is computed on first access, after the stages it depends
+    on, and cached; a caller pays only for the stages it reads. `seed`
+    drives the audit's rotation of degenerate singular bases.
+    """
+
+    block: BlockOperator
+    seed: int = 0
+
+    @cached_property
+    def disposition(self) -> SpectralDisposition:
+        return find_disposition(self.block)
+
+    @cached_property
+    def v(self) -> float:
+        return self.block.v_norm
+
+    @cached_property
+    def partition(self):
+        return perturbed_partition(self.block, self.disposition)
+
+    @cached_property
+    def angular(self):
+        return extract_angular_operator(self.partition, self.block)
+
+    @cached_property
+    def distance(self) -> float:
+        return projection_distance(unperturbed_projector(self.block), self.partition.P0)
+
+    @cached_property
+    def bound(self):
+        """The BoundEvaluation at the measured (D, d) and ||B||."""
+        return m_total(self.disposition.D, self.disposition.d, self.v)
+
+    @cached_property
+    def audit(self):
+        return verify_lemma_identities(self.angular, self.block, seed=self.seed)
+
+
+# Pipeline order: a failing trial reports the error of the first stage
+# that raises.
+TRIAL_STAGES = ("disposition", "v", "partition", "angular", "distance", "bound", "audit")
+
+
 def run_trial(cfg: GenConfig) -> TrialReport:
-    """Full pipeline: generate, partition, extract the angular operator,
-    measure the projector distance, evaluate all bounds, audit the
-    eigenpair identities, and (for small ratio) cross-check against the
-    fixed-point solver."""
+    """Full pipeline: generate, run every Verification stage, and (for
+    small ratio) cross-check against the fixed-point solver."""
     start = time.perf_counter()
-    block, disp = generate_instance(cfg)
-    measured = find_disposition(block)
-    v = block.v_norm
-    partition = perturbed_partition(block, measured)
-    ang = extract_angular_operator(partition, block)
-    distance = projection_distance(unperturbed_projector(block), partition.P0)
-    ev = m_total(measured.D, measured.d, v)
-    bound = ev.projection_bound
-    region = ev.point.region.name
-    apriori = ev.apriori_bound
-    audit = verify_lemma_identities(ang, block, seed=cfg.seed)
+    block, _ = generate_instance(cfg)
+    ver = Verification(block, seed=cfg.seed)
+    for stage in TRIAL_STAGES:
+        getattr(ver, stage)
     cross = None
-    method = "extraction"
     if 0.0 < cfg.ratio <= CROSS_CHECK_RATIO:
         try:
-            fp = solve_riccati_fixed_point(block, measured)
-            cross = float(np.linalg.norm(fp.X - ang.X, 2))
+            fp = solve_riccati_fixed_point(block, ver.disposition)
+            cross = float(np.linalg.norm(fp.X - ver.angular.X, 2))
         except NoConvergence:
             cross = None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    ev = ver.bound
     return TrialReport(
         seed=cfg.seed,
         dims=(cfg.dim0, cfg.dim1),
-        D=measured.D,
-        d=measured.d,
-        v=v,
-        region=region,
-        distance=distance,
-        bound=bound,
-        margin=bound - distance,
-        apriori=apriori,
-        x_norm=ang.norm,
-        riccati_residual=ang.riccati_residual,
-        lemma_max_residual=audit.max_residual,
-        method=method,
+        D=ver.disposition.D,
+        d=ver.disposition.d,
+        v=ver.v,
+        region=ev.point.region.name,
+        distance=ver.distance,
+        bound=ev.projection_bound,
+        margin=ev.projection_bound - ver.distance,
+        apriori=ev.apriori_bound,
+        x_norm=ver.angular.norm,
+        riccati_residual=ver.angular.riccati_residual,
+        lemma_max_residual=ver.audit.max_residual,
         elapsed_ms=elapsed_ms,
         cross_method_deviation=cross,
     )
@@ -214,10 +255,11 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
     Returns (records, summary); records holds TrialReport and FailureRecord
     entries in trial order. Individual failures are recorded in-stream.
     """
+    if trials < 0:
+        raise ConfigInvalid(f"trials must be non-negative, got {trials}")
     ratio_grid = [float(r) for r in ratio_grid]
     for r in ratio_grid:
-        if r < 0.0 or r >= math.sqrt(base_cfg.D / base_cfg.d):
-            raise ConfigInvalid(f"ratio {r} outside [0, sqrt(D/d))")
+        replace(base_cfg, ratio=r).validate()
     records = []
     min_margin = None
     max_ratio = None
@@ -225,15 +267,8 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
     index = 0
     for _trial in range(trials):
         for ratio in ratio_grid:
-            cfg = GenConfig(
-                dim0=base_cfg.dim0,
-                dim1=base_cfg.dim1,
-                D=base_cfg.D,
-                d=base_cfg.d,
-                ratio=ratio,
-                span=base_cfg.span,
-                conjugate=base_cfg.conjugate,
-                seed=trial_seed(base_cfg.seed, index),
+            cfg = replace(
+                base_cfg, ratio=ratio, seed=trial_seed(base_cfg.seed, index)
             )
             index += 1
             try:
@@ -281,59 +316,47 @@ REPORT_FIELDS = (
     "x_norm",
     "riccati_residual",
     "lemma_max_residual",
-    "method",
     "cross_method_deviation",
 )
 
 
-def _field_to_json(name: str, value) -> str:
-    if value is None:
-        return "null"
-    if name in ("region", "method"):
-        return f'"{value}"'
-    if name == "seed":
-        return str(value)
-    if name == "dims":
-        return f"[{value[0]}, {value[1]}]"
-    return format_float(value)
+def _record_to_json_line(record: dict) -> str:
+    """One JSON object per line: floats in the fixed .17g rendering,
+    everything else (keys, strings, ints, bools, lists, None) by json."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (format_float(value) if isinstance(value, float) else json.dumps(value))
+        for key, value in record.items()
+    ) + "}"
 
 
 def report_to_json_line(report: TrialReport) -> str:
-    parts = [
-        f'"{name}": {_field_to_json(name, getattr(report, name))}'
-        for name in REPORT_FIELDS
-    ]
-    return "{" + ", ".join(parts) + "}"
+    return _record_to_json_line({name: getattr(report, name) for name in REPORT_FIELDS})
 
 
 def failure_to_json_line(rec: FailureRecord) -> str:
-    return (
-        f'{{"seed": {rec.seed}, "error": "{rec.error}", '
-        f'"message": {_json_escape(rec.message)}}}'
-    )
-
-
-def _json_escape(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    return _record_to_json_line(asdict(rec))
 
 
 def summary_to_json_line(summary: SweepSummary) -> str:
-    mm = "null" if summary.min_margin is None else format_float(summary.min_margin)
-    mr = (
-        "null"
-        if summary.max_distance_bound_ratio is None
-        else format_float(summary.max_distance_bound_ratio)
-    )
-    return (
-        f'{{"summary": true, "trials": {summary.trials}, '
-        f'"failures": {summary.failures}, "min_margin": {mm}, '
-        f'"max_distance_bound_ratio": {mr}}}'
-    )
+    return _record_to_json_line({"summary": True, **asdict(summary)})
+
+
+def _csv_cell(value):
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, tuple):
+        return "x".join(str(n) for n in value)
+    return value
 
 
 def write_reports(records, summary: SweepSummary, path, fmt: str = "jsonl") -> None:
-    """Write the report stream plus a trailing summary record."""
+    """Write the report stream plus a trailing summary record.
+
+    In CSV a failure row carries `failed:<error>` in the region column and
+    the summary row lists trials, failures, min margin and max
+    distance/bound ratio after the word `summary`.
+    """
     if fmt == "jsonl":
         with open(path, "w") as fh:
             for rec in records:
@@ -343,42 +366,16 @@ def write_reports(records, summary: SweepSummary, path, fmt: str = "jsonl") -> N
                     fh.write(report_to_json_line(rec) + "\n")
             fh.write(summary_to_json_line(summary) + "\n")
     elif fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(",".join(REPORT_FIELDS) + "\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(REPORT_FIELDS)
             for rec in records:
                 if isinstance(rec, FailureRecord):
-                    row = {name: "" for name in REPORT_FIELDS}
-                    row["seed"] = str(rec.seed)
-                    row["method"] = f"failed:{rec.error}"
-                    fh.write(",".join(row[name] for name in REPORT_FIELDS) + "\n")
-                    continue
-                cells = []
-                for name in REPORT_FIELDS:
-                    value = getattr(rec, name)
-                    if value is None:
-                        cells.append("")
-                    elif name == "dims":
-                        cells.append(f"{value[0]}x{value[1]}")
-                    elif name in ("region", "method"):
-                        cells.append(str(value))
-                    elif name == "seed":
-                        cells.append(str(value))
-                    else:
-                        cells.append(format_float(value))
-                fh.write(",".join(cells) + "\n")
-            mm = "" if summary.min_margin is None else format_float(summary.min_margin)
-            mr = (
-                ""
-                if summary.max_distance_bound_ratio is None
-                else format_float(summary.max_distance_bound_ratio)
-            )
-            tail = [""] * (len(REPORT_FIELDS) - 5)
-            fh.write(
-                ",".join(
-                    ["summary", str(summary.trials), str(summary.failures), mm, mr]
-                    + tail
-                )
-                + "\n"
-            )
+                    row = {"seed": rec.seed, "region": f"failed:{rec.error}"}
+                    out.writerow([row.get(name) for name in REPORT_FIELDS])
+                else:
+                    out.writerow([_csv_cell(getattr(rec, name)) for name in REPORT_FIELDS])
+            head = ["summary", *astuple(summary)]
+            out.writerow([_csv_cell(c) for c in head] + [None] * (len(REPORT_FIELDS) - len(head)))
     else:
         raise ConfigInvalid(f"unknown report format: {fmt}")

@@ -248,17 +248,21 @@ def block_operator_from_dict(data: dict) -> BlockOperator:
 
 
 def _reject_constant(token: str):
-    raise ConfigInvalid(f"non-finite number in instance file: {token}")
+    raise ConfigInvalid(f"non-finite number in JSON file: {token}")
+
+
+def read_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity with ConfigInvalid."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"invalid JSON: {exc}") from None
 
 
 def load_instance(path) -> BlockOperator:
     """Read a block operator instance from a JSON file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"invalid JSON: {exc}") from None
-    return block_operator_from_dict(data)
+    return block_operator_from_dict(read_json(path))
 
 
 def save_instance(block: BlockOperator, path) -> None:

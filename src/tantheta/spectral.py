@@ -12,6 +12,7 @@ from .errors import (
     GapEmptyOrRankMismatch,
     NoConvergence,
     NotAProjector,
+    ResidualTooLarge,
 )
 from .model import (
     BlockOperator,
@@ -48,7 +49,8 @@ def sym_eig(S: SymMatrix) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, values ascending.
 
     The contract is the residual: ||S V - V diag(w)|| <= 1e-10 (1 + ||S||)
-    in operator norm and V orthonormal to 1e-10 entrywise. Deterministic
+    in operator norm, with ||S|| = max|w|, enforced by raising
+    ResidualTooLarge; and V orthonormal to 1e-10 entrywise. Deterministic
     for fixed input.
     """
     M = S.entries if isinstance(S, SymMatrix) else SymMatrix(S).entries
@@ -57,6 +59,9 @@ def sym_eig(S: SymMatrix) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     residual = spectral_norm(M @ vectors - vectors * values)
+    cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
+    if residual > cap:
+        raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
     return EigenSystem(values.copy(), vectors.copy(), float(residual))
 
 

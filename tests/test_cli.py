@@ -48,6 +48,21 @@ class TestTrial:
         assert rc == 0
         assert "elapsed_ms:" in capsys.readouterr().out
 
+    def test_json_trial_has_no_method_key(self, capsys):
+        rc = main(
+            ["trial", "--seed", "5", "--dim0", "2", "--dim1", "3",
+             "--D", "4", "--d", "1", "--ratio", "0.5", "--json"]
+        )
+        assert rc == 0
+        assert "method" not in json.loads(capsys.readouterr().out)
+
+    def test_nan_ratio_exits_2(self, capsys):
+        rc = main(
+            ["trial", "--seed", "5", "--dim0", "2", "--dim1", "3",
+             "--D", "4", "--d", "1", "--ratio", "nan"]
+        )
+        assert rc == 2
+
     def test_invalid_config_exits_2(self, capsys):
         rc = main(
             ["trial", "--seed", "5", "--dim0", "0", "--dim1", "3",
@@ -93,6 +108,32 @@ class TestSweep:
         cfg.write_text(json.dumps(raw))
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ratio_grid": [float("nan")]},
+            {"ratio_grid": ["nan"]},
+            {"seed": float("inf")},
+            {"trials": 0},
+            {"trials": -1},
+            {"ratio_grid": []},
+        ],
+    )
+    def test_nonfinite_or_vacuous_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        out = tmp_path / "report.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_seed_exits_2(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"seed": 9', '"seed": 1e400'))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -142,6 +183,22 @@ class TestCheckIdentities:
         obj = json.loads(capsys.readouterr().out)
         assert obj["max_residual"] <= 1e-8
         assert len(obj["per_pair"]) == 2
+
+    def test_skips_distance_and_fixed_point(self, tmp_path, capsys, monkeypatch):
+        from tantheta import harness
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check-identities must not run this stage")
+
+        monkeypatch.setattr(harness, "projection_distance", forbidden)
+        monkeypatch.setattr(harness, "solve_riccati_fixed_point", forbidden)
+        block = make_block_operator(
+            np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),
+            np.array([[0.3, 0.4], [0.4, 0.3]]),
+        )
+        path = tmp_path / "instance.json"
+        save_instance(block, path)
+        assert main(["check-identities", "--instance", str(path)]) == 0
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["check-identities", "--instance", str(tmp_path / "nope.json")])

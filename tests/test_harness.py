@@ -42,6 +42,8 @@ class TestGenConfig:
             {"ratio": 2.0},  # sqrt(D/d) = 2
             {"span": 0.0},
             {"seed": -1},
+            {"ratio": float("nan")},
+            {"span": float("nan")},
         ],
     )
     def test_validate_rejects(self, overrides):
@@ -140,6 +142,14 @@ class TestRunSweep:
         with pytest.raises(ConfigInvalid):
             run_sweep(base_cfg(), trials=1, ratio_grid=[0.5, 2.0])
 
+    def test_rejects_nan_grid(self):
+        with pytest.raises(ConfigInvalid):
+            run_sweep(base_cfg(), trials=1, ratio_grid=[0.5, float("nan")])
+
+    def test_rejects_negative_trials(self):
+        with pytest.raises(ConfigInvalid):
+            run_sweep(base_cfg(), trials=-1, ratio_grid=[0.5])
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = []
         for run in range(2):
@@ -159,6 +169,20 @@ class TestRunSweep:
         assert len(lines) == 4  # header + 2 rows + summary
         assert lines[0].startswith("seed,dims,D,d,v,region,")
         assert lines[-1].startswith("summary,2,0,")
+
+    def test_csv_failure_row(self, tmp_path):
+        import csv
+
+        records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])
+        records.append(FailureRecord(7, "NoConvergence", "stalled"))
+        p = tmp_path / "out.csv"
+        write_reports(records, summary, p, fmt="csv")
+        rows = list(csv.DictReader(p.open(newline="")))
+        assert "method" not in rows[0]
+        assert rows[0]["apriori"] != ""
+        assert rows[1]["seed"] == "7"
+        assert rows[1]["region"] == "failed:NoConvergence"
+        assert all(rows[1][k] == "" for k in rows[1] if k not in ("seed", "region"))
 
     def test_unknown_format(self, tmp_path):
         records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])
@@ -191,3 +215,15 @@ class TestSerialization:
         assert obj["seed"] == 7
         assert obj["error"] == "NoConvergence"
         assert obj["message"] == 'iteration "stalled"\nat 3'
+
+    @pytest.mark.parametrize(
+        "message", ["tab\there", "carriage\rreturn", "nul\x00byte", "accent é"]
+    )
+    def test_failure_record_control_characters(self, message):
+        import json
+
+        from tantheta.harness import failure_to_json_line
+
+        line = failure_to_json_line(FailureRecord(7, "NoConvergence", message))
+        assert "\n" not in line
+        assert json.loads(line)["message"] == message

@@ -4,6 +4,7 @@ import pytest
 
 from tantheta import (
     DispositionViolated,
+    ResidualTooLarge,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
     NotAProjector,
@@ -44,6 +45,17 @@ class TestSymEig:
         es = sym_eig(S)
         assert es.residual <= 1e-10 * (1.0 + S.norm)
         assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(8))) <= 1e-10
+
+    def test_residual_contract_enforced(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(M):
+            w, V = eigh(M)
+            return w, V + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ResidualTooLarge):
+            sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
 
 
 class TestSpectralProjection:
