@@ -94,21 +94,42 @@ def cmd_trial(args) -> int:
     return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
 
 
+# Python type requested -> (JSON type name, accepted Python types). bool is
+# a subclass of int, so JSON true/false is refused for the numeric kinds
+# by a separate test.
+_JSON_KINDS = {
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    bool: ("boolean", (bool,)),
+    list: ("array", (list,)),
+}
+
+
+def _typed(key: str, value, kind: type):
+    """A sweep config value as `kind`, if its JSON type is the one `kind`
+    stands for; ConfigInvalid otherwise, never a lossy coercion."""
+    name, accepted = _JSON_KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigInvalid(f"config field {key!r} must be a JSON {name}, got {value!r}")
+    return kind(value)
+
+
 def cmd_sweep(args) -> int:
     raw = read_json(args.config)
-    trials = int(raw.pop("trials"))
-    ratio_grid = [float(r) for r in raw.pop("ratio_grid")]
+    trials = _typed("trials", raw["trials"], int)
+    grid = _typed("ratio_grid", raw["ratio_grid"], list)
+    ratio_grid = [_typed("ratio_grid", r, float) for r in grid]
     if trials < 1 or not ratio_grid:
         raise ConfigInvalid("a sweep needs trials >= 1 and a non-empty ratio_grid")
     cfg = GenConfig(
-        dim0=int(raw["dim0"]),
-        dim1=int(raw["dim1"]),
-        D=float(raw["D"]),
-        d=float(raw["d"]),
+        dim0=_typed("dim0", raw["dim0"], int),
+        dim1=_typed("dim1", raw["dim1"], int),
+        D=_typed("D", raw["D"], float),
+        d=_typed("d", raw["d"], float),
         ratio=0.0,
-        span=float(raw.get("span", 1.0)),
-        conjugate=bool(raw.get("conjugate", False)),
-        seed=int(raw.get("seed", 0)),
+        span=_typed("span", raw.get("span", 1.0), float),
+        conjugate=_typed("conjugate", raw.get("conjugate", False), bool),
+        seed=_typed("seed", raw.get("seed", 0), int),
     )
     cfg.validate()
     records, summary = run_sweep(cfg, trials, ratio_grid)

@@ -9,14 +9,30 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, DispositionViolated, DomainError
+from .errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    DispositionViolated,
+    DomainError,
+    NoConvergence,
+    ResidualTooLarge,
+)
 
 # Relative asymmetry below this is treated as I/O round-off and symmetrized;
-# anything larger is rejected as wrong data.
+# anything larger is rejected as wrong data. It bounds ||S - S^T||_F by
+# ASYMMETRY_TOL * max(1, max|s_ij|); the Frobenius norm is at least the
+# operator norm and the largest entry at most the operator norm, so this
+# rejects everything the operator-norm test ||S - S^T|| <= tol max(1, ||S||)
+# rejects.
 ASYMMETRY_TOL = 1e-12
+
+# Backward-error contract of every symmetric eigendecomposition:
+# ||S V - V diag(w)||_F <= EIG_RESIDUAL_TOL (1 + max|w|).
+EIG_RESIDUAL_TOL = 1e-10
 
 # Default tolerance (relative to sqrt(d*D)) for labelling a point as lying
 # on the common boundary between the two bound regions.
@@ -41,8 +57,25 @@ def spectral_norm(M) -> float:
 
 
 @dataclass(frozen=True)
+class EigenSystem:
+    """Full symmetric eigendecomposition with its backward residual."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    residual: float
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.vectors.setflags(write=False)
+
+
+@dataclass(frozen=True)
 class SymMatrix:
-    """Dense real symmetric matrix; construction symmetrizes exactly."""
+    """Dense real symmetric matrix; construction symmetrizes exactly.
+
+    The eigendecomposition is computed at most once, on first use, and the
+    norm is read from its spectrum.
+    """
 
     entries: np.ndarray
 
@@ -51,8 +84,8 @@ class SymMatrix:
         n, m = arr.shape
         if n != m or n < 1:
             raise DimensionMismatch(f"SymMatrix must be square and nonempty, got {arr.shape}")
-        scale = max(1.0, spectral_norm(arr))
-        if spectral_norm(arr - arr.T) > ASYMMETRY_TOL * scale:
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        if np.linalg.norm(arr - arr.T) > ASYMMETRY_TOL * scale:
             raise DimensionMismatch("matrix is not symmetric within 1e-12 relative")
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
@@ -62,9 +95,25 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @cached_property
+    def eig(self) -> EigenSystem:
+        """Eigendecomposition, values ascending; the contract is that of
+        spectral.sym_eig, which returns this."""
+        M = self.entries
+        try:
+            values, vectors = np.linalg.eigh(M)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+        residual = float(np.linalg.norm(M @ vectors - vectors * values))
+        cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
+        if residual > cap:
+            raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
+        return EigenSystem(values, vectors, residual)
+
+    @cached_property
     def norm(self) -> float:
-        return spectral_norm(self.entries)
+        """Operator norm, the largest eigenvalue magnitude."""
+        return float(np.max(np.abs(self.eig.values)))
 
 
 @dataclass(frozen=True)
@@ -100,8 +149,12 @@ class BlockOperator:
 
     @property
     def v_norm(self) -> float:
-        """Norm of the perturbation, equal to the largest singular value of B."""
-        return spectral_norm(self.B)
+        """Norm of the perturbation, equal to the largest singular value of
+        B; computed once per block."""
+        cache = self.__dict__
+        if "_v_norm" not in cache:
+            cache["_v_norm"] = spectral_norm(self.B)
+        return cache["_v_norm"]
 
     def assemble_unperturbed(self) -> np.ndarray:
         """Dense n x n matrix of A = diag(A0, A1)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,27 @@ class AngularOperator:
         for arr in (self.X, self.singular_values, self.left_vectors, self.right_vectors):
             arr.setflags(write=False)
 
+    @cached_property
+    def right_basis(self) -> np.ndarray:
+        """Orthonormal eigenbasis of |X| on the dim0 space: the right
+        singular vectors, completed by a basis of ker(X) when dim1 < dim0."""
+        W = self.right_vectors
+        dim0, k = W.shape
+        if k < dim0:
+            Q, _ = np.linalg.qr(W, mode="complete")
+            W = np.hstack([W, Q[:, k:]])
+        W.setflags(write=False)
+        return W
+
+    @cached_property
+    def eigenvalues_abs(self) -> np.ndarray:
+        """Eigenvalues of |X| in the order of right_basis: the singular
+        values padded with zeros when dim1 < dim0."""
+        s = np.zeros(self.right_vectors.shape[0])
+        s[: self.singular_values.size] = self.singular_values
+        s.setflags(write=False)
+        return s
+
     @property
     def theta_norm(self) -> float:
         """Largest principal angle arctan(||X||), in radians."""
@@ -76,7 +98,7 @@ def angular_from_matrix(X, block: BlockOperator) -> AngularOperator:
 
 
 def _residual_cap(block: BlockOperator, x_norm: float) -> float:
-    scale = 1.0 + block.A0.norm + block.A1.norm + spectral_norm(block.B)
+    scale = 1.0 + block.A0.norm + block.A1.norm + block.v_norm
     return RESIDUAL_REL_TOL * scale * (1.0 + x_norm) ** 2
 
 
@@ -121,10 +143,16 @@ def solve_riccati_fixed_point(
     """Independent cross-check solver.
 
     Iterates X0 = 0, with X_{k+1} solving the Sylvester equation
-    A1 X - X A0 = X_k B X_k - B^T in the eigenbases of A0 and A1 by
-    entrywise division (all divisors at least d in magnitude). Convergence
-    is guaranteed only for small ||B||/d; NoConvergence past max_iter is a
-    regime limit, not a correctness failure.
+    A1 X - X A0 = X_k B X_k - B^T by entrywise division (all divisors at
+    least d in magnitude). The iteration runs wholly in the eigenbases Q0,
+    Q1 of A0 and A1, which it shares with find_disposition: there X~ =
+    Q1^T X Q0 and B~ = Q0^T B Q1 give X~_{k+1} = (X~_k B~ X~_k - B~^T) / (w1 - w0),
+    and X = Q1 X~ Q0^T is formed once at the end. It stops when
+    ||X_{k+1} - X_k||_F <= tol (1 + ||X_{k+1}||_F / sqrt(min(dim0, dim1))),
+    a test at least as strict as the operator-norm test
+    ||X_{k+1} - X_k|| <= tol (1 + ||X_{k+1}||). Convergence is guaranteed
+    only for small ||B||/d; NoConvergence past max_iter is a regime limit,
+    not a correctness failure.
     """
     es0 = sym_eig(block.A0)
     es1 = sym_eig(block.A1)
@@ -135,15 +163,19 @@ def solve_riccati_fixed_point(
         raise DispositionViolated(
             f"Sylvester divisor {np.min(np.abs(denom)):g} below d/2 = {disp.d / 2.0:g}"
         )
-    B = block.B
+    Bt = Q0.T @ block.B @ Q1
+    BtT = Bt.T
+    # X B X costs 2 dim0 dim1 min(dim0, dim1) multiplications in the better order.
+    narrow = block.dim0 <= block.dim1
+    root_k = math.sqrt(min(block.dim0, block.dim1))
     X = np.zeros((block.dim1, block.dim0))
     for _ in range(max_iter):
-        rhs = X @ B @ X - B.T
-        X_new = Q1 @ ((Q1.T @ rhs @ Q0) / denom) @ Q0.T
-        step = spectral_norm(X_new - X)
+        XBX = X @ (Bt @ X) if narrow else (X @ Bt) @ X
+        X_new = (XBX - BtT) / denom
+        step = np.linalg.norm(X_new - X)
         X = X_new
-        if step <= tol * (1.0 + spectral_norm(X)):
-            return angular_from_matrix(X, block)
+        if step <= tol * (1.0 + np.linalg.norm(X) / root_k):
+            return angular_from_matrix(Q1 @ X @ Q0.T, block)
     raise NoConvergence(
         f"fixed-point iteration did not converge in {max_iter} steps "
         f"(||B||/d = {block.v_norm / disp.d:g})"
@@ -152,23 +184,17 @@ def solve_riccati_fixed_point(
 
 def lambda0(X: AngularOperator, block: BlockOperator) -> SymMatrix:
     """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2},
-    computed via the SVD of X. Self-adjoint with spectrum equal to the
-    in-gap component of spec(L)."""
-    dim0 = block.dim0
-    # Full right singular basis of X: eigenvectors of |X| on the dim0 space,
-    # singular values padded with zeros when dim1 < dim0.
-    _, s, Wt = np.linalg.svd(X.X, full_matrices=True)
-    s_full = np.zeros(dim0)
-    s_full[: s.size] = s
-    W = Wt.T
-    sqrt_fac = np.sqrt(1.0 + s_full**2)
+    computed in the eigenbasis of |X| that X's SVD already holds.
+    Self-adjoint with spectrum equal to the in-gap component of spec(L)."""
+    W = X.right_basis
+    sqrt_fac = np.sqrt(1.0 + X.eigenvalues_abs**2)
     core = block.A0.entries + block.B @ X.X
     M = W @ (sqrt_fac[:, None] * (W.T @ core @ W) / sqrt_fac[None, :]) @ W.T
-    scale = 1.0 + block.A0.norm + spectral_norm(block.B) * (1.0 + X.norm)
-    if spectral_norm(M - M.T) > RESIDUAL_REL_TOL * scale:
-        raise ResidualTooLarge(
-            f"Lambda0 asymmetry {spectral_norm(M - M.T):g} exceeds tolerance"
-        )
+    scale = 1.0 + block.A0.norm + block.v_norm * (1.0 + X.norm)
+    # The Frobenius norm bounds the operator norm of the asymmetry.
+    asymmetry = np.linalg.norm(M - M.T)
+    if asymmetry > RESIDUAL_REL_TOL * scale:
+        raise ResidualTooLarge(f"Lambda0 asymmetry {asymmetry:g} exceeds tolerance")
     return SymMatrix((M + M.T) / 2.0)
 
 
@@ -189,26 +215,35 @@ class IdentityResiduals:
     max_residual: float
 
 
-def _normalized(lhs: float, rhs: float) -> float:
+def _normalized(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def _pair_residuals(lam, u, Uu, A0, A1, B, Lam0) -> PairResiduals:
-    A0u = A0 @ u
-    Btu = B.T @ u
-    A1Uu = A1 @ Uu
-    BUu = B @ Uu
-    L0u = Lam0 @ u
-    cross = float(A0u @ BUu + Btu @ A1Uu)
-    nA0u = float(A0u @ A0u)
-    nBtu = float(Btu @ Btu)
-    nA1Uu = float(A1Uu @ A1Uu)
-    nBUu = float(BUu @ BUu)
-    nL0u = float(L0u @ L0u)
+def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> list:
+    """Residuals of the identities for the eigenpairs (lam[c], W[:, c]) of
+    |X| with polar images U[:, c], all columns at once."""
+    A0u = A0 @ W
+    Btu = B.T @ W
+    A1Uu = A1 @ U
+    BUu = B @ U
+    L0u = Lam0 @ W
+
+    def dots(P, Q):
+        return np.einsum("ij,ij->j", P, Q)
+
+    cross = dots(A0u, BUu) + dots(Btu, A1Uu)
+    nA0u = dots(A0u, A0u)
+    nBtu = dots(Btu, Btu)
+    nA1Uu = dots(A1Uu, A1Uu)
+    nBUu = dots(BUu, BUu)
+    nL0u = dots(L0u, L0u)
     id2 = _normalized(lam * (nA0u + nBtu - nA1Uu - nBUu), (1.0 - lam * lam) * cross)
     id1 = _normalized(lam * cross, nL0u - nA0u - nBtu)
     id3 = _normalized(lam * lam * (nA1Uu + nBUu - nL0u), nA0u + nBtu - nL0u)
-    return PairResiduals(float(lam), id1, id2, id3)
+    return [
+        PairResiduals(float(lam[c]), float(id1[c]), float(id2[c]), float(id3[c]))
+        for c in range(W.shape[1])
+    ]
 
 
 def verify_lemma_identities(
@@ -220,28 +255,20 @@ def verify_lemma_identities(
     isometry is zero) is checked. Within clusters of degenerate singular
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
-    explicit for reproducibility.
+    explicit for reproducibility. Uses the SVD held by X.
     """
-    dim0 = block.dim0
-    U_svd, s, Wt = np.linalg.svd(X.X, full_matrices=True)
-    k = s.size
-    s_full = np.zeros(dim0)
-    s_full[:k] = s
+    W = X.right_basis
+    s_full = X.eigenvalues_abs
+    dim0 = s_full.size
     cutoff = KERNEL_CUTOFF * (X.norm if X.norm > 0.0 else 1.0)
-
-    def left_vector(idx: int) -> np.ndarray:
-        if idx < min(k, U_svd.shape[1]) and s_full[idx] > cutoff:
-            return U_svd[:, idx]
-        return np.zeros(block.dim1)
+    # Polar images: the left singular vector, or zero on (numerical) ker(X).
+    U = np.zeros((block.dim1, dim0))
+    live = np.flatnonzero(s_full[: X.singular_values.size] > cutoff)
+    U[:, live] = X.left_vectors[:, live]
 
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
     Lam0 = lambda0(X, block).entries
-    W = Wt.T
-    records = []
-    for i in range(dim0):
-        records.append(
-            _pair_residuals(s_full[i], W[:, i], left_vector(i), A0, A1, B, Lam0)
-        )
+    records = _pair_residuals(s_full, W, U, A0, A1, B, Lam0)
 
     # Degenerate clusters: rotate the singular basis within each cluster and
     # re-audit, since any orthonormal eigenbasis of |X| must satisfy the
@@ -255,12 +282,9 @@ def verify_lemma_identities(
         if j - i > 1:
             m = j - i
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            Wc = W[:, i:j] @ Q
-            Uc = np.column_stack([left_vector(idx) for idx in range(i, j)]) @ Q
-            for c in range(m):
-                records.append(
-                    _pair_residuals(s_full[i], Wc[:, c], Uc[:, c], A0, A1, B, Lam0)
-                )
+            records += _pair_residuals(
+                np.full(m, s_full[i]), W[:, i:j] @ Q, U[:, i:j] @ Q, A0, A1, B, Lam0
+            )
         i = j
 
     max_res = max(

@@ -4,25 +4,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
-    NoConvergence,
     NotAProjector,
-    ResidualTooLarge,
 )
 from .model import (
     BlockOperator,
+    EigenSystem,
     SpectralDisposition,
     SymMatrix,
     disposition_from_spectra,
     spectral_norm,
 )
 
-EIG_RESIDUAL_TOL = 1e-10
+# Projectors have unit norm, so their defects have no units and this
+# tolerance is absolute. It applies to ||U^T U - I||_F of a range basis U,
+# which bounds the idempotency defect ||P^2 - P|| of P = U U^T to first
+# order, and to the idempotency and symmetry defects of a dense projector.
 PROJECTOR_TOL = 1e-8
 # Eigenvalues this close to a gap endpoint (from inside the gap) cannot be
 # assigned to either spectral component and are reported as boundary hits.
@@ -32,37 +35,16 @@ BOUNDARY_BAND = 1e-9
 EDGE_COLLAR = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full symmetric eigendecomposition with its backward residual."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.vectors.setflags(write=False)
-
-
 def sym_eig(S: SymMatrix) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, values ascending.
 
-    The contract is the residual: ||S V - V diag(w)|| <= 1e-10 (1 + ||S||)
-    in operator norm, with ||S|| = max|w|, enforced by raising
-    ResidualTooLarge; and V orthonormal to 1e-10 entrywise. Deterministic
-    for fixed input.
+    The contract is the residual: ||S V - V diag(w)||_F <= 1e-10 (1 + max|w|)
+    in the Frobenius norm, which bounds the operator norm, enforced by
+    raising ResidualTooLarge; and V orthonormal to 1e-10 entrywise.
+    Deterministic for fixed input. A SymMatrix is decomposed at most once:
+    later calls return the same EigenSystem.
     """
-    M = S.entries if isinstance(S, SymMatrix) else SymMatrix(S).entries
-    try:
-        values, vectors = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-    residual = spectral_norm(M @ vectors - vectors * values)
-    cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
-    if residual > cap:
-        raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
-    return EigenSystem(values.copy(), vectors.copy(), float(residual))
+    return (S if isinstance(S, SymMatrix) else SymMatrix(S)).eig
 
 
 def spectral_projection(es: EigenSystem, lo: float, hi: float) -> SymMatrix:
@@ -98,18 +80,45 @@ def find_disposition(block: BlockOperator) -> SpectralDisposition:
 
 
 @dataclass(frozen=True)
+class RangeProjector:
+    """Orthogonal projector U U^T held by an orthonormal basis U (n x k,
+    columns) of its range; the dense matrix is assembled only on request."""
+
+    basis: np.ndarray
+
+    def __post_init__(self):
+        self.basis.setflags(write=False)
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n projector U U^T."""
+        P = self.basis @ self.basis.T
+        P = (P + P.T) / 2.0
+        P.setflags(write=False)
+        return P
+
+
+@dataclass(frozen=True)
 class SpectrumPartition:
     """Spectrum of L split by membership in the gap, with the orthogonal
     projector onto the in-gap spectral subspace."""
 
     omega0: tuple
     omega1: tuple
-    P0: SymMatrix
-    rank0: int
-    vectors0: np.ndarray  # orthonormal in-gap eigenvectors, columns
+    P0: RangeProjector
 
-    def __post_init__(self):
-        self.vectors0.setflags(write=False)
+    @property
+    def rank0(self) -> int:
+        return self.P0.rank
+
+    @property
+    def vectors0(self) -> np.ndarray:
+        """Orthonormal in-gap eigenvectors, columns."""
+        return self.P0.basis
 
 
 def perturbed_partition(
@@ -130,41 +139,28 @@ def perturbed_partition(
             f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}; "
             "pass force=True to override"
         )
-    L = block.assemble_perturbed()
-    es = sym_eig(SymMatrix(L))
-    scale = 1.0 + spectral_norm(L)
+    es = sym_eig(SymMatrix(block.assemble_perturbed()))
+    w = es.values
+    scale = 1.0 + float(np.max(np.abs(w)))  # ||L||
     band = BOUNDARY_BAND * scale
     collar = EDGE_COLLAR * scale
-    in_gap = []
-    for i, lam in enumerate(es.values):
-        to_l = lam - disp.gamma_l
-        to_r = disp.gamma_r - lam
-        if to_l <= collar or to_r <= collar:
-            continue  # endpoint eigenvalue (round-off absorbed): outside
-        if to_l <= band or to_r <= band:
-            raise EigenvalueOnBoundary(
-                f"eigenvalue {lam!r} is within {band:g} of a gap endpoint"
-            )
-        if to_l > 0.0 and to_r > 0.0:
-            in_gap.append(i)
-    mask = np.zeros(len(es.values), dtype=bool)
-    mask[in_gap] = True
-    omega0 = tuple(float(x) for x in es.values[mask])
-    omega1 = tuple(float(x) for x in es.values[~mask])
-    V0 = es.vectors[:, mask]
-    P0 = SymMatrix(V0 @ V0.T)
-    rank0 = int(round(float(np.trace(P0.entries))))
-    if abs(rank0 - len(omega0)) > 0.5:
-        raise GapEmptyOrRankMismatch(
-            f"projector trace {np.trace(P0.entries):g} disagrees with "
-            f"eigenvector count {len(omega0)}"
+    to_l = w - disp.gamma_l
+    to_r = disp.gamma_r - w
+    # Endpoint eigenvalues (round-off absorbed by the collar) lie outside.
+    inside = (to_l > collar) & (to_r > collar)
+    on_boundary = inside & ((to_l <= band) | (to_r <= band))
+    if np.any(on_boundary):
+        raise EigenvalueOnBoundary(
+            f"eigenvalue {float(w[on_boundary][0])!r} is within {band:g} of a gap endpoint"
         )
-    if rank0 != block.dim0:
+    omega0 = tuple(float(x) for x in w[inside])
+    omega1 = tuple(float(x) for x in w[~inside])
+    if len(omega0) != block.dim0:
         raise GapEmptyOrRankMismatch(
-            f"in-gap rank {rank0} != dim0 {block.dim0} "
+            f"in-gap rank {len(omega0)} != dim0 {block.dim0} "
             "(precondition override or numerical trouble)"
         )
-    return SpectrumPartition(omega0, omega1, P0, rank0, V0.copy())
+    return SpectrumPartition(omega0, omega1, RangeProjector(es.vectors[:, inside]))
 
 
 def _check_projector(P: np.ndarray, name: str) -> None:
@@ -172,24 +168,47 @@ def _check_projector(P: np.ndarray, name: str) -> None:
         raise NotAProjector(f"{name} is not idempotent-symmetric within {PROJECTOR_TOL:g}")
 
 
-def projection_distance(P: SymMatrix, Q: SymMatrix) -> float:
-    """Operator norm of the difference of two orthogonal projectors,
-    computed as the largest absolute eigenvalue of P - Q."""
-    Pm = P.entries if isinstance(P, SymMatrix) else np.asarray(P, dtype=float)
-    Qm = Q.entries if isinstance(Q, SymMatrix) else np.asarray(Q, dtype=float)
-    if Pm.shape != Qm.shape:
-        raise NotAProjector(f"shape mismatch {Pm.shape} vs {Qm.shape}")
-    _check_projector(Pm, "P")
-    _check_projector(Qm, "Q")
-    dist = float(np.max(np.abs(np.linalg.eigvalsh(Pm - Qm)))) if Pm.size else 0.0
+def _check_basis(U: np.ndarray, name: str) -> None:
+    gram_defect = np.linalg.norm(U.T @ U - np.eye(U.shape[1]))
+    if gram_defect > PROJECTOR_TOL:
+        raise NotAProjector(
+            f"{name}: range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
+        )
+
+
+def projection_distance(P, Q) -> float:
+    """Operator norm of the difference of two orthogonal projectors.
+
+    For two RangeProjectors with bases U and V (orthonormality checked to
+    PROJECTOR_TOL) this is 1 when the ranks differ and otherwise
+    ||V - U (U^T V)|| = ||(I - P) Q|| = ||P - Q||, without forming an n x n
+    matrix. Any other pair (SymMatrix, dense array) takes the dense route,
+    the largest absolute eigenvalue of P - Q after idempotency and
+    symmetry checks; it is kept as the test oracle of the basis route.
+    """
+    if isinstance(P, RangeProjector) and isinstance(Q, RangeProjector):
+        U, V = P.basis, Q.basis
+        if U.shape[0] != V.shape[0]:
+            raise NotAProjector(f"dimension mismatch {U.shape[0]} vs {V.shape[0]}")
+        _check_basis(U, "P")
+        _check_basis(V, "Q")
+        if U.shape[1] != V.shape[1]:
+            return 1.0
+        dist = spectral_norm(V - U @ (U.T @ V))
+    else:
+        Pm = np.asarray(getattr(P, "entries", P), dtype=float)
+        Qm = np.asarray(getattr(Q, "entries", Q), dtype=float)
+        if Pm.shape != Qm.shape:
+            raise NotAProjector(f"shape mismatch {Pm.shape} vs {Qm.shape}")
+        _check_projector(Pm, "P")
+        _check_projector(Qm, "Q")
+        dist = float(np.max(np.abs(np.linalg.eigvalsh(Pm - Qm)))) if Pm.size else 0.0
     if dist > 1.0 + 1e-9:
         raise NotAProjector(f"projector distance {dist:g} exceeds 1")
     return min(dist, 1.0)
 
 
-def unperturbed_projector(block: BlockOperator) -> SymMatrix:
+def unperturbed_projector(block: BlockOperator) -> RangeProjector:
     """Projector onto the reference subspace carrying spec(A0) (the top
     dim0 coordinates of the block decomposition)."""
-    P = np.zeros((block.n, block.n))
-    P[: block.dim0, : block.dim0] = np.eye(block.dim0)
-    return SymMatrix(P)
+    return RangeProjector(np.eye(block.n, block.dim0))

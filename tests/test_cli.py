@@ -135,6 +135,47 @@ class TestSweep:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"conjugate": "false"},
+            {"conjugate": 0},
+            {"dim0": 2.9},
+            {"dim1": "3"},
+            {"trials": 1.5},
+            {"trials": True},
+            {"seed": 9.0},
+            {"D": "4"},
+            {"span": None},
+            {"ratio_grid": [True]},
+            {"ratio_grid": 0.5},
+        ],
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        out = tmp_path / "report.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "must be a JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_conjugate_flag_reaches_the_sweep(self, tmp_path, capsys, monkeypatch, flag):
+        import tantheta.cli as cli
+
+        seen = []
+        real = cli.run_sweep
+
+        def spy(cfg, *args):
+            seen.append(cfg)
+            return real(cfg, *args)
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        cfg = self.config(tmp_path, conjugate=flag, dim0=3, d=1, trials=1)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert seen[0].conjugate is flag
+        assert (seen[0].dim0, seen[0].d, type(seen[0].d)) == (3, 1.0, float)
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -4,6 +4,7 @@ import pytest
 from tantheta import (
     ConfigInvalid,
     GenConfig,
+    Verification,
     find_disposition,
     generate_instance,
     run_sweep,
@@ -118,6 +119,48 @@ class TestRunTrial:
         assert rep.distance == 0.0
         assert rep.bound == 0.0
         assert rep.x_norm == 0.0
+
+
+class TestDecompositionCount:
+    """Which matrices one trial hands to numpy's decompositions; a count,
+    so it does not depend on timing."""
+
+    def test_each_matrix_decomposed_at_most_once(self, monkeypatch):
+        cfg = base_cfg(dim0=8, dim1=12, ratio=0.5, conjugate=True, seed=21)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                ord_ = args[1] if len(args) > 1 else kwargs.get("ord")
+                if name != "norm" or ord_ == 2:
+                    calls.append((name, np.array(args[0], dtype=float)))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        report = run_trial(cfg)
+        monkeypatch.undo()
+        assert report.cross_method_deviation is not None  # the fixed point ran
+
+        block, _ = generate_instance(cfg)
+        X = Verification(block, seed=cfg.seed).angular.X
+        n = block.n
+        square = [(name, M.shape) for name, M in calls if M.shape == (n, n)]
+        assert square == [("eigh", (n, n))]
+        L = block.assemble_perturbed()
+        assert any(name == "eigh" and np.array_equal(M, L) for name, M in calls)
+
+        def times_decomposed(target):
+            return sum(
+                np.array_equal(M, target) or np.array_equal(M, target.T) for _, M in calls
+            )
+
+        for label, target in (
+            ("A0", block.A0.entries), ("A1", block.A1.entries), ("B", block.B), ("X", X)
+        ):
+            assert times_decomposed(target) <= 1, label
 
 
 class TestRunSweep:

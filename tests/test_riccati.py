@@ -19,6 +19,7 @@ from tantheta import (
     unperturbed_projector,
     verify_lemma_identities,
 )
+from tantheta.riccati import KERNEL_CUTOFF
 from tantheta.families import circulant_build, circulant_case_params, circulant_kappa_matrix
 
 
@@ -188,3 +189,74 @@ class TestLemmaIdentities:
         audit = verify_lemma_identities(ang, block)
         assert audit.max_residual <= 1e-12
         assert all(r.lam == 0.0 for r in audit.per_pair)
+
+
+def reference_pair_residuals(lam, u, Uu, block, Lam0):
+    """The identities for one eigenpair, one matrix-vector product at a time."""
+    A0, A1, B = block.A0.entries, block.A1.entries, block.B
+    A0u, Btu, A1Uu, BUu, L0u = A0 @ u, B.T @ u, A1 @ Uu, B @ Uu, Lam0 @ u
+    cross = A0u @ BUu + Btu @ A1Uu
+    nA0u, nBtu, nA1Uu, nBUu, nL0u = (x @ x for x in (A0u, Btu, A1Uu, BUu, L0u))
+
+    def normalized(lhs, rhs):
+        return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+    return (
+        normalized(lam * cross, nL0u - nA0u - nBtu),
+        normalized(lam * (nA0u + nBtu - nA1Uu - nBUu), (1.0 - lam * lam) * cross),
+        normalized(lam * lam * (nA1Uu + nBUu - nL0u), nA0u + nBtu - nL0u),
+    )
+
+
+def reference_fixed_point(block, tol=1e-13, max_iter=2000):
+    """The Sylvester fixed point iterated in the original basis, with the
+    operator-norm step test."""
+    w0, Q0 = np.linalg.eigh(block.A0.entries)
+    w1, Q1 = np.linalg.eigh(block.A1.entries)
+    denom = w1[:, None] - w0[None, :]
+    B = block.B
+    X = np.zeros((block.dim1, block.dim0))
+    for _ in range(max_iter):
+        X_new = Q1 @ ((Q1.T @ (X @ B @ X - B.T) @ Q0) / denom) @ Q0.T
+        step = np.linalg.norm(X_new - X, 2)
+        X = X_new
+        if step <= tol * (1.0 + np.linalg.norm(X, 2)):
+            return X
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestAgainstReferences:
+    def test_batched_audit_matches_per_pair_loop(self):
+        # includes dim0 > dim1, where the kernel of X is audited too
+        for block in random_blocks(10, seed=600):
+            _, _, ang = pipeline(block)
+            audit = verify_lemma_identities(ang, block)
+            Lam0 = lambda0(ang, block).entries
+            W = ang.right_basis
+            assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
+            k = ang.singular_values.size
+            cutoff = KERNEL_CUTOFF * ang.norm
+            for c in range(block.dim0):
+                live = c < k and ang.eigenvalues_abs[c] > cutoff
+                Uu = ang.left_vectors[:, c] if live else np.zeros(block.dim1)
+                rec = audit.per_pair[c]
+                assert rec.lam == ang.eigenvalues_abs[c]
+                expected = reference_pair_residuals(rec.lam, W[:, c], Uu, block, Lam0)
+                got = (rec.id1_residual, rec.id2_residual, rec.id3_residual)
+                assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+
+    def test_eigenbasis_fixed_point_matches_original_basis_iteration(self):
+        for block in random_blocks(10, seed=700):
+            fp = solve_riccati_fixed_point(block, find_disposition(block))
+            X_ref = reference_fixed_point(block)
+            assert np.linalg.norm(fp.X - X_ref, 2) <= 1e-12 * (1.0 + fp.norm)
+
+    def test_right_basis_spans_kernel_when_dim1_below_dim0(self):
+        cfg = GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9)
+        block, _ = generate_instance(cfg)
+        _, _, ang = pipeline(block)
+        W = ang.right_basis
+        assert W.shape == (6, 6)
+        assert np.allclose(W.T @ W, np.eye(6), atol=1e-12)
+        assert np.allclose(ang.X @ W[:, 3:], 0.0, atol=1e-12)
+        assert list(ang.eigenvalues_abs[3:]) == [0.0, 0.0, 0.0]

@@ -4,6 +4,9 @@ import pytest
 
 from tantheta import (
     DispositionViolated,
+    GenConfig,
+    Verification,
+    generate_instance,
     ResidualTooLarge,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
@@ -18,6 +21,7 @@ from tantheta import (
     sym_eig,
     unperturbed_projector,
 )
+from tantheta.spectral import RangeProjector
 from tantheta.families import rank_one_build, rank_one_outer_params
 
 
@@ -45,6 +49,11 @@ class TestSymEig:
         es = sym_eig(S)
         assert es.residual <= 1e-10 * (1.0 + S.norm)
         assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(8))) <= 1e-10
+
+    def test_decomposes_once(self):
+        S = SymMatrix(np.diag([3.0, 1.0, 2.0]))
+        assert sym_eig(S) is sym_eig(S)
+        assert S.norm == 3.0
 
     def test_residual_contract_enforced(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -177,3 +186,74 @@ class TestProjectionDistance:
                 assert dPQ == pytest.approx(projection_distance(Q, P), abs=1e-10)
                 for R in projectors:
                     assert dPQ <= projection_distance(P, R) + projection_distance(R, Q) + 1e-10
+
+
+def oracle_instances():
+    """Seeded instances for the basis-route oracle: small plain and
+    conjugated geometries, dim0 > dim1, and conjugated 50 x 80."""
+    shapes = [(2, 3), (3, 5), (4, 6), (8, 12), (5, 3), (6, 2), (7, 4)]
+    for i in range(21):
+        dim0, dim1 = shapes[i % len(shapes)]
+        yield GenConfig(dim0=dim0, dim1=dim1, D=4.0, d=1.0, ratio=0.2 + 0.06 * i,
+                        conjugate=(i % 2 == 0), seed=700 + i)
+    for i in range(3):
+        yield GenConfig(dim0=50, dim1=80, D=4.0, d=1.0, ratio=0.5 + 0.4 * i,
+                        conjugate=True, seed=800 + i)
+
+
+class TestBasisRoute:
+    def test_unperturbed_projector_is_a_basis(self):
+        block = rank_one_build(2.0, 1.0, 0.0, 0.5)
+        P = unperturbed_projector(block)
+        assert P.rank == 1
+        assert np.array_equal(P.entries, np.diag([1.0, 0.0, 0.0]))
+
+    def test_partition_projector_dense_form(self):
+        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        part = perturbed_partition(block, find_disposition(block))
+        assert part.P0.basis is part.vectors0
+        assert part.rank0 == part.P0.rank == 2
+        assert np.allclose(part.P0.entries, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
+
+    def test_basis_off_orthonormal_rejected(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
+        good = RangeProjector(Q[:, :3])
+        bad = RangeProjector(Q[:, :3] * (1.0 + 1e-6))
+        assert projection_distance(good, good) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(NotAProjector):
+            projection_distance(bad, good)
+        with pytest.raises(NotAProjector):
+            projection_distance(good, bad)
+
+    def test_unequal_ranks_give_one(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
+        P, R = RangeProjector(Q[:, :2]), RangeProjector(Q[:, 1:4])
+        assert projection_distance(P, R) == 1.0
+        assert projection_distance(R, P) == 1.0
+        # the dense route agrees
+        assert projection_distance(SymMatrix(P.entries), SymMatrix(R.entries)) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(NotAProjector):
+            projection_distance(RangeProjector(np.eye(3, 1)), RangeProjector(np.eye(4, 1)))
+
+    def test_matches_dense_route_and_eigh_oracle(self):
+        count = 0
+        for cfg in oracle_instances():
+            block, disp = generate_instance(cfg)
+            ver = Verification(block, seed=cfg.seed)
+            P, Q = unperturbed_projector(block), ver.partition.P0
+            dense = projection_distance(SymMatrix(P.entries), SymMatrix(Q.entries))
+            assert abs(projection_distance(P, Q) - dense) <= 1e-12
+            assert abs(projection_distance(Q, P) - dense) <= 1e-12
+            # independent oracle: ||Y1|| from a fresh eigendecomposition of L
+            w, V = np.linalg.eigh(block.assemble_perturbed())
+            Y = V[:, (w > disp.gamma_l) & (w < disp.gamma_r)]
+            assert Y.shape[1] == block.dim0
+            oracle = np.linalg.norm(Y[block.dim0 :], 2)
+            assert abs(ver.distance - oracle) <= 1e-12
+            assert abs(ver.distance - ver.angular.sin_theta) <= 1e-12
+            count += 1
+        assert count >= 20
