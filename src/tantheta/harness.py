@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import m_total
 from .errors import ConfigInvalid, NoConvergence, TanThetaError
-from .model import BlockOperator, SpectralDisposition, make_block_operator
+from .model import BlockOperator, SpectralDisposition, make_block_operator, spectral_norm
 from .riccati import (
     extract_angular_operator,
     solve_riccati_fixed_point,
@@ -114,8 +114,9 @@ def generate_instance(cfg: GenConfig) -> tuple:
     if cfg.conjugate:
         Q0, _ = np.linalg.qr(rng.standard_normal((cfg.dim0, cfg.dim0)))
         Q1, _ = np.linalg.qr(rng.standard_normal((cfg.dim1, cfg.dim1)))
-        A0 = Q0 @ A0 @ Q0.T
-        A1 = Q1 @ A1 @ Q1.T
+        # (Q * sigma) @ Q.T is bit-identical to Q @ diag(sigma) @ Q.T.
+        A0 = (Q0 * sigma0) @ Q0.T
+        A1 = (Q1 * sigma1) @ Q1.T
         B = Q0 @ B @ Q1.T
 
     block = make_block_operator(A0, A1, B)
@@ -224,7 +225,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
     if 0.0 < cfg.ratio <= CROSS_CHECK_RATIO:
         try:
             fp = solve_riccati_fixed_point(block, ver.disposition)
-            cross = float(np.linalg.norm(fp.X - ver.angular.X, 2))
+            cross = spectral_norm(fp.X - ver.angular.X)
         except NoConvergence:
             cross = None
     elapsed_ms = (time.perf_counter() - start) * 1000.0

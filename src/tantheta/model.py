@@ -49,11 +49,25 @@ def _as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(M) -> float:
-    """Operator 2-norm (largest singular value) of a dense matrix."""
+    """Operator 2-norm (largest singular value) of a dense matrix.
+
+    Computed as m sqrt(lambda_max(S^T S)), S = M / m with m = max|M|, over
+    the smaller of the two dimensions: the largest eigenvalue of the Gram
+    matrix carries a relative error of a few ulps, like the SVD route, and
+    the scaling keeps S^T S clear of overflow and underflow. Raises
+    DimensionMismatch on non-finite entries.
+    """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    m = float(np.max(np.abs(M)))
+    if not math.isfinite(m):
+        raise DimensionMismatch("spectral norm of a matrix with non-finite entries")
+    if m == 0.0:
+        return 0.0
+    S = M / m
+    G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
+    return m * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 @dataclass(frozen=True)

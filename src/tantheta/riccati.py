@@ -4,8 +4,9 @@ and the eigenvalue/eigenvector identity audit for the modulus of X."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -31,36 +32,73 @@ DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AngularOperator:
-    """Solution X of the Riccati equation with its SVD and residual."""
+    """Solution X of the Riccati equation of `block`.
+
+    Its SVD and Riccati residual are computed from X and `block` on first
+    read. `factors` and `residual`, when given, supply them instead; a
+    result given both needs no block. `factors` is (left vectors U,
+    singular values s descending, right basis W) with
+    X = U diag(s) W[:, :len(s)]^T, where W may already be completed to a
+    square orthonormal basis.
+    """
 
     X: np.ndarray
-    singular_values: np.ndarray  # descending, length min(dim0, dim1)
-    left_vectors: np.ndarray  # dim1 x k
-    right_vectors: np.ndarray  # dim0 x k
-    norm: float
-    riccati_residual: float
+    block: Optional[BlockOperator] = field(default=None, repr=False, compare=False)
+    factors: Optional[tuple] = field(default=None, repr=False, compare=False)
+    residual: Optional[float] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.X, self.singular_values, self.left_vectors, self.right_vectors):
+        self.X.setflags(write=False)
+
+    @cached_property
+    def _svd(self) -> tuple:
+        if self.factors is not None:
+            U, s, W = self.factors
+        else:
+            U, s, Wt = np.linalg.svd(self.X, full_matrices=False)
+            W = Wt.T
+        for arr in (U, s, W):
             arr.setflags(write=False)
+        return U, s, W
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """Descending, length k = min(dim0, dim1)."""
+        return self._svd[1]
+
+    @property
+    def left_vectors(self) -> np.ndarray:
+        """dim1 x k."""
+        return self._svd[0]
+
+    @cached_property
+    def norm(self) -> float:
+        s = self.singular_values
+        return float(s[0]) if s.size else 0.0
+
+    @cached_property
+    def riccati_residual(self) -> float:
+        if self.residual is not None:
+            return self.residual
+        return riccati_residual(self.X, self.block)
 
     @cached_property
     def right_basis(self) -> np.ndarray:
         """Orthonormal eigenbasis of |X| on the dim0 space: the right
         singular vectors, completed by a basis of ker(X) when dim1 < dim0."""
-        W = self.right_vectors
+        W = self._svd[2]
         dim0, k = W.shape
         if k < dim0:
             Q, _ = np.linalg.qr(W, mode="complete")
             W = np.hstack([W, Q[:, k:]])
-        W.setflags(write=False)
+            W.setflags(write=False)
         return W
 
     @cached_property
     def eigenvalues_abs(self) -> np.ndarray:
         """Eigenvalues of |X| in the order of right_basis: the singular
         values padded with zeros when dim1 < dim0."""
-        s = np.zeros(self.right_vectors.shape[0])
+        s = np.zeros(self.X.shape[1])
         s[: self.singular_values.size] = self.singular_values
         s.setflags(write=False)
         return s
@@ -89,12 +127,9 @@ def riccati_residual(X, block: BlockOperator) -> float:
 
 
 def angular_from_matrix(X, block: BlockOperator) -> AngularOperator:
-    """Wrap a candidate solution matrix with its SVD and residual."""
-    X = np.asarray(X, dtype=float).copy()
-    res = riccati_residual(X, block)
-    U, s, Wt = np.linalg.svd(X, full_matrices=False)
-    norm = float(s[0]) if s.size else 0.0
-    return AngularOperator(X, s.copy(), U.copy(), Wt.T.copy(), norm, res)
+    """Wrap a candidate solution matrix; its SVD and residual are computed
+    when read."""
+    return AngularOperator(np.array(X, dtype=float), block)
 
 
 def _residual_cap(block: BlockOperator, x_norm: float) -> float:
@@ -105,33 +140,41 @@ def _residual_cap(block: BlockOperator, x_norm: float) -> float:
 def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator) -> AngularOperator:
     """Angular operator of the perturbed spectral subspace.
 
-    Splits an orthonormal basis Y of range(P0) into blocks Y0 (top dim0
-    rows) and Y1 and returns X = Y1 Y0^{-1}. Raises GraphExtractionFailed
-    if Y0 is too ill-conditioned for the subspace to be a graph, and
-    ResidualTooLarge if the result fails its Riccati residual contract.
+    Splits the orthonormal in-gap basis Y of the partition into blocks Y0
+    (top dim0 rows) and Y1 and returns X = Y1 Y0^{-1}, read off the SVD
+    Y1 = U diag(s) W^T that the partition's projector caches for the
+    projector distance (P0.lower_svd). The columns of Y0 W are orthogonal
+    with norms c, the cosines of the principal angles, so with
+    Z = Y0 W / c, Y0 = Z diag(c) W^T and X = U diag(s / c) Z[:, :k]^T is an
+    SVD of X whose right basis Z is already square. Raises
+    GraphExtractionFailed if Y0 is too ill-conditioned (cond(Y0) =
+    max c / min c) for the subspace to be a graph, and ResidualTooLarge if
+    the result fails its Riccati residual contract.
     """
     dim0 = block.dim0
     if partition.rank0 != dim0:
         raise GraphExtractionFailed(
             f"partition rank {partition.rank0} != dim0 {dim0}"
         )
-    Y = partition.vectors0
-    Y0 = Y[:dim0, :]
-    Y1 = Y[dim0:, :]
-    cond = np.linalg.cond(Y0)
-    if not np.isfinite(cond) or cond > EXTRACTION_COND_CAP:
+    U, s, Wt = partition.P0.lower_svd
+    Y0W = partition.vectors0[:dim0, :] @ Wt.T
+    c = np.sqrt(np.einsum("ij,ij->j", Y0W, Y0W))
+    c_min, c_max = float(np.min(c)), float(np.max(c))
+    cond = c_max / c_min if c_min > 0.0 else math.inf
+    if not math.isfinite(cond) or cond > EXTRACTION_COND_CAP:
         raise GraphExtractionFailed(
             f"top block condition number {cond:g} exceeds {EXTRACTION_COND_CAP:g}; "
             "the subspace is not a graph over the reference block"
         )
-    X = np.linalg.solve(Y0.T, Y1.T).T
-    ang = angular_from_matrix(X, block)
-    cap = _residual_cap(block, ang.norm)
-    if ang.riccati_residual > cap:
-        raise ResidualTooLarge(
-            f"Riccati residual {ang.riccati_residual:g} exceeds {cap:g}"
-        )
-    return ang
+    Z = Y0W / c
+    k = s.size
+    t = s / c[:k]
+    X = (U * t) @ Z[:, :k].T
+    res = riccati_residual(X, block)
+    cap = _residual_cap(block, float(t[0]))
+    if res > cap:
+        raise ResidualTooLarge(f"Riccati residual {res:g} exceeds {cap:g}")
+    return AngularOperator(X, factors=(U, t, Z), residual=res)
 
 
 def solve_riccati_fixed_point(
@@ -175,7 +218,7 @@ def solve_riccati_fixed_point(
         step = np.linalg.norm(X_new - X)
         X = X_new
         if step <= tol * (1.0 + np.linalg.norm(X) / root_k):
-            return angular_from_matrix(Q1 @ X @ Q0.T, block)
+            return AngularOperator(Q1 @ X @ Q0.T, block)
     raise NoConvergence(
         f"fixed-point iteration did not converge in {max_iter} steps "
         f"(||B||/d = {block.v_norm / disp.d:g})"

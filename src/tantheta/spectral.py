@@ -101,6 +101,30 @@ class RangeProjector:
         P.setflags(write=False)
         return P
 
+    @cached_property
+    def leading(self) -> bool:
+        """Whether the basis is the first k coordinate vectors."""
+        return np.array_equal(self.basis, np.eye(*self.basis.shape))
+
+    @cached_property
+    def lower_svd(self) -> tuple:
+        """SVD (U1, s, Wt) of the lower block Y1 = Y[k:] of the basis
+        Y = [Y0; Y1], k = rank, after a check ||Y^T Y - I||_F <= PROJECTOR_TOL.
+
+        The singular values s (descending) are the sines of the principal
+        angles between the range and the span of the first k coordinate
+        vectors. U1 and s are thin; Wt is square (k x k), so that its rows
+        span the whole top coordinate space also when Y1 has fewer rows
+        than columns.
+        """
+        Y = self.basis
+        _check_basis(Y, "projector")
+        Y1 = Y[self.rank :]
+        factors = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
+        for arr in factors:
+            arr.setflags(write=False)
+        return tuple(factors)
+
 
 @dataclass(frozen=True)
 class SpectrumPartition:
@@ -179,22 +203,29 @@ def _check_basis(U: np.ndarray, name: str) -> None:
 def projection_distance(P, Q) -> float:
     """Operator norm of the difference of two orthogonal projectors.
 
-    For two RangeProjectors with bases U and V (orthonormality checked to
-    PROJECTOR_TOL) this is 1 when the ranks differ and otherwise
+    For two RangeProjectors of equal rank k one of which is `leading`, this
+    is the largest singular value of the other basis' cached lower_svd:
+    ||(I - P) Q|| is then the norm of its rows below the first k. For other
+    RangeProjectors with bases U and V (orthonormality checked to
+    PROJECTOR_TOL) it is 1 when the ranks differ and otherwise
     ||V - U (U^T V)|| = ||(I - P) Q|| = ||P - Q||, without forming an n x n
     matrix. Any other pair (SymMatrix, dense array) takes the dense route,
     the largest absolute eigenvalue of P - Q after idempotency and
-    symmetry checks; it is kept as the test oracle of the basis route.
+    symmetry checks; it is kept as the test oracle of the basis routes.
     """
     if isinstance(P, RangeProjector) and isinstance(Q, RangeProjector):
         U, V = P.basis, Q.basis
         if U.shape[0] != V.shape[0]:
             raise NotAProjector(f"dimension mismatch {U.shape[0]} vs {V.shape[0]}")
-        _check_basis(U, "P")
-        _check_basis(V, "Q")
-        if U.shape[1] != V.shape[1]:
-            return 1.0
-        dist = spectral_norm(V - U @ (U.T @ V))
+        if U.shape[1] == V.shape[1] and (P.leading or Q.leading):
+            s = (Q if P.leading else P).lower_svd[1]
+            dist = float(s[0]) if s.size else 0.0
+        else:
+            _check_basis(U, "P")
+            _check_basis(V, "Q")
+            if U.shape[1] != V.shape[1]:
+                return 1.0
+            dist = spectral_norm(V - U @ (U.T @ V))
     else:
         Pm = np.asarray(getattr(P, "entries", P), dtype=float)
         Qm = np.asarray(getattr(Q, "entries", Q), dtype=float)

@@ -162,6 +162,32 @@ class TestDecompositionCount:
         ):
             assert times_decomposed(target) <= 1, label
 
+        # A symmetric eigensolve of M^T M or M M^T (scaled) decomposes M too.
+        def times_gram_decomposed(target):
+            grams = [target.T @ target, target @ target.T]
+            return sum(
+                name in ("eigh", "eigvalsh")
+                and any(
+                    M.shape == G.shape
+                    and np.max(np.abs(G)) > 0.0
+                    and np.allclose(M / np.max(np.abs(M)), G / np.max(np.abs(G)),
+                                    rtol=1e-10, atol=1e-12)
+                    for G in grams
+                )
+                for name, M in calls
+            )
+
+        for label, target in (("B", block.B), ("X", X)):
+            assert times_decomposed(target) + times_gram_decomposed(target) <= 1, label
+        assert times_gram_decomposed(block.B) == 1  # ||B||, from its Gram matrix
+
+        # The only SVD of a trial is the one of Y1, the lower block of the
+        # in-gap eigenvectors, and the only SVD-based 2-norm is generation's.
+        Y1 = Verification(block, seed=cfg.seed).partition.vectors0[block.dim0 :]
+        svds = [M for name, M in calls if name == "svd"]
+        assert len(svds) == 1 and np.array_equal(svds[0], Y1)
+        assert sum(name == "norm" for name, _ in calls) <= 1
+
 
 class TestRunSweep:
     def test_counts_and_order(self):

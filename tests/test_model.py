@@ -21,6 +21,8 @@ from tantheta import (
     make_block_operator,
     save_instance,
 )
+from tantheta.errors import TanThetaError
+from tantheta.model import spectral_norm
 
 
 class TestSymMatrix:
@@ -156,3 +158,46 @@ class TestInstanceIO:
         block = make_block_operator(np.eye(2), np.diag([-3.0, 3.0]), np.ones((2, 2)))
         again = block_operator_from_dict(json.loads(json.dumps(block_operator_to_dict(block))))
         assert np.array_equal(again.B, block.B)
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [
+            ((9, 4), 1.0),  # tall
+            ((4, 9), 1.0),  # wide
+            ((1, 7), 1.0),
+            ((7, 1), 1.0),
+            ((1, 1), 1.0),
+            ((30, 50), 1.0),
+            ((6, 5), 1e-300),
+            ((5, 6), 1e300),
+        ],
+    )
+    def test_matches_svd_norm(self, shape, scale):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            M = rng.standard_normal(shape) * scale
+            expected = np.linalg.norm(M, 2)
+            assert spectral_norm(M) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_rank_one_and_clustered(self):
+        u, v = np.arange(1.0, 6.0), np.linspace(-1.0, 2.0, 8)
+        assert spectral_norm(np.outer(u, v)) == pytest.approx(
+            np.linalg.norm(u) * np.linalg.norm(v), rel=1e-14
+        )
+        Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 8)))
+        assert spectral_norm(3.0 * Q[:, :5]) == pytest.approx(3.0, rel=1e-14)
+
+    def test_zero_and_empty(self):
+        assert spectral_norm(np.zeros((4, 3))) == 0.0
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_raises_typed_error(self, bad):
+        M = np.ones((3, 4))
+        M[1, 2] = bad
+        with pytest.raises(TanThetaError):
+            spectral_norm(M)
+        with pytest.raises(DimensionMismatch):
+            spectral_norm(M.T)

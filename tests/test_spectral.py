@@ -10,8 +10,10 @@ from tantheta import (
     ResidualTooLarge,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
+    GraphExtractionFailed,
     NotAProjector,
     SymMatrix,
+    extract_angular_operator,
     find_disposition,
     make_block_operator,
     perturbed_partition,
@@ -21,7 +23,7 @@ from tantheta import (
     sym_eig,
     unperturbed_projector,
 )
-from tantheta.spectral import RangeProjector
+from tantheta.spectral import RangeProjector, SpectrumPartition
 from tantheta.families import rank_one_build, rank_one_outer_params
 
 
@@ -257,3 +259,85 @@ class TestBasisRoute:
             assert abs(ver.distance - ver.angular.sin_theta) <= 1e-12
             count += 1
         assert count >= 20
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestCosineSineRoute:
+    """The extraction and the distance read off one SVD of Y1, checked
+    against X = Y1 Y0^{-1} by a linear solve and a fresh SVD of X."""
+
+    def test_extraction_matches_solve_and_svd(self):
+        count = 0
+        for cfg in oracle_instances():
+            block, _ = generate_instance(cfg)
+            ver = Verification(block, seed=cfg.seed)
+            Y = ver.partition.vectors0
+            Y0, Y1 = Y[: block.dim0], Y[block.dim0 :]
+            X_ref = np.linalg.solve(Y0.T, Y1.T).T
+            s_ref = np.linalg.svd(X_ref, compute_uv=False)
+            ang = ver.angular
+            assert relative_gap(ang.X, X_ref) <= 1e-12
+            assert abs(ang.norm - s_ref[0]) <= 1e-12 * s_ref[0]
+            assert relative_gap(ang.singular_values, s_ref) <= 1e-12
+            # X^T X from the factors held by the result, W diag(s^2) W^T
+            W = ang.right_basis
+            XtX = (W * ang.eigenvalues_abs**2) @ W.T
+            assert relative_gap(XtX, X_ref.T @ X_ref) <= 1e-12
+            assert relative_gap(ang.X.T @ ang.X, X_ref.T @ X_ref) <= 1e-12
+            assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
+            U = ang.left_vectors
+            assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+            assert ver.distance == pytest.approx(ang.sin_theta, abs=1e-12)
+            count += 1
+        assert count == 24
+
+    @pytest.mark.parametrize("cosine, raises", [(1e-13, True), (1e-9, False)])
+    def test_singular_top_block(self, cosine, raises):
+        # Y = diag(R0, R1) [[c, 0], [0, 1], [sqrt(1 - c^2), 0], [0, 0]]: the
+        # smallest cosine is c, so cond(Y0) = 1 / c.
+        rng = np.random.default_rng(17)
+        R0, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        R1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        Y = np.zeros((4, 2))
+        Y[0, 0], Y[2, 0], Y[1, 1] = cosine, np.sqrt(1.0 - cosine**2), 1.0
+        Y[:2], Y[2:] = R0 @ Y[:2], R1 @ Y[2:]
+        part = SpectrumPartition((0.0, 0.0), (-2.0, 2.0), RangeProjector(Y))
+        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        assert projection_distance(unperturbed_projector(block), part.P0) == pytest.approx(
+            1.0, abs=1e-12
+        )
+        if raises:
+            with pytest.raises(GraphExtractionFailed):
+                extract_angular_operator(part, block)
+        else:
+            # passes the condition gate, with ||X|| = tan(theta) = sqrt(1 - c^2) / c
+            ang = extract_angular_operator(part, block)
+            assert ang.norm == pytest.approx(np.sqrt(1.0 - cosine**2) / cosine, rel=1e-6)
+
+    def test_leading_route(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
+        E = RangeProjector(np.eye(6, 2))
+        V = RangeProjector(Q[:, :2])
+        assert E.leading and not V.leading
+        dense = projection_distance(SymMatrix(E.entries), SymMatrix(V.entries))
+        assert projection_distance(E, V) == pytest.approx(dense, abs=1e-12)
+        assert projection_distance(V, E) == projection_distance(E, V)
+        assert projection_distance(E, E) == 0.0
+        # unequal ranks take the general route
+        assert projection_distance(E, RangeProjector(Q[:, :3])) == 1.0
+        # the other basis is checked before its SVD
+        with pytest.raises(NotAProjector):
+            projection_distance(E, RangeProjector(Q[:, :2] * (1.0 + 1e-6)))
+
+    def test_lower_svd_is_cached(self):
+        block, _ = generate_instance(GenConfig(dim0=5, dim1=3, D=4.0, d=1.0, ratio=0.6,
+                                               conjugate=True, seed=4))
+        part = Verification(block).partition
+        U, s, Wt = part.P0.lower_svd
+        assert part.P0.lower_svd[0] is U
+        assert U.shape == (3, 3) and s.shape == (3,) and Wt.shape == (5, 5)
+        Y1 = part.vectors0[5:]
+        assert np.allclose((U * s) @ Wt[:3], Y1, atol=1e-14)
