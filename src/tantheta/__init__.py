@@ -77,7 +77,6 @@ from .spectral import (
     find_disposition,
     perturbed_partition,
     projection_distance,
-    spectral_projection,
     sym_eig,
     unperturbed_projector,
 )

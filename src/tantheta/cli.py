@@ -114,23 +114,40 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
+# The nine sweep config fields: the kind each must have and its default,
+# None for a required field.
+_SWEEP_FIELDS = {
+    "dim0": (int, None), "dim1": (int, None), "D": (float, None), "d": (float, None),
+    "trials": (int, None), "ratio_grid": (list, None),
+    "span": (float, 1.0), "conjugate": (bool, False), "seed": (int, 0),
+}
+
+
+def _sweep_fields(raw) -> dict:
+    """The typed fields of a sweep config; ConfigInvalid if it is not a
+    JSON object, names an unknown field or lacks a required one."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("a sweep config must be a JSON object")
+    unknown = sorted(set(raw) - set(_SWEEP_FIELDS))
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown config field {unknown[0]!r}; the fields are {', '.join(_SWEEP_FIELDS)}"
+        )
+    fields = {}
+    for key, (kind, default) in _SWEEP_FIELDS.items():
+        if key not in raw and default is None:
+            raise ConfigInvalid(f"config field {key!r} is missing")
+        fields[key] = _typed(key, raw.get(key, default), kind)
+    return fields
+
+
 def cmd_sweep(args) -> int:
-    raw = read_json(args.config)
-    trials = _typed("trials", raw["trials"], int)
-    grid = _typed("ratio_grid", raw["ratio_grid"], list)
-    ratio_grid = [_typed("ratio_grid", r, float) for r in grid]
+    fields = _sweep_fields(read_json(args.config))
+    trials = fields.pop("trials")
+    ratio_grid = [_typed("ratio_grid", r, float) for r in fields.pop("ratio_grid")]
     if trials < 1 or not ratio_grid:
         raise ConfigInvalid("a sweep needs trials >= 1 and a non-empty ratio_grid")
-    cfg = GenConfig(
-        dim0=_typed("dim0", raw["dim0"], int),
-        dim1=_typed("dim1", raw["dim1"], int),
-        D=_typed("D", raw["D"], float),
-        d=_typed("d", raw["d"], float),
-        ratio=0.0,
-        span=_typed("span", raw.get("span", 1.0), float),
-        conjugate=_typed("conjugate", raw.get("conjugate", False), bool),
-        seed=_typed("seed", raw.get("seed", 0), int),
-    )
+    cfg = GenConfig(ratio=0.0, **fields)
     cfg.validate()
     records, summary = run_sweep(cfg, trials, ratio_grid)
     write_reports(records, summary, args.out, fmt=args.format)

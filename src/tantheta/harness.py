@@ -225,7 +225,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
     if 0.0 < cfg.ratio <= CROSS_CHECK_RATIO:
         try:
             fp = solve_riccati_fixed_point(block, ver.disposition)
-            cross = spectral_norm(fp.X - ver.angular.X)
+            cross = spectral_norm(fp - ver.angular.X)
         except NoConvergence:
             cross = None
     elapsed_ms = (time.perf_counter() - start) * 1000.0

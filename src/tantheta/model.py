@@ -70,6 +70,16 @@ def spectral_norm(M) -> float:
     return m * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
+def svd_square_right(M) -> tuple:
+    """Read-only SVD (U, s, Wt) of an m x n matrix M, s descending: U and s
+    thin (k = min(m, n) columns and values), Wt square (n x n), so that its
+    rows span the whole domain also when m < n."""
+    factors = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    for arr in factors:
+        arr.setflags(write=False)
+    return tuple(factors)
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Full symmetric eigendecomposition with its backward residual."""

@@ -4,9 +4,8 @@ and the eigenvalue/eigenvector identity audit for the modulus of X."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .errors import (
     NoConvergence,
     ResidualTooLarge,
 )
-from .model import BlockOperator, SpectralDisposition, SymMatrix, spectral_norm
+from .model import BlockOperator, SpectralDisposition, SymMatrix, spectral_norm, svd_square_right
 from .spectral import SpectrumPartition, sym_eig
 
 EXTRACTION_COND_CAP = 1e12
@@ -32,67 +31,29 @@ DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AngularOperator:
-    """Solution X of the Riccati equation of `block`.
+    """Solution X (dim1 x dim0) of the Riccati equation of a block operator,
+    with an SVD X = U diag(s) W[:, :k]^T and its Riccati residual.
 
-    Its SVD and Riccati residual are computed from X and `block` on first
-    read. `factors` and `residual`, when given, supply them instead; a
-    result given both needs no block. `factors` is (left vectors U,
-    singular values s descending, right basis W) with
-    X = U diag(s) W[:, :len(s)]^T, where W may already be completed to a
-    square orthonormal basis.
+    `left_vectors` U is dim1 x k and `singular_values` s has length
+    k = min(dim0, dim1), descending; `right_basis` W is a square orthonormal
+    dim0 x dim0 basis whose columns past the k-th span ker(X). All arrays
+    are read-only.
     """
 
     X: np.ndarray
-    block: Optional[BlockOperator] = field(default=None, repr=False, compare=False)
-    factors: Optional[tuple] = field(default=None, repr=False, compare=False)
-    residual: Optional[float] = field(default=None, repr=False, compare=False)
+    left_vectors: np.ndarray
+    singular_values: np.ndarray
+    right_basis: np.ndarray
+    riccati_residual: float
 
     def __post_init__(self):
-        self.X.setflags(write=False)
-
-    @cached_property
-    def _svd(self) -> tuple:
-        if self.factors is not None:
-            U, s, W = self.factors
-        else:
-            U, s, Wt = np.linalg.svd(self.X, full_matrices=False)
-            W = Wt.T
-        for arr in (U, s, W):
+        for arr in (self.X, self.left_vectors, self.singular_values, self.right_basis):
             arr.setflags(write=False)
-        return U, s, W
 
     @property
-    def singular_values(self) -> np.ndarray:
-        """Descending, length k = min(dim0, dim1)."""
-        return self._svd[1]
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        """dim1 x k."""
-        return self._svd[0]
-
-    @cached_property
     def norm(self) -> float:
         s = self.singular_values
         return float(s[0]) if s.size else 0.0
-
-    @cached_property
-    def riccati_residual(self) -> float:
-        if self.residual is not None:
-            return self.residual
-        return riccati_residual(self.X, self.block)
-
-    @cached_property
-    def right_basis(self) -> np.ndarray:
-        """Orthonormal eigenbasis of |X| on the dim0 space: the right
-        singular vectors, completed by a basis of ker(X) when dim1 < dim0."""
-        W = self._svd[2]
-        dim0, k = W.shape
-        if k < dim0:
-            Q, _ = np.linalg.qr(W, mode="complete")
-            W = np.hstack([W, Q[:, k:]])
-            W.setflags(write=False)
-        return W
 
     @cached_property
     def eigenvalues_abs(self) -> np.ndarray:
@@ -102,11 +63,6 @@ class AngularOperator:
         s[: self.singular_values.size] = self.singular_values
         s.setflags(write=False)
         return s
-
-    @property
-    def theta_norm(self) -> float:
-        """Largest principal angle arctan(||X||), in radians."""
-        return math.atan(self.norm)
 
     @property
     def sin_theta(self) -> float:
@@ -127,9 +83,10 @@ def riccati_residual(X, block: BlockOperator) -> float:
 
 
 def angular_from_matrix(X, block: BlockOperator) -> AngularOperator:
-    """Wrap a candidate solution matrix; its SVD and residual are computed
-    when read."""
-    return AngularOperator(np.array(X, dtype=float), block)
+    """Wrap a candidate solution matrix with its SVD and Riccati residual."""
+    X = np.array(X, dtype=float)
+    U, s, Wt = svd_square_right(X)
+    return AngularOperator(X, U, s, Wt.T, riccati_residual(X, block))
 
 
 def _residual_cap(block: BlockOperator, x_norm: float) -> float:
@@ -174,7 +131,7 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     cap = _residual_cap(block, float(t[0]))
     if res > cap:
         raise ResidualTooLarge(f"Riccati residual {res:g} exceeds {cap:g}")
-    return AngularOperator(X, factors=(U, t, Z), residual=res)
+    return AngularOperator(X, U, t, Z, res)
 
 
 def solve_riccati_fixed_point(
@@ -182,8 +139,8 @@ def solve_riccati_fixed_point(
     disp: SpectralDisposition,
     tol: float = 1e-13,
     max_iter: int = 2000,
-) -> AngularOperator:
-    """Independent cross-check solver.
+) -> np.ndarray:
+    """Independent cross-check solver; returns the matrix X.
 
     Iterates X0 = 0, with X_{k+1} solving the Sylvester equation
     A1 X - X A0 = X_k B X_k - B^T by entrywise division (all divisors at
@@ -218,7 +175,7 @@ def solve_riccati_fixed_point(
         step = np.linalg.norm(X_new - X)
         X = X_new
         if step <= tol * (1.0 + np.linalg.norm(X) / root_k):
-            return AngularOperator(Q1 @ X @ Q0.T, block)
+            return Q1 @ X @ Q0.T
     raise NoConvergence(
         f"fixed-point iteration did not converge in {max_iter} steps "
         f"(||B||/d = {block.v_norm / disp.d:g})"

@@ -1,5 +1,5 @@
-"""Eigendecomposition-based ground truth: spectral projections, gap
-discovery, perturbed-spectrum partition and projector distances."""
+"""Eigendecomposition-based ground truth: gap discovery, perturbed-spectrum
+partition and projector distances."""
 from __future__ import annotations
 
 import math
@@ -20,6 +20,7 @@ from .model import (
     SymMatrix,
     disposition_from_spectra,
     spectral_norm,
+    svd_square_right,
 )
 
 # Projectors have unit norm, so their defects have no units and this
@@ -45,26 +46,6 @@ def sym_eig(S: SymMatrix) -> EigenSystem:
     later calls return the same EigenSystem.
     """
     return (S if isinstance(S, SymMatrix) else SymMatrix(S)).eig
-
-
-def spectral_projection(es: EigenSystem, lo: float, hi: float) -> SymMatrix:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalues
-    in the open interval (lo, hi).
-
-    Raises EigenvalueOnBoundary if any eigenvalue sits within
-    1e-9 (1 + ||S||) of either endpoint.
-    """
-    if not lo < hi:
-        raise EigenvalueOnBoundary(f"empty interval ({lo}, {hi})")
-    scale = 1.0 + float(np.max(np.abs(es.values))) if es.values.size else 1.0
-    band = BOUNDARY_BAND * scale
-    if np.any(np.abs(es.values - lo) <= band) or np.any(np.abs(es.values - hi) <= band):
-        raise EigenvalueOnBoundary(
-            f"an eigenvalue lies within {band:g} of an endpoint of ({lo}, {hi})"
-        )
-    mask = (es.values > lo) & (es.values < hi)
-    V = es.vectors[:, mask]
-    return SymMatrix(V @ V.T)
 
 
 def find_disposition(block: BlockOperator) -> SpectralDisposition:
@@ -113,17 +94,16 @@ class RangeProjector:
 
         The singular values s (descending) are the sines of the principal
         angles between the range and the span of the first k coordinate
-        vectors. U1 and s are thin; Wt is square (k x k), so that its rows
-        span the whole top coordinate space also when Y1 has fewer rows
-        than columns.
+        vectors. U1 and s are thin and Wt is square (k x k), as
+        model.svd_square_right returns them.
         """
         Y = self.basis
-        _check_basis(Y, "projector")
-        Y1 = Y[self.rank :]
-        factors = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
-        for arr in factors:
-            arr.setflags(write=False)
-        return tuple(factors)
+        gram_defect = np.linalg.norm(Y.T @ Y - np.eye(self.rank))
+        if gram_defect > PROJECTOR_TOL:
+            raise NotAProjector(
+                f"range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
+            )
+        return svd_square_right(Y[self.rank :])
 
 
 @dataclass(frozen=True)
@@ -192,40 +172,22 @@ def _check_projector(P: np.ndarray, name: str) -> None:
         raise NotAProjector(f"{name} is not idempotent-symmetric within {PROJECTOR_TOL:g}")
 
 
-def _check_basis(U: np.ndarray, name: str) -> None:
-    gram_defect = np.linalg.norm(U.T @ U - np.eye(U.shape[1]))
-    if gram_defect > PROJECTOR_TOL:
-        raise NotAProjector(
-            f"{name}: range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
-        )
-
-
 def projection_distance(P, Q) -> float:
     """Operator norm of the difference of two orthogonal projectors.
 
-    For two RangeProjectors of equal rank k one of which is `leading`, this
-    is the largest singular value of the other basis' cached lower_svd:
-    ||(I - P) Q|| is then the norm of its rows below the first k. For other
-    RangeProjectors with bases U and V (orthonormality checked to
-    PROJECTOR_TOL) it is 1 when the ranks differ and otherwise
-    ||V - U (U^T V)|| = ||(I - P) Q|| = ||P - Q||, without forming an n x n
-    matrix. Any other pair (SymMatrix, dense array) takes the dense route,
-    the largest absolute eigenvalue of P - Q after idempotency and
-    symmetry checks; it is kept as the test oracle of the basis routes.
+    For two RangeProjectors of the same shape one of which is `leading`,
+    this is the largest singular value of the other basis' cached
+    lower_svd: ||(I - P) Q|| is then the norm of its rows below the first
+    k. Any other pair (RangeProjector, SymMatrix, dense array) takes the
+    dense route, kept as the test oracle of the leading route: after
+    idempotency and symmetry checks it is 1 when the ranks (rounded traces)
+    differ and otherwise the largest absolute eigenvalue of P - Q.
     """
-    if isinstance(P, RangeProjector) and isinstance(Q, RangeProjector):
-        U, V = P.basis, Q.basis
-        if U.shape[0] != V.shape[0]:
-            raise NotAProjector(f"dimension mismatch {U.shape[0]} vs {V.shape[0]}")
-        if U.shape[1] == V.shape[1] and (P.leading or Q.leading):
-            s = (Q if P.leading else P).lower_svd[1]
-            dist = float(s[0]) if s.size else 0.0
-        else:
-            _check_basis(U, "P")
-            _check_basis(V, "Q")
-            if U.shape[1] != V.shape[1]:
-                return 1.0
-            dist = spectral_norm(V - U @ (U.T @ V))
+    if isinstance(P, RangeProjector) and isinstance(Q, RangeProjector) and (
+        P.basis.shape == Q.basis.shape and (P.leading or Q.leading)
+    ):
+        s = (Q if P.leading else P).lower_svd[1]
+        dist = float(s[0]) if s.size else 0.0
     else:
         Pm = np.asarray(getattr(P, "entries", P), dtype=float)
         Qm = np.asarray(getattr(Q, "entries", Q), dtype=float)
@@ -233,6 +195,8 @@ def projection_distance(P, Q) -> float:
             raise NotAProjector(f"shape mismatch {Pm.shape} vs {Qm.shape}")
         _check_projector(Pm, "P")
         _check_projector(Qm, "Q")
+        if round(np.trace(Pm)) != round(np.trace(Qm)):
+            return 1.0
         dist = float(np.max(np.abs(np.linalg.eigvalsh(Pm - Qm)))) if Pm.size else 0.0
     if dist > 1.0 + 1e-9:
         raise NotAProjector(f"projector distance {dist:g} exceeds 1")

@@ -182,6 +182,53 @@ class TestSweep:
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"dim0"', "null"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "report.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["conjugat", "ratio", "Dim0"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key):
+        cfg = self.config(tmp_path, **{key: True})
+        out = tmp_path / "report.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"unknown config field {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["dim0", "dim1", "D", "d", "trials", "ratio_grid"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        cfg = self.config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw[key]
+        cfg.write_text(json.dumps(raw))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config field {key!r} is missing" in capsys.readouterr().err
+
+    def test_optional_keys_take_their_defaults(self, tmp_path, capsys, monkeypatch):
+        import tantheta.cli as cli
+
+        seen = []
+        real = cli.run_sweep
+
+        def spy(cfg, *args):
+            seen.append(cfg)
+            return real(cfg, *args)
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        cfg = self.config(tmp_path, trials=1)
+        raw = json.loads(cfg.read_text())
+        del raw["seed"]
+        cfg.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (seen[0].span, seen[0].conjugate, seen[0].seed) == (1.0, False, 0)
+
 
 class TestExample:
     def test_rank1_inner(self, capsys):

@@ -85,7 +85,7 @@ class TestClassifyRegion:
         st.floats(min_value=0.01, max_value=0.5),
         st.floats(min_value=0.0, max_value=1.5),
     )
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True, database=None)
     def test_partition_is_total(self, D, d_frac, v_frac):
         d = d_frac * D
         v = v_frac * math.sqrt(d * D)
@@ -97,7 +97,7 @@ class TestClassifyRegion:
         st.floats(min_value=0.01, max_value=0.5),
         st.lists(st.floats(min_value=0.0, max_value=1.3), min_size=2, max_size=8),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True, database=None)
     def test_monotone_in_v(self, D, d_frac, v_fracs):
         d = d_frac * D
         labels = [
@@ -114,7 +114,7 @@ class TestDisposition:
             st.floats(min_value=1.0, max_value=3.0), min_size=2, max_size=6
         ),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True, database=None)
     def test_round_trip_against_brute_force(self, s0, s1_mag):
         # sigma1 gets one point on each side of the gap
         s1 = [s1_mag[0]] + [-x for x in s1_mag[1:]] + [-1.0, 1.0]

@@ -19,7 +19,7 @@ from tantheta import (
     unperturbed_projector,
     verify_lemma_identities,
 )
-from tantheta.riccati import KERNEL_CUTOFF
+from tantheta.riccati import KERNEL_CUTOFF, angular_from_matrix
 from tantheta.families import circulant_build, circulant_case_params, circulant_kappa_matrix
 
 
@@ -101,7 +101,7 @@ class TestFixedPoint:
     def test_zero_coupling_one_step(self):
         block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
         ang = solve_riccati_fixed_point(block, find_disposition(block))
-        assert ang.norm == 0.0
+        assert np.linalg.norm(ang, 2) == 0.0
 
     def test_agrees_with_extraction(self):
         block = make_block_operator(
@@ -109,7 +109,7 @@ class TestFixedPoint:
         )
         disp, _, ang = pipeline(block)
         fp = solve_riccati_fixed_point(block, disp)
-        assert np.linalg.norm(fp.X - ang.X, 2) <= 1e-8 * (1.0 + ang.norm)
+        assert np.linalg.norm(fp - ang.X, 2) <= 1e-8 * (1.0 + ang.norm)
 
     def test_no_convergence_outside_regime(self):
         # v/d = 1.3 sits in the outer region; divergence is a regime limit
@@ -121,7 +121,7 @@ class TestFixedPoint:
         except NoConvergence:
             return
         # if it converged anyway the result must still solve the equation
-        assert fp.riccati_residual <= 1e-6 * (1.0 + fp.norm) ** 2 * (
+        assert riccati_residual(fp, block) <= 1e-6 * (1.0 + np.linalg.norm(fp, 2)) ** 2 * (
             1.0 + block.A0.norm + block.A1.norm + np.linalg.norm(block.B, 2)
         )
 
@@ -249,14 +249,22 @@ class TestAgainstReferences:
         for block in random_blocks(10, seed=700):
             fp = solve_riccati_fixed_point(block, find_disposition(block))
             X_ref = reference_fixed_point(block)
-            assert np.linalg.norm(fp.X - X_ref, 2) <= 1e-12 * (1.0 + fp.norm)
+            assert np.linalg.norm(fp - X_ref, 2) <= 1e-12 * (1.0 + np.linalg.norm(fp, 2))
 
-    def test_right_basis_spans_kernel_when_dim1_below_dim0(self):
+    @pytest.mark.parametrize("route", ["ext", "mat"])
+    def test_right_basis_spans_kernel_when_dim1_below_dim0(self, route):
+        # "ext": the extraction's square right basis Z; "mat": the SVD of X
+        # taken by angular_from_matrix, whose right basis is square as well.
         cfg = GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9)
         block, _ = generate_instance(cfg)
         _, _, ang = pipeline(block)
+        if route == "mat":
+            ang = angular_from_matrix(ang.X, block)
         W = ang.right_basis
         assert W.shape == (6, 6)
         assert np.allclose(W.T @ W, np.eye(6), atol=1e-12)
         assert np.allclose(ang.X @ W[:, 3:], 0.0, atol=1e-12)
         assert list(ang.eigenvalues_abs[3:]) == [0.0, 0.0, 0.0]
+        X = (ang.left_vectors * ang.singular_values) @ W[:, :3].T
+        assert np.linalg.norm(X - ang.X) <= 1e-12 * np.linalg.norm(ang.X)
+        assert verify_lemma_identities(ang, block).max_residual <= 1e-8

@@ -19,10 +19,10 @@ from tantheta import (
     perturbed_partition,
     projection_distance,
     r_v,
-    spectral_projection,
     sym_eig,
     unperturbed_projector,
 )
+from tantheta.model import SpectralDisposition
 from tantheta.spectral import RangeProjector, SpectrumPartition
 from tantheta.families import rank_one_build, rank_one_outer_params
 
@@ -67,23 +67,6 @@ class TestSymEig:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ResidualTooLarge):
             sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
-
-
-class TestSpectralProjection:
-    def test_diagonal_case(self):
-        es = sym_eig(SymMatrix(np.diag([-2.0, 0.0, 2.0])))
-        P = spectral_projection(es, -1.0, 1.0)
-        assert np.allclose(P.entries, np.diag([0.0, 1.0, 0.0]))
-
-    def test_full_spectrum_gives_identity(self):
-        es = sym_eig(SymMatrix(np.diag([-2.0, 0.0, 2.0])))
-        P = spectral_projection(es, -10.0, 10.0)
-        assert np.allclose(P.entries, np.eye(3))
-
-    def test_eigenvalue_on_endpoint(self):
-        es = sym_eig(SymMatrix(np.diag([-2.0, 0.0, 2.0])))
-        with pytest.raises(EigenvalueOnBoundary):
-            spectral_projection(es, 0.999999999 * 2.0, 10.0)
 
 
 class TestFindDisposition:
@@ -142,6 +125,19 @@ class TestPerturbedPartition:
         disp = find_disposition(block)
         with pytest.raises(GapEmptyOrRankMismatch):
             perturbed_partition(block, disp, force=True)
+
+    @pytest.mark.parametrize("offset, raises", [(1e-9, True), (1e-13, False)])
+    def test_eigenvalue_near_gap_edge(self, offset, raises):
+        # spec(L) = {-2, 0, 2}; band = 1e-9 (1 + ||L||) = 3e-9 and the
+        # collar 3e-12, so -2 is a boundary hit at 1e-9 inside the gap and
+        # an endpoint eigenvalue at 1e-13.
+        block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
+        disp = SpectralDisposition((0.0,), (-2.0, 2.0), -2.0 - offset, 2.0, 2.0, 4.0)
+        if raises:
+            with pytest.raises(EigenvalueOnBoundary):
+                perturbed_partition(block, disp)
+        else:
+            assert perturbed_partition(block, disp).omega0 == (0.0,)
 
     def test_gap_survives_below_sqrt2d(self):
         # v/d = 1.3 < sqrt(2) at D = 2d: gap keeps exactly dim0 eigenvalues
@@ -326,7 +322,7 @@ class TestCosineSineRoute:
         assert projection_distance(E, V) == pytest.approx(dense, abs=1e-12)
         assert projection_distance(V, E) == projection_distance(E, V)
         assert projection_distance(E, E) == 0.0
-        # unequal ranks take the general route
+        # unequal ranks take the dense route, which gives exactly 1
         assert projection_distance(E, RangeProjector(Q[:, :3])) == 1.0
         # the other basis is checked before its SVD
         with pytest.raises(NotAProjector):
