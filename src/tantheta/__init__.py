@@ -50,7 +50,7 @@ from .harness import (
 )
 from .model import (
     BlockOperator,
-    BoundPoint,
+    EigenSystem,
     Region,
     SpectralDisposition,
     SymMatrix,
@@ -72,12 +72,10 @@ from .riccati import (
     verify_lemma_identities,
 )
 from .spectral import (
-    EigenSystem,
     SpectrumPartition,
     find_disposition,
     perturbed_partition,
     projection_distance,
-    sym_eig,
     unperturbed_projector,
 )
 

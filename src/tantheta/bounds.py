@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import BoundPoint, Region, classify_region
+from .model import Region, classify_region
 
 # Negative radicands within this absolute slack are treated as round-off at
 # a domain boundary and clamped to zero.
@@ -64,12 +64,6 @@ def kappa(D: float, d: float, v: float) -> float:
     return num / (2.0 * (d * (D - d) - v * v))
 
 
-def m1_trig(D: float, d: float, v: float) -> float:
-    """Trigonometric form tan(arctan(kappa)/2); internal oracle for the
-    algebraic forms."""
-    return half_arctan_tangent(kappa(D, d, v))
-
-
 def m1(D: float, d: float, v: float) -> float:
     """First bound branch, in [0, 1]; defined up to and including the
     boundary v = sqrt(d(D-d)) by continuous extension (value 1 there)."""
@@ -102,9 +96,13 @@ def m2(D: float, d: float, v: float) -> float:
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    """All estimating quantities at one point of the bound domain."""
+    """All estimating quantities at one point (D, d, v) of the bound
+    domain, with the region the point lies in."""
 
-    point: BoundPoint
+    D: float
+    d: float
+    v: float
+    region: Region
     r_V: float
     kappa: Optional[float]
     M1: Optional[float]
@@ -117,17 +115,20 @@ class BoundEvaluation:
 def m_total(D: float, d: float, v: float) -> BoundEvaluation:
     """Combined bound M (M1 below the inter-branch boundary, M2 at and
     above it) together with every derived quantity."""
-    point = classify_region(D, d, v)
-    if point.region is Region.OUTSIDE_OMEGA:
+    region = classify_region(D, d, v)
+    if region is Region.OUTSIDE_OMEGA:
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega")
     v_boundary = math.sqrt(d * (D - d))
-    kap = kappa(D, d, v) if point.region in (Region.OMEGA1_0, Region.OMEGA1_1) else None
+    kap = kappa(D, d, v) if region in (Region.OMEGA1_0, Region.OMEGA1_1) else None
     M1_val = m1(D, d, v) if v <= v_boundary else None
     M2_val = m2(D, d, v) if v >= v_boundary else None
     M = M1_val if v < v_boundary else M2_val
     apriori = sin_arctan(v / d) if v < SQRT2 * d else None
     return BoundEvaluation(
-        point=point,
+        D=float(D),
+        d=float(d),
+        v=float(v),
+        region=region,
         r_V=r_v(D, d, v),
         kappa=kap,
         M1=M1_val,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .bounds import m_total
 from .errors import ConfigInvalid, TanThetaError
@@ -46,17 +47,8 @@ def _print_kv(pairs) -> None:
 def _bound_pairs(D: float, d: float, v: float):
     ev = m_total(D, d, v)
     return [
-        ("D", ev.point.D),
-        ("d", ev.point.d),
-        ("v", ev.point.v),
-        ("region", ev.point.region.name),
-        ("r_V", ev.r_V),
-        ("kappa", ev.kappa),
-        ("M1", ev.M1),
-        ("M2", ev.M2),
-        ("M", ev.M),
-        ("projection_bound", ev.projection_bound),
-        ("apriori_bound", ev.apriori_bound),
+        (f.name, ev.region.name if f.name == "region" else getattr(ev, f.name))
+        for f in fields(ev)
     ]
 
 

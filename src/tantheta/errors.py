@@ -38,7 +38,8 @@ class ResidualTooLarge(TanThetaError):
 
 
 class NotAProjector(TanThetaError):
-    """A matrix failed the idempotency/symmetry check for projectors."""
+    """A projector failed its orthonormality or norm check, or a pair of
+    projectors is not one the distance is defined for."""
 
 
 class ConfigInvalid(TanThetaError):

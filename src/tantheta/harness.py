@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -164,7 +164,7 @@ class SweepSummary:
     max_distance_bound_ratio: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verification:
     """The verification pipeline of one block operator: disposition, ||B||,
     perturbed partition, angular operator, projector distance, bound and
@@ -236,7 +236,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
         D=ver.disposition.D,
         d=ver.disposition.d,
         v=ver.v,
-        region=ev.point.region.name,
+        region=ev.region.name,
         distance=ver.distance,
         bound=ev.projection_bound,
         margin=ev.projection_bound - ver.distance,
@@ -303,22 +303,7 @@ def format_float(x: float) -> str:
 
 # elapsed_ms is intentionally absent: sweep output must be byte-identical
 # across reruns with the same seed.
-REPORT_FIELDS = (
-    "seed",
-    "dims",
-    "D",
-    "d",
-    "v",
-    "region",
-    "distance",
-    "bound",
-    "margin",
-    "apriori",
-    "x_norm",
-    "riccati_residual",
-    "lemma_max_residual",
-    "cross_method_deviation",
-)
+REPORT_FIELDS = tuple(f.name for f in fields(TrialReport) if f.name != "elapsed_ms")
 
 
 def _record_to_json_line(record: dict) -> str:

@@ -1,5 +1,5 @@
 """Core domain types: symmetric matrices, block operators, spectral
-dispositions and points of the bound domain.
+dispositions and the regions of the bound domain.
 
 All types are immutable after construction and all functions are pure.
 """
@@ -34,8 +34,8 @@ ASYMMETRY_TOL = 1e-12
 # ||S V - V diag(w)||_F <= EIG_RESIDUAL_TOL (1 + max|w|).
 EIG_RESIDUAL_TOL = 1e-10
 
-# Default tolerance (relative to sqrt(d*D)) for labelling a point as lying
-# on the common boundary between the two bound regions.
+# Tolerance (relative to sqrt(d*D)) for labelling a point as lying on the
+# common boundary between the two bound regions.
 BOUNDARY_CLASSIFY_TOL = 1e-9
 
 
@@ -80,7 +80,7 @@ def svd_square_right(M) -> tuple:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Full symmetric eigendecomposition with its backward residual."""
 
@@ -93,7 +93,7 @@ class EigenSystem:
         self.vectors.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense real symmetric matrix; construction symmetrizes exactly.
 
@@ -121,8 +121,12 @@ class SymMatrix:
 
     @cached_property
     def eig(self) -> EigenSystem:
-        """Eigendecomposition, values ascending; the contract is that of
-        spectral.sym_eig, which returns this."""
+        """Eigendecomposition, values ascending, computed once.
+
+        The contract is the residual: ||S V - V diag(w)||_F <= 1e-10 (1 + max|w|)
+        in the Frobenius norm, which bounds the operator norm, enforced by
+        raising ResidualTooLarge; and V orthonormal to 1e-10 entrywise.
+        """
         M = self.entries
         try:
             values, vectors = np.linalg.eigh(M)
@@ -140,7 +144,7 @@ class SymMatrix:
         return float(np.max(np.abs(self.eig.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Block decomposition (A0, A1, B) of A = diag(A0, A1) and L = A + V,
     where V has B as its only nonzero (off-diagonal) block."""
@@ -180,16 +184,11 @@ class BlockOperator:
             cache["_v_norm"] = spectral_norm(self.B)
         return cache["_v_norm"]
 
-    def assemble_unperturbed(self) -> np.ndarray:
-        """Dense n x n matrix of A = diag(A0, A1)."""
-        A = np.zeros((self.n, self.n))
-        A[: self.dim0, : self.dim0] = self.A0.entries
-        A[self.dim0 :, self.dim0 :] = self.A1.entries
-        return A
-
     def assemble_perturbed(self) -> np.ndarray:
         """Dense n x n matrix of L = A + V."""
-        L = self.assemble_unperturbed()
+        L = np.zeros((self.n, self.n))
+        L[: self.dim0, : self.dim0] = self.A0.entries
+        L[self.dim0 :, self.dim0 :] = self.A1.entries
         L[: self.dim0, self.dim0 :] = self.B
         L[self.dim0 :, : self.dim0] = self.B.T
         return L
@@ -260,22 +259,13 @@ class Region(enum.Enum):
     OUTSIDE_OMEGA = 4
 
 
-@dataclass(frozen=True)
-class BoundPoint:
-    """A triple (D, d, v) with its region classification."""
-
-    D: float
-    d: float
-    v: float
-    region: Region
-
-
-def classify_region(D: float, d: float, v: float, tol: float = BOUNDARY_CLASSIFY_TOL) -> BoundPoint:
+def classify_region(D: float, d: float, v: float) -> Region:
     """Classify the point (D, d, v) into the region partition.
 
-    Points within tol*sqrt(d*D) of v = sqrt(d*(D-d)) are labelled as lying
-    on the inter-region boundary. OUTSIDE_OMEGA is a valid label, not an
-    error; it covers v >= sqrt(d*D) as well as degenerate d.
+    Points within BOUNDARY_CLASSIFY_TOL * sqrt(d*D) of v = sqrt(d*(D-d))
+    are labelled as lying on the inter-region boundary. OUTSIDE_OMEGA is a
+    valid label, not an error; it covers v >= sqrt(d*D) as well as
+    degenerate d.
     """
     D, d, v = float(D), float(d), float(v)
     if D <= 0.0:
@@ -283,15 +273,15 @@ def classify_region(D: float, d: float, v: float, tol: float = BOUNDARY_CLASSIFY
     if v < 0.0:
         raise DomainError("v must be non-negative")
     if d <= 0.0 or d > D / 2.0 or v >= math.sqrt(d * D):
-        return BoundPoint(D, d, v, Region.OUTSIDE_OMEGA)
+        return Region.OUTSIDE_OMEGA
     v_boundary = math.sqrt(d * (D - d))
-    if abs(v - v_boundary) <= tol * math.sqrt(d * D):
-        return BoundPoint(D, d, v, Region.BOUNDARY_OMEGA12)
+    if abs(v - v_boundary) <= BOUNDARY_CLASSIFY_TOL * math.sqrt(d * D):
+        return Region.BOUNDARY_OMEGA12
     if v < v_boundary:
         if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
-            return BoundPoint(D, d, v, Region.OMEGA1_0)
-        return BoundPoint(D, d, v, Region.OMEGA1_1)
-    return BoundPoint(D, d, v, Region.OMEGA2)
+            return Region.OMEGA1_0
+        return Region.OMEGA1_1
+    return Region.OMEGA2
 
 
 def block_operator_to_dict(block: BlockOperator) -> dict:

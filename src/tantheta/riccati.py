@@ -10,6 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     DispositionViolated,
     GraphExtractionFailed,
@@ -17,7 +18,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .model import BlockOperator, SpectralDisposition, SymMatrix, spectral_norm, svd_square_right
-from .spectral import SpectrumPartition, sym_eig
+from .spectral import SpectrumPartition
 
 EXTRACTION_COND_CAP = 1e12
 RESIDUAL_REL_TOL = 1e-8
@@ -27,9 +28,12 @@ KERNEL_CUTOFF = 1e-12
 # Relative width of a cluster of singular values treated as degenerate when
 # auditing basis-independence of the identities.
 DEGENERACY_TOL = 1e-8
+# Step tolerance and iteration cap of the fixed-point cross-check.
+FIXED_POINT_TOL = 1e-13
+FIXED_POINT_MAX_ITER = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularOperator:
     """Solution X (dim1 x dim0) of the Riccati equation of a block operator,
     with an SVD X = U diag(s) W[:, :k]^T and its Riccati residual.
@@ -109,12 +113,11 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     the result fails its Riccati residual contract.
     """
     dim0 = block.dim0
-    if partition.rank0 != dim0:
-        raise GraphExtractionFailed(
-            f"partition rank {partition.rank0} != dim0 {dim0}"
-        )
-    U, s, Wt = partition.P0.lower_svd
-    Y0W = partition.vectors0[:dim0, :] @ Wt.T
+    P0 = partition.P0
+    if P0.rank != dim0:
+        raise GraphExtractionFailed(f"partition rank {P0.rank} != dim0 {dim0}")
+    U, s, Wt = P0.lower_svd
+    Y0W = P0.basis[:dim0, :] @ Wt.T
     c = np.sqrt(np.einsum("ij,ij->j", Y0W, Y0W))
     c_min, c_max = float(np.min(c)), float(np.max(c))
     cond = c_max / c_min if c_min > 0.0 else math.inf
@@ -134,12 +137,7 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     return AngularOperator(X, U, t, Z, res)
 
 
-def solve_riccati_fixed_point(
-    block: BlockOperator,
-    disp: SpectralDisposition,
-    tol: float = 1e-13,
-    max_iter: int = 2000,
-) -> np.ndarray:
+def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -> np.ndarray:
     """Independent cross-check solver; returns the matrix X.
 
     Iterates X0 = 0, with X_{k+1} solving the Sylvester equation
@@ -149,13 +147,13 @@ def solve_riccati_fixed_point(
     Q1^T X Q0 and B~ = Q0^T B Q1 give X~_{k+1} = (X~_k B~ X~_k - B~^T) / (w1 - w0),
     and X = Q1 X~ Q0^T is formed once at the end. It stops when
     ||X_{k+1} - X_k||_F <= tol (1 + ||X_{k+1}||_F / sqrt(min(dim0, dim1))),
-    a test at least as strict as the operator-norm test
-    ||X_{k+1} - X_k|| <= tol (1 + ||X_{k+1}||). Convergence is guaranteed
-    only for small ||B||/d; NoConvergence past max_iter is a regime limit,
-    not a correctness failure.
+    tol = FIXED_POINT_TOL, a test at least as strict as the operator-norm
+    test ||X_{k+1} - X_k|| <= tol (1 + ||X_{k+1}||). Convergence is
+    guaranteed only for small ||B||/d; NoConvergence past
+    FIXED_POINT_MAX_ITER steps is a regime limit, not a correctness failure.
     """
-    es0 = sym_eig(block.A0)
-    es1 = sym_eig(block.A1)
+    es0 = block.A0.eig
+    es1 = block.A1.eig
     Q0, w0 = es0.vectors, es0.values
     Q1, w1 = es1.vectors, es1.values
     denom = w1[:, None] - w0[None, :]
@@ -169,15 +167,15 @@ def solve_riccati_fixed_point(
     narrow = block.dim0 <= block.dim1
     root_k = math.sqrt(min(block.dim0, block.dim1))
     X = np.zeros((block.dim1, block.dim0))
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         XBX = X @ (Bt @ X) if narrow else (X @ Bt) @ X
         X_new = (XBX - BtT) / denom
         step = np.linalg.norm(X_new - X)
         X = X_new
-        if step <= tol * (1.0 + np.linalg.norm(X) / root_k):
+        if step <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(X) / root_k):
             return Q1 @ X @ Q0.T
     raise NoConvergence(
-        f"fixed-point iteration did not converge in {max_iter} steps "
+        f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} steps "
         f"(||B||/d = {block.v_norm / disp.d:g})"
     )
 
@@ -255,8 +253,11 @@ def verify_lemma_identities(
     isometry is zero) is checked. Within clusters of degenerate singular
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
-    explicit for reproducibility. Uses the SVD held by X.
+    explicit for reproducibility and must lie in [0, 2^64); ConfigInvalid
+    otherwise. Uses the SVD held by X.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed}")
     W = X.right_basis
     s_full = X.eigenvalues_abs
     dim0 = s_full.size

@@ -15,18 +15,16 @@ from .errors import (
 )
 from .model import (
     BlockOperator,
-    EigenSystem,
     SpectralDisposition,
     SymMatrix,
     disposition_from_spectra,
-    spectral_norm,
     svd_square_right,
 )
 
 # Projectors have unit norm, so their defects have no units and this
 # tolerance is absolute. It applies to ||U^T U - I||_F of a range basis U,
 # which bounds the idempotency defect ||P^2 - P|| of P = U U^T to first
-# order, and to the idempotency and symmetry defects of a dense projector.
+# order.
 PROJECTOR_TOL = 1e-8
 # Eigenvalues this close to a gap endpoint (from inside the gap) cannot be
 # assigned to either spectral component and are reported as boundary hits.
@@ -36,18 +34,6 @@ BOUNDARY_BAND = 1e-9
 EDGE_COLLAR = 1e-12
 
 
-def sym_eig(S: SymMatrix) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix, values ascending.
-
-    The contract is the residual: ||S V - V diag(w)||_F <= 1e-10 (1 + max|w|)
-    in the Frobenius norm, which bounds the operator norm, enforced by
-    raising ResidualTooLarge; and V orthonormal to 1e-10 entrywise.
-    Deterministic for fixed input. A SymMatrix is decomposed at most once:
-    later calls return the same EigenSystem.
-    """
-    return (S if isinstance(S, SymMatrix) else SymMatrix(S)).eig
-
-
 def find_disposition(block: BlockOperator) -> SpectralDisposition:
     """Compute sigma0 = spec(A0), sigma1 = spec(A1) and locate the finite
     gap of sigma1 containing all of sigma0.
@@ -55,15 +41,13 @@ def find_disposition(block: BlockOperator) -> SpectralDisposition:
     Raises DispositionViolated when sigma0 is not inside a single finite
     gap of sigma1.
     """
-    s0 = sym_eig(block.A0).values
-    s1 = sym_eig(block.A1).values
-    return disposition_from_spectra(s0, s1)
+    return disposition_from_spectra(block.A0.eig.values, block.A1.eig.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeProjector:
     """Orthogonal projector U U^T held by an orthonormal basis U (n x k,
-    columns) of its range; the dense matrix is assembled only on request."""
+    columns) of its range."""
 
     basis: np.ndarray
 
@@ -73,14 +57,6 @@ class RangeProjector:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense n x n projector U U^T."""
-        P = self.basis @ self.basis.T
-        P = (P + P.T) / 2.0
-        P.setflags(write=False)
-        return P
 
     @cached_property
     def leading(self) -> bool:
@@ -106,23 +82,15 @@ class RangeProjector:
         return svd_square_right(Y[self.rank :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumPartition:
     """Spectrum of L split by membership in the gap, with the orthogonal
-    projector onto the in-gap spectral subspace."""
+    projector onto the in-gap spectral subspace, held by the orthonormal
+    in-gap eigenvectors."""
 
     omega0: tuple
     omega1: tuple
     P0: RangeProjector
-
-    @property
-    def rank0(self) -> int:
-        return self.P0.rank
-
-    @property
-    def vectors0(self) -> np.ndarray:
-        """Orthonormal in-gap eigenvectors, columns."""
-        return self.P0.basis
 
 
 def perturbed_partition(
@@ -133,7 +101,7 @@ def perturbed_partition(
     """Assemble L = A + V, eigendecompose and split the spectrum by
     membership in the open gap (gamma_l, gamma_r).
 
-    The guarantee rank0 == dim0 requires ||B|| < sqrt(d D); pass force=True
+    The guarantee that dim0 eigenvalues lie in the gap requires ||B|| < sqrt(d D); pass force=True
     to run beyond that regime (rank mismatch then still raises, flagging
     that the theorem's guarantee lapsed).
     """
@@ -143,7 +111,7 @@ def perturbed_partition(
             f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}; "
             "pass force=True to override"
         )
-    es = sym_eig(SymMatrix(block.assemble_perturbed()))
+    es = SymMatrix(block.assemble_perturbed()).eig
     w = es.values
     scale = 1.0 + float(np.max(np.abs(w)))  # ||L||
     band = BOUNDARY_BAND * scale
@@ -167,37 +135,26 @@ def perturbed_partition(
     return SpectrumPartition(omega0, omega1, RangeProjector(es.vectors[:, inside]))
 
 
-def _check_projector(P: np.ndarray, name: str) -> None:
-    if spectral_norm(P @ P - P) > PROJECTOR_TOL or spectral_norm(P - P.T) > PROJECTOR_TOL:
-        raise NotAProjector(f"{name} is not idempotent-symmetric within {PROJECTOR_TOL:g}")
+def projection_distance(P: RangeProjector, Q: RangeProjector) -> float:
+    """Operator norm of the difference of two orthogonal projectors of one
+    rank, one of which projects onto the leading coordinates.
 
-
-def projection_distance(P, Q) -> float:
-    """Operator norm of the difference of two orthogonal projectors.
-
-    For two RangeProjectors of the same shape one of which is `leading`,
-    this is the largest singular value of the other basis' cached
-    lower_svd: ||(I - P) Q|| is then the norm of its rows below the first
-    k. Any other pair (RangeProjector, SymMatrix, dense array) takes the
-    dense route, kept as the test oracle of the leading route: after
-    idempotency and symmetry checks it is 1 when the ranks (rounded traces)
-    differ and otherwise the largest absolute eigenvalue of P - Q.
+    P and Q are RangeProjectors of the same shape, one of them `leading`;
+    the distance ||(I - P) Q|| is then the norm of the other basis' rows
+    below the first k, the largest singular value of its cached lower_svd.
+    Any other pair raises NotAProjector.
     """
-    if isinstance(P, RangeProjector) and isinstance(Q, RangeProjector) and (
-        P.basis.shape == Q.basis.shape and (P.leading or Q.leading)
+    if not (
+        isinstance(P, RangeProjector)
+        and isinstance(Q, RangeProjector)
+        and P.basis.shape == Q.basis.shape
+        and (P.leading or Q.leading)
     ):
-        s = (Q if P.leading else P).lower_svd[1]
-        dist = float(s[0]) if s.size else 0.0
-    else:
-        Pm = np.asarray(getattr(P, "entries", P), dtype=float)
-        Qm = np.asarray(getattr(Q, "entries", Q), dtype=float)
-        if Pm.shape != Qm.shape:
-            raise NotAProjector(f"shape mismatch {Pm.shape} vs {Qm.shape}")
-        _check_projector(Pm, "P")
-        _check_projector(Qm, "Q")
-        if round(np.trace(Pm)) != round(np.trace(Qm)):
-            return 1.0
-        dist = float(np.max(np.abs(np.linalg.eigvalsh(Pm - Qm)))) if Pm.size else 0.0
+        raise NotAProjector(
+            "projection_distance takes two range projectors of one shape, one of them leading"
+        )
+    s = (Q if P.leading else P).lower_svd[1]
+    dist = float(s[0]) if s.size else 0.0
     if dist > 1.0 + 1e-9:
         raise NotAProjector(f"projector distance {dist:g} exceeds 1")
     return min(dist, 1.0)

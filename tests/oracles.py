@@ -1,0 +1,45 @@
+"""Dense reference implementations the tests compare the production
+routes against: the projector distance from the full n x n projectors and
+the trigonometric form of the M1 bound branch."""
+import numpy as np
+
+from tantheta import NotAProjector
+from tantheta.bounds import half_arctan_tangent, kappa
+from tantheta.model import spectral_norm
+from tantheta.spectral import PROJECTOR_TOL, RangeProjector
+
+
+def dense_projector(P) -> np.ndarray:
+    """The dense n x n matrix of a RangeProjector (U U^T, symmetrized), a
+    SymMatrix or an array."""
+    if isinstance(P, RangeProjector):
+        M = P.basis @ P.basis.T
+        return (M + M.T) / 2.0
+    return np.asarray(getattr(P, "entries", P), dtype=float)
+
+
+def check_projector(P: np.ndarray, name: str) -> None:
+    if spectral_norm(P @ P - P) > PROJECTOR_TOL or spectral_norm(P - P.T) > PROJECTOR_TOL:
+        raise NotAProjector(f"{name} is not idempotent-symmetric within {PROJECTOR_TOL:g}")
+
+
+def dense_projection_distance(P, Q) -> float:
+    """||P - Q|| for any two orthogonal projectors in a form dense_projector
+    reads: after idempotency and symmetry checks, 1 when the ranks (rounded
+    traces) differ and otherwise the largest absolute eigenvalue of P - Q."""
+    Pm, Qm = dense_projector(P), dense_projector(Q)
+    if Pm.shape != Qm.shape:
+        raise NotAProjector(f"shape mismatch {Pm.shape} vs {Qm.shape}")
+    check_projector(Pm, "P")
+    check_projector(Qm, "Q")
+    if round(np.trace(Pm)) != round(np.trace(Qm)):
+        return 1.0
+    dist = float(np.max(np.abs(np.linalg.eigvalsh(Pm - Qm)))) if Pm.size else 0.0
+    if dist > 1.0 + 1e-9:
+        raise NotAProjector(f"projector distance {dist:g} exceeds 1")
+    return min(dist, 1.0)
+
+
+def m1_trig(D: float, d: float, v: float) -> float:
+    """Trigonometric form tan(arctan(kappa)/2) of the M1 branch."""
+    return half_arctan_tangent(kappa(D, d, v))

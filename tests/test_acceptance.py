@@ -30,8 +30,9 @@ from tantheta import (
     verify_lemma_identities,
     write_reports,
 )
-from tantheta.bounds import m1_trig
 from tantheta.harness import TrialReport
+
+from oracles import m1_trig
 
 RATIO_GRID = (0.2, 0.5, 0.8, 1.0, 1.2, 1.35)
 

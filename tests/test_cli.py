@@ -291,3 +291,15 @@ class TestCheckIdentities:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["check-identities", "--instance", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "seed, code", [("-1", 2), ("18446744073709551616", 2), ("18446744073709551615", 0)]
+    )
+    def test_seed_range(self, tmp_path, capsys, seed, code):
+        block = make_block_operator(
+            np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),
+            np.array([[0.3, 0.4], [0.4, 0.3]]),
+        )
+        path = tmp_path / "instance.json"
+        save_instance(block, path)
+        assert main(["check-identities", "--instance", str(path), "--seed", seed]) == code

@@ -7,6 +7,7 @@ from tantheta import (
     Verification,
     find_disposition,
     generate_instance,
+    make_block_operator,
     run_sweep,
     run_trial,
     write_reports,
@@ -121,6 +122,26 @@ class TestRunTrial:
         assert rep.x_norm == 0.0
 
 
+def test_array_records_compare_by_identity():
+    # Records holding arrays hash and compare by identity: two records of
+    # one block's values are unequal, and each equals itself.
+    block, _ = generate_instance(base_cfg(dim0=3, dim1=5))
+    twin = make_block_operator(block.A0.entries, block.A1.entries, block.B)
+    ver, other = Verification(block), Verification(twin)
+    pairs = [
+        (block, twin),
+        (block.A0, twin.A0),
+        (block.A0.eig, twin.A0.eig),
+        (ver, other),
+        (ver.partition, other.partition),
+        (ver.partition.P0, other.partition.P0),
+        (ver.angular, other.angular),
+    ]
+    for one, two in pairs:
+        assert len({one, two}) == 2
+        assert one == one and one != two
+
+
 class TestDecompositionCount:
     """Which matrices one trial hands to numpy's decompositions; a count,
     so it does not depend on timing."""
@@ -183,7 +204,7 @@ class TestDecompositionCount:
 
         # The only SVD of a trial is the one of Y1, the lower block of the
         # in-gap eigenvectors, and the only SVD-based 2-norm is generation's.
-        Y1 = Verification(block, seed=cfg.seed).partition.vectors0[block.dim0 :]
+        Y1 = Verification(block, seed=cfg.seed).partition.P0.basis[block.dim0 :]
         svds = [M for name, M in calls if name == "svd"]
         assert len(svds) == 1 and np.array_equal(svds[0], Y1)
         assert sum(name == "norm" for name, _ in calls) <= 1

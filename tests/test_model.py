@@ -68,17 +68,17 @@ class TestMakeBlockOperator:
 
 class TestClassifyRegion:
     def test_inner_region(self):
-        assert classify_region(4, 1, 0.5).region is Region.OMEGA1_0
+        assert classify_region(4, 1, 0.5) is Region.OMEGA1_0
 
     def test_boundary(self):
-        assert classify_region(4, 1, math.sqrt(3)).region is Region.BOUNDARY_OMEGA12
+        assert classify_region(4, 1, math.sqrt(3)) is Region.BOUNDARY_OMEGA12
 
     def test_outside(self):
-        assert classify_region(2, 1, 1.5).region is Region.OUTSIDE_OMEGA
+        assert classify_region(2, 1, 1.5) is Region.OUTSIDE_OMEGA
 
     def test_intermediate_and_outer(self):
-        assert classify_region(4, 1, 1.0).region is Region.OMEGA1_1
-        assert classify_region(4, 1, 1.9).region is Region.OMEGA2
+        assert classify_region(4, 1, 1.0) is Region.OMEGA1_1
+        assert classify_region(4, 1, 1.9) is Region.OMEGA2
 
     @given(
         st.floats(min_value=0.1, max_value=100.0),
@@ -89,8 +89,8 @@ class TestClassifyRegion:
     def test_partition_is_total(self, D, d_frac, v_frac):
         d = d_frac * D
         v = v_frac * math.sqrt(d * D)
-        point = classify_region(D, d, v)
-        assert point.region in Region
+        region = classify_region(D, d, v)
+        assert region in Region
 
     @given(
         st.floats(min_value=0.1, max_value=50.0),
@@ -101,7 +101,7 @@ class TestClassifyRegion:
     def test_monotone_in_v(self, D, d_frac, v_fracs):
         d = d_frac * D
         labels = [
-            classify_region(D, d, f * math.sqrt(d * D)).region.value
+            classify_region(D, d, f * math.sqrt(d * D)).value
             for f in sorted(v_fracs)
         ]
         assert labels == sorted(labels)

@@ -19,12 +19,14 @@ from tantheta import (
     perturbed_partition,
     projection_distance,
     r_v,
-    sym_eig,
+    trial_seed,
     unperturbed_projector,
 )
 from tantheta.model import SpectralDisposition
 from tantheta.spectral import RangeProjector, SpectrumPartition
 from tantheta.families import rank_one_build, rank_one_outer_params
+
+from oracles import dense_projection_distance, dense_projector
 
 
 def brute_projector(M, lo, hi):
@@ -36,25 +38,25 @@ def brute_projector(M, lo, hi):
 
 class TestSymEig:
     def test_diagonal_permutation(self):
-        es = sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
+        es = SymMatrix(np.diag([3.0, 1.0, 2.0])).eig
         assert np.allclose(es.values, [1.0, 2.0, 3.0])
         assert np.allclose(np.abs(es.vectors), np.eye(3)[:, [1, 2, 0]])
 
     def test_symmetry_forced_pair(self):
-        es = sym_eig(SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        es = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])).eig
         assert np.allclose(es.values, [-1.0, 1.0])
 
     def test_residual_contract_random(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((8, 8))
         S = SymMatrix((M + M.T) / 2)
-        es = sym_eig(S)
+        es = S.eig
         assert es.residual <= 1e-10 * (1.0 + S.norm)
         assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(8))) <= 1e-10
 
     def test_decomposes_once(self):
         S = SymMatrix(np.diag([3.0, 1.0, 2.0]))
-        assert sym_eig(S) is sym_eig(S)
+        assert S.eig is S.eig
         assert S.norm == 3.0
 
     def test_residual_contract_enforced(self, monkeypatch):
@@ -66,7 +68,7 @@ class TestSymEig:
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ResidualTooLarge):
-            sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
+            SymMatrix(np.diag([3.0, 1.0, 2.0])).eig
 
 
 class TestFindDisposition:
@@ -92,7 +94,7 @@ class TestPerturbedPartition:
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
         assert part.omega0 == pytest.approx((-1.0, 1.0), abs=1e-12)
-        assert np.allclose(part.P0.entries, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
+        assert np.allclose(dense_projector(part.P0), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
 
     def test_rank_one_outer_single_midgap_eigenvalue(self):
         # a = 0 configuration keeps the in-gap eigenvalue pinned at zero
@@ -110,6 +112,27 @@ class TestPerturbedPartition:
         rv = r_v(disp.D, disp.d, block.v_norm)
         assert min(part.omega0) >= disp.gamma_l + disp.d - rv - 1e-8
         assert max(part.omega0) <= disp.gamma_r - disp.d + rv + 1e-8
+
+    def test_shift_inclusion_on_campaign_geometries(self):
+        # omega0 lies in [gamma_l + d - r_V, gamma_r - d + r_V] on the four
+        # acceptance geometries and conjugated 6 x 3, 42 repeats x 6 ratios.
+        geometries = [
+            (2.0, 2, 3, False), (2.5, 4, 6, True), (4.0, 8, 12, False),
+            (10.0, 3, 5, True), (4.0, 6, 3, True),
+        ]
+        count = 0
+        for g, (D, dim0, dim1, conj) in enumerate(geometries):
+            for index in range(42 * 6):
+                cfg = GenConfig(dim0=dim0, dim1=dim1, D=D, d=1.0,
+                                ratio=(0.2, 0.5, 0.8, 1.0, 1.2, 1.35)[index % 6],
+                                conjugate=conj, seed=trial_seed(1000 + g, index))
+                ver = Verification(generate_instance(cfg)[0])
+                disp, omega0 = ver.disposition, ver.partition.omega0
+                rv = r_v(disp.D, disp.d, ver.v)
+                assert min(omega0) >= disp.gamma_l + disp.d - rv - 1e-8
+                assert max(omega0) <= disp.gamma_r - disp.d + rv + 1e-8
+                count += 1
+        assert count == 1260
 
     def test_norm_precondition_enforced_and_overridable(self):
         block = rank_one_build(2.0, 1.0, 0.0, 2.5)  # v = 2.5 >= sqrt(d D) = 2
@@ -150,10 +173,10 @@ class TestPerturbedPartition:
 class TestProjectionDistance:
     def test_identical(self):
         P = SymMatrix(np.diag([1.0, 0.0]))
-        assert projection_distance(P, P) == 0.0
+        assert dense_projection_distance(P, P) == 0.0
 
     def test_orthogonal_rank_one(self):
-        assert projection_distance(
+        assert dense_projection_distance(
             SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0]))
         ) == pytest.approx(1.0)
 
@@ -169,7 +192,7 @@ class TestProjectionDistance:
 
     def test_rejects_non_projector(self):
         with pytest.raises(NotAProjector):
-            projection_distance(SymMatrix(np.diag([0.5, 0.0])), SymMatrix(np.eye(2)))
+            dense_projection_distance(SymMatrix(np.diag([0.5, 0.0])), SymMatrix(np.eye(2)))
 
     def test_metric_properties_on_random_projectors(self):
         rng = np.random.default_rng(11)
@@ -180,10 +203,12 @@ class TestProjectionDistance:
             projectors.append(SymMatrix(Q[:, :k] @ Q[:, :k].T))
         for P in projectors:
             for Q in projectors:
-                dPQ = projection_distance(P, Q)
-                assert dPQ == pytest.approx(projection_distance(Q, P), abs=1e-10)
+                dPQ = dense_projection_distance(P, Q)
+                assert dPQ == pytest.approx(dense_projection_distance(Q, P), abs=1e-10)
                 for R in projectors:
-                    assert dPQ <= projection_distance(P, R) + projection_distance(R, Q) + 1e-10
+                    assert dPQ <= (
+                        dense_projection_distance(P, R) + dense_projection_distance(R, Q) + 1e-10
+                    )
 
 
 def oracle_instances():
@@ -204,32 +229,33 @@ class TestBasisRoute:
         block = rank_one_build(2.0, 1.0, 0.0, 0.5)
         P = unperturbed_projector(block)
         assert P.rank == 1
-        assert np.array_equal(P.entries, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(dense_projector(P), np.diag([1.0, 0.0, 0.0]))
 
     def test_partition_projector_dense_form(self):
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
-        assert part.P0.basis is part.vectors0
-        assert part.rank0 == part.P0.rank == 2
-        assert np.allclose(part.P0.entries, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
+        assert part.P0.rank == 2
+        assert np.allclose(dense_projector(part.P0), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
 
     def test_basis_off_orthonormal_rejected(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
         good = RangeProjector(Q[:, :3])
         bad = RangeProjector(Q[:, :3] * (1.0 + 1e-6))
-        assert projection_distance(good, good) == pytest.approx(0.0, abs=1e-15)
+        assert dense_projection_distance(good, good) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(NotAProjector):
-            projection_distance(bad, good)
+            dense_projection_distance(bad, good)
         with pytest.raises(NotAProjector):
-            projection_distance(good, bad)
+            dense_projection_distance(good, bad)
 
     def test_unequal_ranks_give_one(self):
         Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
         P, R = RangeProjector(Q[:, :2]), RangeProjector(Q[:, 1:4])
-        assert projection_distance(P, R) == 1.0
-        assert projection_distance(R, P) == 1.0
+        assert dense_projection_distance(P, R) == 1.0
+        assert dense_projection_distance(R, P) == 1.0
         # the dense route agrees
-        assert projection_distance(SymMatrix(P.entries), SymMatrix(R.entries)) == pytest.approx(
+        assert dense_projection_distance(
+            SymMatrix(dense_projector(P)), SymMatrix(dense_projector(R))
+        ) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -243,7 +269,7 @@ class TestBasisRoute:
             block, disp = generate_instance(cfg)
             ver = Verification(block, seed=cfg.seed)
             P, Q = unperturbed_projector(block), ver.partition.P0
-            dense = projection_distance(SymMatrix(P.entries), SymMatrix(Q.entries))
+            dense = dense_projection_distance(P, Q)
             assert abs(projection_distance(P, Q) - dense) <= 1e-12
             assert abs(projection_distance(Q, P) - dense) <= 1e-12
             # independent oracle: ||Y1|| from a fresh eigendecomposition of L
@@ -270,7 +296,7 @@ class TestCosineSineRoute:
         for cfg in oracle_instances():
             block, _ = generate_instance(cfg)
             ver = Verification(block, seed=cfg.seed)
-            Y = ver.partition.vectors0
+            Y = ver.partition.P0.basis
             Y0, Y1 = Y[: block.dim0], Y[block.dim0 :]
             X_ref = np.linalg.solve(Y0.T, Y1.T).T
             s_ref = np.linalg.svd(X_ref, compute_uv=False)
@@ -318,15 +344,30 @@ class TestCosineSineRoute:
         E = RangeProjector(np.eye(6, 2))
         V = RangeProjector(Q[:, :2])
         assert E.leading and not V.leading
-        dense = projection_distance(SymMatrix(E.entries), SymMatrix(V.entries))
+        dense = dense_projection_distance(E, V)
         assert projection_distance(E, V) == pytest.approx(dense, abs=1e-12)
         assert projection_distance(V, E) == projection_distance(E, V)
         assert projection_distance(E, E) == 0.0
-        # unequal ranks take the dense route, which gives exactly 1
-        assert projection_distance(E, RangeProjector(Q[:, :3])) == 1.0
+        # unequal ranks have no leading route; the dense oracle gives exactly 1
+        assert dense_projection_distance(E, RangeProjector(Q[:, :3])) == 1.0
         # the other basis is checked before its SVD
         with pytest.raises(NotAProjector):
             projection_distance(E, RangeProjector(Q[:, :2] * (1.0 + 1e-6)))
+
+    def test_other_pairs_raise(self):
+        # Only the leading route is production code; every other pair of
+        # projectors goes to the dense oracle in the tests.
+        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
+        E, V = RangeProjector(np.eye(6, 2)), RangeProjector(Q[:, :2])
+        pairs = [
+            (V, V),
+            (E, RangeProjector(Q[:, :3])),
+            (SymMatrix(dense_projector(E)), SymMatrix(dense_projector(V))),
+            (dense_projector(E), V),
+        ]
+        for P, R in pairs:
+            with pytest.raises(NotAProjector):
+                projection_distance(P, R)
 
     def test_lower_svd_is_cached(self):
         block, _ = generate_instance(GenConfig(dim0=5, dim1=3, D=4.0, d=1.0, ratio=0.6,
@@ -335,5 +376,5 @@ class TestCosineSineRoute:
         U, s, Wt = part.P0.lower_svd
         assert part.P0.lower_svd[0] is U
         assert U.shape == (3, 3) and s.shape == (3,) and Wt.shape == (5, 5)
-        Y1 = part.vectors0[5:]
+        Y1 = part.P0.basis[5:]
         assert np.allclose((U * s) @ Wt[:3], Y1, atol=1e-14)
