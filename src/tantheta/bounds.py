@@ -123,7 +123,7 @@ def m_total(D: float, d: float, v: float) -> BoundEvaluation:
     M1_val = m1(D, d, v) if v <= v_boundary else None
     M2_val = m2(D, d, v) if v >= v_boundary else None
     M = M1_val if v < v_boundary else M2_val
-    apriori = sin_arctan(v / d) if v < SQRT2 * d else None
+    apriori = apriori_bound(d, v) if v < SQRT2 * d else None
     return BoundEvaluation(
         D=float(D),
         d=float(d),

@@ -139,9 +139,7 @@ def cmd_sweep(args) -> int:
     ratio_grid = [_typed("ratio_grid", r, float) for r in fields.pop("ratio_grid")]
     if trials < 1 or not ratio_grid:
         raise ConfigInvalid("a sweep needs trials >= 1 and a non-empty ratio_grid")
-    cfg = GenConfig(ratio=0.0, **fields)
-    cfg.validate()
-    records, summary = run_sweep(cfg, trials, ratio_grid)
+    records, summary = run_sweep(GenConfig(ratio=0.0, **fields), trials, ratio_grid)
     write_reports(records, summary, args.out, fmt=args.format)
     print(
         f"wrote {len(records)} records to {args.out} "
@@ -177,7 +175,7 @@ def cmd_example(args) -> int:
         ("family", args.family),
         ("D", disp.D),
         ("d", disp.d),
-        ("v", ver.v),
+        ("v", ver.block.v_norm),
         ("distance", distance),
         ("closed_form", expected),
         ("bound", bound),
@@ -194,28 +192,24 @@ def cmd_example(args) -> int:
 def cmd_check_identities(args) -> int:
     ver = Verification(load_instance(args.instance), seed=args.seed)
     ang, audit = ver.angular, ver.audit
+    pairs = list(zip(*(a.tolist() for a in (audit.lam, audit.id1, audit.id2, audit.id3))))
     if args.json:
         payload = {
             "x_norm": ang.norm,
             "riccati_residual": ang.riccati_residual,
             "max_residual": audit.max_residual,
             "per_pair": [
-                {
-                    "lambda": r.lam,
-                    "id1_residual": r.id1_residual,
-                    "id2_residual": r.id2_residual,
-                    "id3_residual": r.id3_residual,
-                }
-                for r in audit.per_pair
+                dict(zip(("lambda", "id1_residual", "id2_residual", "id3_residual"), pair))
+                for pair in pairs
             ],
         }
         print(json.dumps(payload))
     else:
         _print_kv([("x_norm", ang.norm), ("riccati_residual", ang.riccati_residual)])
-        for r in audit.per_pair:
+        for lam, id1, id2, id3 in pairs:
             print(
-                f"lambda {format_float(r.lam)}: id1 {format_float(r.id1_residual)} "
-                f"id2 {format_float(r.id2_residual)} id3 {format_float(r.id3_residual)}"
+                f"lambda {format_float(lam)}: id1 {format_float(id1)} "
+                f"id2 {format_float(id2)} id3 {format_float(id3)}"
             )
         _print_kv([("max_residual", audit.max_residual)])
     return 0

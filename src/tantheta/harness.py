@@ -166,7 +166,7 @@ class SweepSummary:
 
 @dataclass(frozen=True, eq=False)
 class Verification:
-    """The verification pipeline of one block operator: disposition, ||B||,
+    """The verification pipeline of one block operator: disposition,
     perturbed partition, angular operator, projector distance, bound and
     identity audit.
 
@@ -183,10 +183,6 @@ class Verification:
         return find_disposition(self.block)
 
     @cached_property
-    def v(self) -> float:
-        return self.block.v_norm
-
-    @cached_property
     def partition(self):
         return perturbed_partition(self.block, self.disposition)
 
@@ -201,7 +197,7 @@ class Verification:
     @cached_property
     def bound(self):
         """The BoundEvaluation at the measured (D, d) and ||B||."""
-        return m_total(self.disposition.D, self.disposition.d, self.v)
+        return m_total(self.disposition.D, self.disposition.d, self.block.v_norm)
 
     @cached_property
     def audit(self):
@@ -210,7 +206,7 @@ class Verification:
 
 # Pipeline order: a failing trial reports the error of the first stage
 # that raises.
-TRIAL_STAGES = ("disposition", "v", "partition", "angular", "distance", "bound", "audit")
+TRIAL_STAGES = ("disposition", "partition", "angular", "distance", "bound", "audit")
 
 
 def run_trial(cfg: GenConfig) -> TrialReport:
@@ -235,7 +231,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
         dims=(cfg.dim0, cfg.dim1),
         D=ver.disposition.D,
         d=ver.disposition.d,
-        v=ver.v,
+        v=block.v_norm,
         region=ev.region.name,
         distance=ver.distance,
         bound=ev.projection_bound,
@@ -262,36 +258,24 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
     for r in ratio_grid:
         replace(base_cfg, ratio=r).validate()
     records = []
-    min_margin = None
-    max_ratio = None
-    failures = 0
-    index = 0
-    for _trial in range(trials):
-        for ratio in ratio_grid:
-            cfg = replace(
-                base_cfg, ratio=ratio, seed=trial_seed(base_cfg.seed, index)
-            )
-            index += 1
-            try:
-                report = run_trial(cfg)
-            except TanThetaError as exc:
-                failures += 1
-                records.append(
-                    FailureRecord(cfg.seed, type(exc).__name__, str(exc))
-                )
-                continue
-            records.append(report)
-            if min_margin is None or report.margin < min_margin:
-                min_margin = report.margin
-            if report.bound > 0.0:
-                ratio_db = report.distance / report.bound
-                if max_ratio is None or ratio_db > max_ratio:
-                    max_ratio = ratio_db
+    for index in range(trials * len(ratio_grid)):
+        cfg = replace(
+            base_cfg,
+            ratio=ratio_grid[index % len(ratio_grid)],
+            seed=trial_seed(base_cfg.seed, index),
+        )
+        try:
+            records.append(run_trial(cfg))
+        except TanThetaError as exc:
+            records.append(FailureRecord(cfg.seed, type(exc).__name__, str(exc)))
+    reports = [rec for rec in records if isinstance(rec, TrialReport)]
     summary = SweepSummary(
-        trials=trials * len(ratio_grid),
-        failures=failures,
-        min_margin=min_margin,
-        max_distance_bound_ratio=max_ratio,
+        trials=len(records),
+        failures=len(records) - len(reports),
+        min_margin=min((rep.margin for rep in reports), default=None),
+        max_distance_bound_ratio=max(
+            (rep.distance / rep.bound for rep in reports if rep.bound > 0.0), default=None
+        ),
     )
     return records, summary
 

@@ -70,16 +70,6 @@ def spectral_norm(M) -> float:
     return m * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
-def svd_square_right(M) -> tuple:
-    """Read-only SVD (U, s, Wt) of an m x n matrix M, s descending: U and s
-    thin (k = min(m, n) columns and values), Wt square (n x n), so that its
-    rows span the whole domain also when m < n."""
-    factors = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    for arr in factors:
-        arr.setflags(write=False)
-    return tuple(factors)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Full symmetric eigendecomposition with its backward residual."""
@@ -175,6 +165,9 @@ class BlockOperator:
     def n(self) -> int:
         return self.dim0 + self.dim1
 
+    # A property with its own cache rather than a cached_property:
+    # perfbench times it by rewrapping the getter it reads from `.fget`,
+    # which a cached_property does not have.
     @property
     def v_norm(self) -> float:
         """Norm of the perturbation, equal to the largest singular value of
@@ -265,9 +258,11 @@ def classify_region(D: float, d: float, v: float) -> Region:
     Points within BOUNDARY_CLASSIFY_TOL * sqrt(d*D) of v = sqrt(d*(D-d))
     are labelled as lying on the inter-region boundary. OUTSIDE_OMEGA is a
     valid label, not an error; it covers v >= sqrt(d*D) as well as
-    degenerate d.
+    degenerate d. Non-finite D, d or v raise DomainError.
     """
     D, d, v = float(D), float(d), float(v)
+    if not (math.isfinite(D) and math.isfinite(d) and math.isfinite(v)):
+        raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) must be finite")
     if D <= 0.0:
         raise DomainError("D must be positive")
     if v < 0.0:

@@ -17,7 +17,7 @@ from .errors import (
     NoConvergence,
     ResidualTooLarge,
 )
-from .model import BlockOperator, SpectralDisposition, SymMatrix, spectral_norm, svd_square_right
+from .model import BlockOperator, SpectralDisposition, spectral_norm
 from .spectral import SpectrumPartition
 
 EXTRACTION_COND_CAP = 1e12
@@ -84,13 +84,6 @@ def riccati_residual(X, block: BlockOperator) -> float:
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
     R = X @ A0 - A1 @ X + X @ B @ X - B.T
     return spectral_norm(R)
-
-
-def angular_from_matrix(X, block: BlockOperator) -> AngularOperator:
-    """Wrap a candidate solution matrix with its SVD and Riccati residual."""
-    X = np.array(X, dtype=float)
-    U, s, Wt = svd_square_right(X)
-    return AngularOperator(X, U, s, Wt.T, riccati_residual(X, block))
 
 
 def _residual_cap(block: BlockOperator, x_norm: float) -> float:
@@ -180,10 +173,13 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     )
 
 
-def lambda0(X: AngularOperator, block: BlockOperator) -> SymMatrix:
+def lambda0(X: AngularOperator, block: BlockOperator) -> np.ndarray:
     """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2},
     computed in the eigenbasis of |X| that X's SVD already holds.
-    Self-adjoint with spectrum equal to the in-gap component of spec(L)."""
+    Self-adjoint with spectrum equal to the in-gap component of spec(L);
+    returned as the exactly symmetric part of the computed matrix, after
+    a check that its asymmetry is round-off (ResidualTooLarge otherwise,
+    also when it is not finite)."""
     W = X.right_basis
     sqrt_fac = np.sqrt(1.0 + X.eigenvalues_abs**2)
     core = block.A0.entries + block.B @ X.X
@@ -191,35 +187,36 @@ def lambda0(X: AngularOperator, block: BlockOperator) -> SymMatrix:
     scale = 1.0 + block.A0.norm + block.v_norm * (1.0 + X.norm)
     # The Frobenius norm bounds the operator norm of the asymmetry.
     asymmetry = np.linalg.norm(M - M.T)
-    if asymmetry > RESIDUAL_REL_TOL * scale:
+    if not asymmetry <= RESIDUAL_REL_TOL * scale:
         raise ResidualTooLarge(f"Lambda0 asymmetry {asymmetry:g} exceeds tolerance")
-    return SymMatrix((M + M.T) / 2.0)
+    return (M + M.T) / 2.0
 
 
-@dataclass(frozen=True)
-class PairResiduals:
-    lam: float
-    id1_residual: float
-    id2_residual: float
-    id3_residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityResiduals:
-    """Normalized residuals of the three eigenpair identities, one record
-    per audited singular pair of X."""
+    """Normalized residuals of the three eigenpair identities: entry c of
+    the read-only arrays id1, id2 and id3 belongs to the c-th audited
+    eigenpair of |X|, whose eigenvalue is lam[c]."""
 
-    per_pair: tuple
+    lam: np.ndarray
+    id1: np.ndarray
+    id2: np.ndarray
+    id3: np.ndarray
     max_residual: float
+
+    def __post_init__(self):
+        for arr in (self.lam, self.id1, self.id2, self.id3):
+            arr.setflags(write=False)
 
 
 def _normalized(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> list:
+def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> np.ndarray:
     """Residuals of the identities for the eigenpairs (lam[c], W[:, c]) of
-    |X| with polar images U[:, c], all columns at once."""
+    |X| with polar images U[:, c], all columns at once: a 3 x len(lam)
+    array whose rows are id1, id2 and id3."""
     A0u = A0 @ W
     Btu = B.T @ W
     A1Uu = A1 @ U
@@ -238,10 +235,7 @@ def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> list:
     id2 = _normalized(lam * (nA0u + nBtu - nA1Uu - nBUu), (1.0 - lam * lam) * cross)
     id1 = _normalized(lam * cross, nL0u - nA0u - nBtu)
     id3 = _normalized(lam * lam * (nA1Uu + nBUu - nL0u), nA0u + nBtu - nL0u)
-    return [
-        PairResiduals(float(lam[c]), float(id1[c]), float(id2[c]), float(id3[c]))
-        for c in range(W.shape[1])
-    ]
+    return np.array([id1, id2, id3])
 
 
 def verify_lemma_identities(
@@ -268,8 +262,9 @@ def verify_lemma_identities(
     U[:, live] = X.left_vectors[:, live]
 
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
-    Lam0 = lambda0(X, block).entries
-    records = _pair_residuals(s_full, W, U, A0, A1, B, Lam0)
+    Lam0 = lambda0(X, block)
+    lams = [s_full]
+    residuals = [_pair_residuals(s_full, W, U, A0, A1, B, Lam0)]
 
     # Degenerate clusters: rotate the singular basis within each cluster and
     # re-audit, since any orthonormal eigenbasis of |X| must satisfy the
@@ -283,12 +278,11 @@ def verify_lemma_identities(
         if j - i > 1:
             m = j - i
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            records += _pair_residuals(
-                np.full(m, s_full[i]), W[:, i:j] @ Q, U[:, i:j] @ Q, A0, A1, B, Lam0
+            lams.append(np.full(m, s_full[i]))
+            residuals.append(
+                _pair_residuals(lams[-1], W[:, i:j] @ Q, U[:, i:j] @ Q, A0, A1, B, Lam0)
             )
         i = j
 
-    max_res = max(
-        max(r.id1_residual, r.id2_residual, r.id3_residual) for r in records
-    )
-    return IdentityResiduals(tuple(records), float(max_res))
+    R = np.concatenate(residuals, axis=1)
+    return IdentityResiduals(np.concatenate(lams), *R, float(np.max(R)))

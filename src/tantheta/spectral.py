@@ -18,7 +18,6 @@ from .model import (
     SpectralDisposition,
     SymMatrix,
     disposition_from_spectra,
-    svd_square_right,
 )
 
 # Projectors have unit norm, so their defects have no units and this
@@ -70,8 +69,9 @@ class RangeProjector:
 
         The singular values s (descending) are the sines of the principal
         angles between the range and the span of the first k coordinate
-        vectors. U1 and s are thin and Wt is square (k x k), as
-        model.svd_square_right returns them.
+        vectors. U1 and s are thin and Wt is square (k x k), so that its
+        rows span the whole domain also when Y1 has fewer rows than k. All
+        three are read-only.
         """
         Y = self.basis
         gram_defect = np.linalg.norm(Y.T @ Y - np.eye(self.rank))
@@ -79,7 +79,11 @@ class RangeProjector:
             raise NotAProjector(
                 f"range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
             )
-        return svd_square_right(Y[self.rank :])
+        Y1 = Y[self.rank :]
+        factors = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
+        for arr in factors:
+            arr.setflags(write=False)
+        return tuple(factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +97,18 @@ class SpectrumPartition:
     P0: RangeProjector
 
 
-def perturbed_partition(
-    block: BlockOperator,
-    disp: SpectralDisposition,
-    force: bool = False,
-) -> SpectrumPartition:
+def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> SpectrumPartition:
     """Assemble L = A + V, eigendecompose and split the spectrum by
     membership in the open gap (gamma_l, gamma_r).
 
-    The guarantee that dim0 eigenvalues lie in the gap requires ||B|| < sqrt(d D); pass force=True
-    to run beyond that regime (rank mismatch then still raises, flagging
-    that the theorem's guarantee lapsed).
+    The guarantee that dim0 eigenvalues lie in the gap requires
+    ||B|| < sqrt(d D); GapEmptyOrRankMismatch is raised beyond that regime,
+    and also when the in-gap rank differs from dim0 within it.
     """
     v = block.v_norm
-    if v >= math.sqrt(disp.d * disp.D) and not force:
+    if v >= math.sqrt(disp.d * disp.D):
         raise GapEmptyOrRankMismatch(
-            f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}; "
-            "pass force=True to override"
+            f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}"
         )
     es = SymMatrix(block.assemble_perturbed()).eig
     w = es.values
@@ -129,8 +128,7 @@ def perturbed_partition(
     omega1 = tuple(float(x) for x in w[~inside])
     if len(omega0) != block.dim0:
         raise GapEmptyOrRankMismatch(
-            f"in-gap rank {len(omega0)} != dim0 {block.dim0} "
-            "(precondition override or numerical trouble)"
+            f"in-gap rank {len(omega0)} != dim0 {block.dim0} (numerical trouble)"
         )
     return SpectrumPartition(omega0, omega1, RangeProjector(es.vectors[:, inside]))
 

@@ -27,6 +27,16 @@ class TestBound:
         assert main(["bound", "--D", "2", "--d", "1", "--v", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--D", "--d", "--v"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_finite_input_exits_2(self, capsys, flag, value, json_flag):
+        args = {"--D": "4", "--d": "1", "--v": "0.5", flag: value}
+        assert main(["bound", *(x for kv in args.items() for x in kv), *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
 
 class TestTrial:
     def test_json_trial(self, capsys):

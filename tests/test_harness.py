@@ -136,6 +136,7 @@ def test_array_records_compare_by_identity():
         (ver.partition, other.partition),
         (ver.partition.P0, other.partition.P0),
         (ver.angular, other.angular),
+        (ver.audit, other.audit),
     ]
     for one, two in pairs:
         assert len({one, two}) == 2

@@ -11,6 +11,7 @@ from tantheta import (
     ConfigInvalid,
     DimensionMismatch,
     DispositionViolated,
+    DomainError,
     Region,
     SymMatrix,
     block_operator_from_dict,
@@ -79,6 +80,14 @@ class TestClassifyRegion:
     def test_intermediate_and_outer(self):
         assert classify_region(4, 1, 1.0) is Region.OMEGA1_1
         assert classify_region(4, 1, 1.9) is Region.OMEGA2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_point_raises(self, slot, bad):
+        point = [4.0, 1.0, 0.5]
+        point[slot] = bad
+        with pytest.raises(DomainError, match="finite"):
+            classify_region(*point)
 
     @given(
         st.floats(min_value=0.1, max_value=100.0),

@@ -20,7 +20,7 @@ from tantheta import (
     verify_lemma_identities,
 )
 from tantheta import riccati
-from tantheta.riccati import KERNEL_CUTOFF, angular_from_matrix
+from tantheta.riccati import KERNEL_CUTOFF
 from tantheta.families import circulant_build, circulant_case_params, circulant_kappa_matrix
 
 
@@ -133,7 +133,7 @@ class TestLambda0:
         block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         _, _, ang = pipeline(block)
         lam = lambda0(ang, block)
-        assert np.allclose(lam.entries, block.A0.entries, atol=1e-12)
+        assert np.allclose(lam, block.A0.entries, atol=1e-12)
 
     def test_midgap_scalar_case(self):
         from tantheta.families import rank_one_build, rank_one_outer_params
@@ -142,15 +142,15 @@ class TestLambda0:
         block = rank_one_build(1.0, 0.0, b1, b2)
         _, _, ang = pipeline(block)
         lam = lambda0(ang, block)
-        assert lam.entries.shape == (1, 1)
-        assert lam.entries[0, 0] == pytest.approx(0.0, abs=1e-10)
+        assert lam.shape == (1, 1)
+        assert lam[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_spectrum_matches_ingap_component(self):
         for block in random_blocks(8, seed=400):
             disp = find_disposition(block)
             part = perturbed_partition(block, disp)
             ang = extract_angular_operator(part, block)
-            lam_values = lambda0(ang, block).eig.values
+            lam_values = np.linalg.eigvalsh(lambda0(ang, block))
             scale = 1.0 + max(abs(v) for v in part.omega0)
             assert np.max(np.abs(lam_values - np.array(part.omega0))) <= 1e-8 * scale
 
@@ -167,7 +167,7 @@ class TestLemmaIdentities:
         block = circulant_build(2.0, 1.0, b1, b2)
         _, _, ang = pipeline(block)
         audit = verify_lemma_identities(ang, block)
-        assert len(audit.per_pair) >= 2
+        assert audit.lam.size >= 2
         assert audit.max_residual <= 1e-8
 
     def test_degenerate_singular_values_with_rotations(self):
@@ -182,7 +182,7 @@ class TestLemmaIdentities:
         for seed in (0, 1, 2):
             audit = verify_lemma_identities(ang, block, seed=seed)
             # rotated cluster bases are audited in addition to the SVD basis
-            assert len(audit.per_pair) > 2
+            assert audit.lam.size > 2
             assert audit.max_residual <= 1e-8
 
     @pytest.mark.parametrize("seed, raises", [(-1, True), (2**64, True), (2**64 - 1, False)])
@@ -201,7 +201,7 @@ class TestLemmaIdentities:
         _, _, ang = pipeline(block)
         audit = verify_lemma_identities(ang, block)
         assert audit.max_residual <= 1e-12
-        assert all(r.lam == 0.0 for r in audit.per_pair)
+        assert np.all(audit.lam == 0.0)
 
 
 def reference_pair_residuals(lam, u, Uu, block, Lam0):
@@ -244,7 +244,7 @@ class TestAgainstReferences:
         for block in random_blocks(10, seed=600):
             _, _, ang = pipeline(block)
             audit = verify_lemma_identities(ang, block)
-            Lam0 = lambda0(ang, block).entries
+            Lam0 = lambda0(ang, block)
             W = ang.right_basis
             assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
             k = ang.singular_values.size
@@ -252,10 +252,9 @@ class TestAgainstReferences:
             for c in range(block.dim0):
                 live = c < k and ang.eigenvalues_abs[c] > cutoff
                 Uu = ang.left_vectors[:, c] if live else np.zeros(block.dim1)
-                rec = audit.per_pair[c]
-                assert rec.lam == ang.eigenvalues_abs[c]
-                expected = reference_pair_residuals(rec.lam, W[:, c], Uu, block, Lam0)
-                got = (rec.id1_residual, rec.id2_residual, rec.id3_residual)
+                assert audit.lam[c] == ang.eigenvalues_abs[c]
+                expected = reference_pair_residuals(audit.lam[c], W[:, c], Uu, block, Lam0)
+                got = (audit.id1[c], audit.id2[c], audit.id3[c])
                 assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
 
     def test_eigenbasis_fixed_point_matches_original_basis_iteration(self):
@@ -264,15 +263,12 @@ class TestAgainstReferences:
             X_ref = reference_fixed_point(block)
             assert np.linalg.norm(fp - X_ref, 2) <= 1e-12 * (1.0 + np.linalg.norm(fp, 2))
 
-    @pytest.mark.parametrize("route", ["ext", "mat"])
+    @pytest.mark.parametrize("route", ["ext"])
     def test_right_basis_spans_kernel_when_dim1_below_dim0(self, route):
-        # "ext": the extraction's square right basis Z; "mat": the SVD of X
-        # taken by angular_from_matrix, whose right basis is square as well.
+        # the extraction's square right basis Z
         cfg = GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9)
         block, _ = generate_instance(cfg)
         _, _, ang = pipeline(block)
-        if route == "mat":
-            ang = angular_from_matrix(ang.X, block)
         W = ang.right_basis
         assert W.shape == (6, 6)
         assert np.allclose(W.T @ W, np.eye(6), atol=1e-12)

@@ -128,26 +128,26 @@ class TestPerturbedPartition:
                                 conjugate=conj, seed=trial_seed(1000 + g, index))
                 ver = Verification(generate_instance(cfg)[0])
                 disp, omega0 = ver.disposition, ver.partition.omega0
-                rv = r_v(disp.D, disp.d, ver.v)
+                rv = r_v(disp.D, disp.d, ver.block.v_norm)
                 assert min(omega0) >= disp.gamma_l + disp.d - rv - 1e-8
                 assert max(omega0) <= disp.gamma_r - disp.d + rv + 1e-8
                 count += 1
         assert count == 1260
 
-    def test_norm_precondition_enforced_and_overridable(self):
-        block = rank_one_build(2.0, 1.0, 0.0, 2.5)  # v = 2.5 >= sqrt(d D) = 2
-        disp = find_disposition(block)
-        with pytest.raises(GapEmptyOrRankMismatch):
-            perturbed_partition(block, disp)
-        # override: this instance still keeps one eigenvalue in the gap
-        part = perturbed_partition(block, disp, force=True)
-        assert len(part.omega0) == 1
+    @pytest.mark.parametrize("v", [2.5, 5.0])
+    def test_norm_precondition_enforced(self, v):
+        # v >= sqrt(d D) = 2: at 2.5 one eigenvalue would still stay in the
+        # gap and at 5.0 none would; the gate raises before either is found.
+        block = rank_one_build(2.0, 1.0, 0.0, v)
+        with pytest.raises(GapEmptyOrRankMismatch, match="sqrt"):
+            perturbed_partition(block, find_disposition(block))
 
-    def test_forced_run_reports_rank_mismatch(self):
-        block = rank_one_build(2.0, 1.0, 0.0, 5.0)  # coupling expels the gap eigenvalue
-        disp = find_disposition(block)
-        with pytest.raises(GapEmptyOrRankMismatch):
-            perturbed_partition(block, disp, force=True)
+    def test_rank_mismatch_raises(self):
+        # A gap (-3, 3) wider than spec(A1) holds all of spec(L) = {-2, 0, 2}.
+        block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
+        disp = SpectralDisposition((0.0,), (-2.0, 2.0), -3.0, 3.0, 1.0, 6.0)
+        with pytest.raises(GapEmptyOrRankMismatch, match="in-gap rank 3 != dim0 1"):
+            perturbed_partition(block, disp)
 
     @pytest.mark.parametrize("offset, raises", [(1e-9, True), (1e-13, False)])
     def test_eigenvalue_near_gap_edge(self, offset, raises):
