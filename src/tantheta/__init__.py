@@ -57,7 +57,6 @@ from .model import (
     block_operator_from_dict,
     block_operator_to_dict,
     classify_region,
-    disposition_from_spectra,
     load_instance,
     make_block_operator,
     save_instance,

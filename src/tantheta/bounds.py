@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import Region, classify_region
+from .model import Region, classify_region, require_finite
 
 # Negative radicands within this absolute slack are treated as round-off at
 # a domain boundary and clamped to zero.
@@ -38,6 +38,7 @@ def _guarded_sqrt(radicand: float, what: str) -> float:
 def r_v(D: float, d: float, v: float) -> float:
     """Radius of the spectral shift: v tan(arctan(2v / (D - d)) / 2).
     Strictly below d whenever v < sqrt(d D)."""
+    require_finite("D, d, v", D, d, v)
     if d <= 0.0 or d >= D:
         raise DomainError(f"need 0 < d < D, got d={d}, D={D}")
     if v < 0.0:
@@ -56,6 +57,7 @@ def kappa(D: float, d: float, v: float) -> float:
     branch is continuous across that threshold and blows up as v approaches
     sqrt(d(D-d)).
     """
+    require_finite("D, d, v", D, d, v)
     if not _in_omega1(D, d, v):
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1")
     if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
@@ -67,6 +69,7 @@ def kappa(D: float, d: float, v: float) -> float:
 def m1(D: float, d: float, v: float) -> float:
     """First bound branch, in [0, 1]; defined up to and including the
     boundary v = sqrt(d(D-d)) by continuous extension (value 1 there)."""
+    require_finite("D, d, v", D, d, v)
     if D <= 0.0 or d <= 0.0 or d > D / 2.0 or v < 0.0:
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1 closure")
     v_boundary = math.sqrt(d * (D - d))
@@ -83,6 +86,7 @@ def m1(D: float, d: float, v: float) -> float:
 def m2(D: float, d: float, v: float) -> float:
     """Second bound branch, in [1, sqrt(2)); defined for
     sqrt(d(D-d)) <= v < sqrt(d D)."""
+    require_finite("D, d, v", D, d, v)
     if D <= 0.0 or d <= 0.0 or d > D / 2.0:
         raise DomainError(f"(D, d) = ({D}, {d}) is outside the bound domain")
     v_boundary = math.sqrt(d * (D - d))
@@ -142,6 +146,7 @@ def m_total(D: float, d: float, v: float) -> BoundEvaluation:
 def apriori_bound(d: float, v: float) -> float:
     """The norm estimate sin(arctan(v/d)), strictly below sqrt(2/3);
     defined for v < sqrt(2) d."""
+    require_finite("d, v", d, v)
     if d <= 0.0:
         raise DomainError(f"d must be positive, got {d}")
     if v < 0.0 or v >= SQRT2 * d:

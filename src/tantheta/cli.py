@@ -66,17 +66,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    cfg = GenConfig(
-        dim0=args.dim0,
-        dim1=args.dim1,
-        D=args.D,
-        d=args.d,
-        ratio=args.ratio,
-        span=args.span,
-        conjugate=args.conjugate,
-        seed=args.seed,
-    )
-    report = run_trial(cfg)
+    report = run_trial(GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)}))
     if args.json:
         print(report_to_json_line(report))
     else:

@@ -120,10 +120,7 @@ def generate_instance(cfg: GenConfig) -> tuple:
         B = Q0 @ B @ Q1.T
 
     block = make_block_operator(A0, A1, B)
-    disp = SpectralDisposition(
-        tuple(sigma0), tuple(sigma1), -half, half, cfg.d, cfg.D
-    )
-    return block, disp
+    return block, SpectralDisposition(-half, half, cfg.d, cfg.D)
 
 
 @dataclass(frozen=True)

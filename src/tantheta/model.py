@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
-    DispositionViolated,
     DomainError,
     NoConvergence,
     ResidualTooLarge,
@@ -82,6 +81,26 @@ class EigenSystem:
         self.values.setflags(write=False)
         self.vectors.setflags(write=False)
 
+    @classmethod
+    def of(cls, M: np.ndarray) -> "EigenSystem":
+        """Eigendecomposition of an exactly symmetric matrix, values ascending.
+
+        The contract enforced here is the residual: ||M V - V diag(w)||_F
+        <= 1e-10 (1 + max|w|), in the Frobenius norm, which bounds the
+        operator norm; ResidualTooLarge is raised beyond it. Orthonormality
+        of V is not checked here: it is checked only for the in-gap basis of
+        L, by the Gram test of RangeProjector.lower_svd.
+        """
+        try:
+            values, vectors = np.linalg.eigh(M)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+        residual = float(np.linalg.norm(M @ vectors - vectors * values))
+        cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
+        if residual > cap:
+            raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
+        return cls(values, vectors, residual)
+
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
@@ -111,22 +130,8 @@ class SymMatrix:
 
     @cached_property
     def eig(self) -> EigenSystem:
-        """Eigendecomposition, values ascending, computed once.
-
-        The contract is the residual: ||S V - V diag(w)||_F <= 1e-10 (1 + max|w|)
-        in the Frobenius norm, which bounds the operator norm, enforced by
-        raising ResidualTooLarge; and V orthonormal to 1e-10 entrywise.
-        """
-        M = self.entries
-        try:
-            values, vectors = np.linalg.eigh(M)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-        residual = float(np.linalg.norm(M @ vectors - vectors * values))
-        cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
-        if residual > cap:
-            raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
-        return EigenSystem(values, vectors, residual)
+        """The checked eigendecomposition (EigenSystem.of), computed once."""
+        return EigenSystem.of(self.entries)
 
     @cached_property
     def norm(self) -> float:
@@ -202,43 +207,14 @@ def make_block_operator(A0, A1, B) -> BlockOperator:
 
 @dataclass(frozen=True)
 class SpectralDisposition:
-    """Spectra of the diagonal blocks together with the finite gap
-    (gamma_l, gamma_r) of sigma1 that contains sigma0."""
+    """The finite gap (gamma_l, gamma_r) of sigma1 = spec(A1) that contains
+    sigma0 = spec(A0), the distance d = dist(sigma0, sigma1) and the gap
+    length D = gamma_r - gamma_l."""
 
-    sigma0: tuple
-    sigma1: tuple
     gamma_l: float
     gamma_r: float
     d: float
     D: float
-
-
-def disposition_from_spectra(sigma0, sigma1) -> SpectralDisposition:
-    """Locate the finite gap of sigma1 containing all of sigma0 and compute
-    the exact distance d and gap width D.
-
-    Raises DispositionViolated if sigma0 is not contained in a single finite
-    gap of sigma1 or if the closed convex hull of sigma0 meets sigma1.
-    """
-    s0 = tuple(sorted(float(x) for x in sigma0))
-    s1 = tuple(sorted(float(x) for x in sigma1))
-    if not s0 or not s1:
-        raise DispositionViolated("both spectra must be nonempty")
-    lo0, hi0 = s0[0], s0[-1]
-    below = [x for x in s1 if x < lo0]
-    above = [x for x in s1 if x > hi0]
-    inside = [x for x in s1 if lo0 <= x <= hi0]
-    if inside or not below or not above:
-        raise DispositionViolated(
-            "sigma0 must lie strictly inside a finite gap of sigma1"
-        )
-    gamma_l = max(below)
-    gamma_r = min(above)
-    d = min(lo0 - gamma_l, gamma_r - hi0)
-    D = gamma_r - gamma_l
-    if d <= 0.0:
-        raise DispositionViolated("distance between sigma0 and sigma1 is not positive")
-    return SpectralDisposition(s0, s1, gamma_l, gamma_r, d, D)
 
 
 class Region(enum.Enum):
@@ -252,6 +228,13 @@ class Region(enum.Enum):
     OUTSIDE_OMEGA = 4
 
 
+def require_finite(names: str, *values: float) -> None:
+    """Raise DomainError unless every value is finite; `names` lists the
+    values' names, as in "D, d, v"."""
+    if not all(math.isfinite(x) for x in values):
+        raise DomainError(f"({names}) = ({', '.join(str(x) for x in values)}) must be finite")
+
+
 def classify_region(D: float, d: float, v: float) -> Region:
     """Classify the point (D, d, v) into the region partition.
 
@@ -261,8 +244,7 @@ def classify_region(D: float, d: float, v: float) -> Region:
     degenerate d. Non-finite D, d or v raise DomainError.
     """
     D, d, v = float(D), float(d), float(v)
-    if not (math.isfinite(D) and math.isfinite(d) and math.isfinite(v)):
-        raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) must be finite")
+    require_finite("D, d, v", D, d, v)
     if D <= 0.0:
         raise DomainError("D must be positive")
     if v < 0.0:

@@ -9,16 +9,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DispositionViolated,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
     NotAProjector,
 )
-from .model import (
-    BlockOperator,
-    SpectralDisposition,
-    SymMatrix,
-    disposition_from_spectra,
-)
+from .model import BlockOperator, EigenSystem, SpectralDisposition
 
 # Projectors have unit norm, so their defects have no units and this
 # tolerance is absolute. It applies to ||U^T U - I||_F of a range basis U,
@@ -34,13 +30,24 @@ EDGE_COLLAR = 1e-12
 
 
 def find_disposition(block: BlockOperator) -> SpectralDisposition:
-    """Compute sigma0 = spec(A0), sigma1 = spec(A1) and locate the finite
-    gap of sigma1 containing all of sigma0.
+    """Locate the finite gap of sigma1 = spec(A1) containing all of
+    sigma0 = spec(A0), reading both spectra (ascending) off the cached
+    eigensystems of A0 and A1.
 
     Raises DispositionViolated when sigma0 is not inside a single finite
-    gap of sigma1.
+    gap of sigma1: a value of sigma1 lies in the closed hull of sigma0, or
+    none lies on one of its sides.
     """
-    return disposition_from_spectra(block.A0.eig.values, block.A1.eig.values)
+    s0, s1 = block.A0.eig.values, block.A1.eig.values
+    lo0, hi0 = float(s0[0]), float(s0[-1])
+    # s1[:i] < lo0 and s1[j:] > hi0, so s1[i:j] meets the hull of sigma0.
+    i = int(np.searchsorted(s1, lo0, side="left"))
+    j = int(np.searchsorted(s1, hi0, side="right"))
+    if not 0 < i == j < s1.size:
+        raise DispositionViolated("sigma0 must lie strictly inside a finite gap of sigma1")
+    gamma_l, gamma_r = float(s1[i - 1]), float(s1[j])
+    d = min(lo0 - gamma_l, gamma_r - hi0)
+    return SpectralDisposition(gamma_l, gamma_r, d, gamma_r - gamma_l)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +95,15 @@ class RangeProjector:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumPartition:
-    """Spectrum of L split by membership in the gap, with the orthogonal
-    projector onto the in-gap spectral subspace, held by the orthonormal
-    in-gap eigenvectors."""
+    """The in-gap eigenvalues omega0 of L (ascending, read-only) with the
+    orthogonal projector onto their spectral subspace, held by the
+    orthonormal in-gap eigenvectors."""
 
-    omega0: tuple
-    omega1: tuple
+    omega0: np.ndarray
     P0: RangeProjector
+
+    def __post_init__(self):
+        self.omega0.setflags(write=False)
 
 
 def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> SpectrumPartition:
@@ -110,7 +119,8 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
         raise GapEmptyOrRankMismatch(
             f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}"
         )
-    es = SymMatrix(block.assemble_perturbed()).eig
+    # L is exactly symmetric by construction, so it needs no SymMatrix.
+    es = EigenSystem.of(block.assemble_perturbed())
     w = es.values
     scale = 1.0 + float(np.max(np.abs(w)))  # ||L||
     band = BOUNDARY_BAND * scale
@@ -124,13 +134,12 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
         raise EigenvalueOnBoundary(
             f"eigenvalue {float(w[on_boundary][0])!r} is within {band:g} of a gap endpoint"
         )
-    omega0 = tuple(float(x) for x in w[inside])
-    omega1 = tuple(float(x) for x in w[~inside])
-    if len(omega0) != block.dim0:
+    omega0 = w[inside]
+    if omega0.size != block.dim0:
         raise GapEmptyOrRankMismatch(
-            f"in-gap rank {len(omega0)} != dim0 {block.dim0} (numerical trouble)"
+            f"in-gap rank {omega0.size} != dim0 {block.dim0} (numerical trouble)"
         )
-    return SpectrumPartition(omega0, omega1, RangeProjector(es.vectors[:, inside]))
+    return SpectrumPartition(omega0, RangeProjector(es.vectors[:, inside]))
 
 
 def projection_distance(P: RangeProjector, Q: RangeProjector) -> float:

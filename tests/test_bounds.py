@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tantheta import DomainError, apriori_bound, kappa, m1, m2, m_total, phi_maximizer, r_v
+from tantheta import (
+    DomainError,
+    apriori_bound,
+    classify_region,
+    kappa,
+    m1,
+    m2,
+    m_total,
+    phi_maximizer,
+    r_v,
+)
 from tantheta.bounds import half_arctan_tangent, sin_arctan
 
 from oracles import m1_trig
@@ -227,3 +237,33 @@ class TestPhiMaximizer:
             phi_maximizer(2.0, 1.0, 1.0)  # below sqrt(gamma^2 - a^2)
         with pytest.raises(DomainError):
             phi_maximizer(2.0, 1.0, 2.0)  # at sqrt(2 gamma (gamma - a))
+
+
+# Each public function at a point of its domain, so that only the
+# non-finite slot can make it raise.
+VALID_POINTS = [
+    (classify_region, (4.0, 1.0, 0.5)),
+    (r_v, (4.0, 1.0, 0.5)),
+    (kappa, (4.0, 1.0, 0.5)),
+    (m1, (4.0, 1.0, 0.5)),
+    (m2, (4.0, 1.0, 1.9)),
+    (m_total, (4.0, 1.0, 0.5)),
+    (apriori_bound, (1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "fn, slot, point",
+    [
+        pytest.param(fn, slot, point, id=f"{fn.__name__}-{slot}")
+        for fn, point in VALID_POINTS
+        for slot in range(len(point))
+    ],
+)
+def test_non_finite_argument_raises(fn, slot, point, bad):
+    fn(*point)
+    args = list(point)
+    args[slot] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        fn(*args)

@@ -268,7 +268,8 @@ class TestRunSweep:
         records.append(FailureRecord(7, "NoConvergence", "stalled"))
         p = tmp_path / "out.csv"
         write_reports(records, summary, p, fmt="csv")
-        rows = list(csv.DictReader(p.open(newline="")))
+        with p.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert "method" not in rows[0]
         assert rows[0]["apriori"] != ""
         assert rows[1]["seed"] == "7"

@@ -17,7 +17,7 @@ from tantheta import (
     block_operator_from_dict,
     block_operator_to_dict,
     classify_region,
-    disposition_from_spectra,
+    find_disposition,
     load_instance,
     make_block_operator,
     save_instance,
@@ -116,6 +116,14 @@ class TestClassifyRegion:
         assert labels == sorted(labels)
 
 
+def disposition_of(s0, s1):
+    """The disposition of the unperturbed block operator with A0 = diag(s0)
+    and A1 = diag(s1)."""
+    return find_disposition(
+        make_block_operator(np.diag(s0), np.diag(s1), np.zeros((len(s0), len(s1))))
+    )
+
+
 class TestDisposition:
     @given(
         st.lists(st.floats(min_value=-0.9, max_value=0.9), min_size=1, max_size=6),
@@ -127,18 +135,42 @@ class TestDisposition:
     def test_round_trip_against_brute_force(self, s0, s1_mag):
         # sigma1 gets one point on each side of the gap
         s1 = [s1_mag[0]] + [-x for x in s1_mag[1:]] + [-1.0, 1.0]
-        disp = disposition_from_spectra(s0, s1)
+        disp = disposition_of(s0, s1)
         brute_d = min(abs(x - y) for x in s0 for y in s1)
         assert disp.d == pytest.approx(brute_d, abs=0.0)
         assert disp.D == disp.gamma_r - disp.gamma_l
 
     def test_straddle_rejected(self):
         with pytest.raises(DispositionViolated):
-            disposition_from_spectra([0.0, 3.0], [-1.0, 1.0])
+            disposition_of([0.0, 3.0], [-1.0, 1.0])
 
     def test_touching_rejected(self):
         with pytest.raises(DispositionViolated):
-            disposition_from_spectra([1.0], [-1.0, 1.0])
+            disposition_of([1.0], [-1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "s0, s1",
+        [
+            ([0.0, 0.5], [1.0, 2.0]),  # sigma0 below all of sigma1
+            ([0.0, 0.5], [-2.0, -1.0]),  # sigma0 above all of sigma1
+            ([0.0, 0.5], [-1.0, 0.0, 1.0]),  # a sigma1 value equal to min sigma0
+            ([0.0, 0.5], [-1.0, 0.5, 1.0]),  # a sigma1 value equal to max sigma0
+            ([0.0, 0.5], [-1.0, 0.25, 1.0]),  # a sigma1 value inside the hull
+        ],
+    )
+    def test_gap_search_rejects(self, s0, s1):
+        with pytest.raises(
+            DispositionViolated, match="sigma0 must lie strictly inside a finite gap of sigma1"
+        ):
+            disposition_of(s0, s1)
+
+    def test_repeated_edge_values(self):
+        disp = disposition_of([0.0, 0.5], [2.0, -1.0, 2.0, -1.0, -3.0, 2.0])
+        assert (disp.gamma_l, disp.gamma_r, disp.d, disp.D) == (-1.0, 2.0, 1.0, 3.0)
+
+    def test_single_sigma0_value(self):
+        disp = disposition_of([0.25], [-1.0, 3.0, -2.0])
+        assert (disp.gamma_l, disp.gamma_r, disp.d, disp.D) == (-1.0, 3.0, 1.25, 4.0)
 
 
 class TestInstanceIO:

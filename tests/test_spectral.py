@@ -78,9 +78,10 @@ class TestFindDisposition:
         assert (disp.gamma_l, disp.gamma_r, disp.d, disp.D) == (-2.0, 2.0, 1.0, 4.0)
 
     def test_rank_one_instance(self):
-        disp = find_disposition(rank_one_build(2.0, 1.0, 0.0, 0.5))
-        assert disp.sigma0 == (1.0,)
-        assert disp.sigma1 == (-2.0, 2.0)
+        block = rank_one_build(2.0, 1.0, 0.0, 0.5)
+        disp = find_disposition(block)
+        assert block.A0.eig.values.tolist() == [1.0]
+        assert block.A1.eig.values.tolist() == [-2.0, 2.0]
         assert (disp.d, disp.D) == (1.0, 4.0)
 
     def test_straddling_rejected(self):
@@ -145,7 +146,7 @@ class TestPerturbedPartition:
     def test_rank_mismatch_raises(self):
         # A gap (-3, 3) wider than spec(A1) holds all of spec(L) = {-2, 0, 2}.
         block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
-        disp = SpectralDisposition((0.0,), (-2.0, 2.0), -3.0, 3.0, 1.0, 6.0)
+        disp = SpectralDisposition(-3.0, 3.0, 1.0, 6.0)
         with pytest.raises(GapEmptyOrRankMismatch, match="in-gap rank 3 != dim0 1"):
             perturbed_partition(block, disp)
 
@@ -155,12 +156,18 @@ class TestPerturbedPartition:
         # collar 3e-12, so -2 is a boundary hit at 1e-9 inside the gap and
         # an endpoint eigenvalue at 1e-13.
         block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
-        disp = SpectralDisposition((0.0,), (-2.0, 2.0), -2.0 - offset, 2.0, 2.0, 4.0)
+        disp = SpectralDisposition(-2.0 - offset, 2.0, 2.0, 4.0)
         if raises:
             with pytest.raises(EigenvalueOnBoundary):
                 perturbed_partition(block, disp)
         else:
             assert perturbed_partition(block, disp).omega0 == (0.0,)
+
+    def test_omega0_read_only(self):
+        ver = Verification(rank_one_build(2.0, 1.0, 0.0, 0.5))
+        assert not ver.partition.omega0.flags.writeable
+        with pytest.raises(ValueError):
+            ver.partition.omega0[0] = 0.0
 
     def test_gap_survives_below_sqrt2d(self):
         # v/d = 1.3 < sqrt(2) at D = 2d: gap keeps exactly dim0 eigenvalues
@@ -326,7 +333,7 @@ class TestCosineSineRoute:
         Y = np.zeros((4, 2))
         Y[0, 0], Y[2, 0], Y[1, 1] = cosine, np.sqrt(1.0 - cosine**2), 1.0
         Y[:2], Y[2:] = R0 @ Y[:2], R1 @ Y[2:]
-        part = SpectrumPartition((0.0, 0.0), (-2.0, 2.0), RangeProjector(Y))
+        part = SpectrumPartition(np.zeros(2), RangeProjector(Y))
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         assert projection_distance(unperturbed_projector(block), part.P0) == pytest.approx(
             1.0, abs=1e-12
