@@ -25,8 +25,6 @@ from .harness import (
     MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
     Verification,
-    format_float,
-    report_to_json_line,
     run_sweep,
     run_trial,
     write_reports,
@@ -34,14 +32,14 @@ from .harness import (
 from .model import load_instance, read_json
 
 
-def _print_kv(pairs) -> None:
-    for key, value in pairs:
-        if value is None:
-            print(f"{key}: -")
-        elif isinstance(value, float):
-            print(f"{key}: {format_float(value)}")
-        else:
-            print(f"{key}: {value}")
+def _emit(pairs, as_json: bool) -> None:
+    """Print (key, value) pairs as one JSON object, or as `key: value`
+    lines with None shown as `-`."""
+    if as_json:
+        print(json.dumps(dict(pairs)))
+    else:
+        for key, value in pairs:
+            print(f"{key}: {'-' if value is None else value}")
 
 
 def _bound_pairs(D: float, d: float, v: float):
@@ -52,27 +50,15 @@ def _bound_pairs(D: float, d: float, v: float):
     ]
 
 
-def _pairs_to_json(pairs) -> str:
-    return json.dumps(dict(pairs))
-
-
 def cmd_bound(args) -> int:
-    pairs = _bound_pairs(args.D, args.d, args.v)
-    if args.json:
-        print(_pairs_to_json(pairs))
-    else:
-        _print_kv(pairs)
+    _emit(_bound_pairs(args.D, args.d, args.v), args.json)
     return 0
 
 
 def cmd_trial(args) -> int:
     report = run_trial(GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)}))
-    if args.json:
-        print(report_to_json_line(report))
-    else:
-        _print_kv(
-            (name, getattr(report, name)) for name in REPORT_FIELDS + ("elapsed_ms",)
-        )
+    names = REPORT_FIELDS if args.json else REPORT_FIELDS + ("elapsed_ms",)
+    _emit([(name, getattr(report, name)) for name in names], args.json)
     return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
 
 
@@ -134,7 +120,7 @@ def cmd_sweep(args) -> int:
     print(
         f"wrote {len(records)} records to {args.out} "
         f"(failures: {summary.failures}, min margin: "
-        f"{'-' if summary.min_margin is None else format_float(summary.min_margin)})"
+        f"{'-' if summary.min_margin is None else summary.min_margin})"
     )
     violated = summary.min_margin is not None and summary.min_margin < MARGIN_FAILURE_THRESHOLD
     return 1 if violated or summary.failures > 0 else 0
@@ -172,10 +158,7 @@ def cmd_example(args) -> int:
         ("distance_minus_closed_form", distance - expected),
         ("margin", bound - distance),
     ]
-    if args.json:
-        print(_pairs_to_json(pairs))
-    else:
-        _print_kv(pairs)
+    _emit(pairs, args.json)
     return 0 if bound - distance >= MARGIN_FAILURE_THRESHOLD else 1
 
 
@@ -195,13 +178,10 @@ def cmd_check_identities(args) -> int:
         }
         print(json.dumps(payload))
     else:
-        _print_kv([("x_norm", ang.norm), ("riccati_residual", ang.riccati_residual)])
+        _emit([("x_norm", ang.norm), ("riccati_residual", ang.riccati_residual)], False)
         for lam, id1, id2, id3 in pairs:
-            print(
-                f"lambda {format_float(lam)}: id1 {format_float(id1)} "
-                f"id2 {format_float(id2)} id3 {format_float(id3)}"
-            )
-        _print_kv([("max_residual", audit.max_residual)])
+            print(f"lambda {lam}: id1 {id1} id2 {id2} id3 {id3}")
+        _emit([("max_residual", audit.max_residual)], False)
     return 0
 
 

@@ -87,7 +87,8 @@ class EigenSystem:
 
         The contract enforced here is the residual: ||M V - V diag(w)||_F
         <= 1e-10 (1 + max|w|), in the Frobenius norm, which bounds the
-        operator norm; ResidualTooLarge is raised beyond it. Orthonormality
+        operator norm; ResidualTooLarge is raised beyond it, and for a
+        non-finite eigenvalue, whose residual is not meaningful. Orthonormality
         of V is not checked here: it is checked only for the in-gap basis of
         L, by the Gram test of RangeProjector.lower_svd.
         """
@@ -95,9 +96,11 @@ class EigenSystem:
             values, vectors = np.linalg.eigh(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+        if not np.all(np.isfinite(values)):
+            raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
         residual = float(np.linalg.norm(M @ vectors - vectors * values))
         cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
-        if residual > cap:
+        if not residual <= cap:
             raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
         return cls(values, vectors, residual)
 
@@ -120,7 +123,9 @@ class SymMatrix:
         scale = max(1.0, float(np.max(np.abs(arr))))
         if np.linalg.norm(arr - arr.T) > ASYMMETRY_TOL * scale:
             raise DimensionMismatch("matrix is not symmetric within 1e-12 relative")
-        sym = (arr + arr.T) / 2.0
+        # Halving first cannot overflow; away from subnormals it is
+        # bit-identical to (arr + arr.T) / 2.
+        sym = arr / 2.0 + arr.T / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 

@@ -1,10 +1,13 @@
+import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from tantheta import make_block_operator, save_instance
+from tantheta import GenConfig, make_block_operator, run_sweep, save_instance
+from tantheta.harness import REPORT_FIELDS
 from tantheta.cli import main
 
 
@@ -14,6 +17,16 @@ class TestBound:
         out = capsys.readouterr().out
         assert "region: OMEGA1_0" in out
         assert "M2: -" in out  # not defined this deep inside the region
+        assert "D: 4.0" in out.splitlines()
+
+    def test_json_floats_render_like_trial(self, capsys):
+        assert main(["bound", "--D", "4", "--d", "1", "--v", "0.5", "--json"]) == 0
+        bound = capsys.readouterr().out
+        assert main(["trial", "--seed", "5", "--dim0", "2", "--dim1", "3",
+                     "--D", "4", "--d", "1", "--ratio", "0.5", "--json"]) == 0
+        trial = capsys.readouterr().out
+        assert '"D": 4.0' in bound and '"D": 4.0' in trial
+        assert type(json.loads(trial)["D"]) is type(json.loads(bound)["D"]) is float
 
     def test_json_output(self, capsys):
         assert main(["bound", "--D", "4", "--d", "1", "--v", "0.5", "--json"]) == 0
@@ -144,6 +157,36 @@ class TestSweep:
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["D", "span"])
+    def test_overflowing_float_exits_2(self, tmp_path, capsys, key):
+        cfg = self.config(tmp_path, **{key: 2.5})
+        cfg.write_text(cfg.read_text().replace(f'"{key}": 2.5', f'"{key}": 1e400'))
+        out = tmp_path / "report.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_floats_read_back_bit_identical(self, tmp_path, capsys, fmt):
+        cfg = self.config(tmp_path, ratio_grid=[0.3, 1.5])
+        out = tmp_path / f"report.{fmt}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        base = GenConfig(dim0=2, dim1=3, D=4.0, d=1.0, ratio=0.0, seed=9)
+        records, _ = run_sweep(base, 2, [0.3, 1.5])
+        if fmt == "jsonl":
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+        else:
+            with out.open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        for rec, row in zip(records, rows):
+            for name in REPORT_FIELDS:
+                value = getattr(rec, name)
+                if isinstance(value, float):
+                    cell = row[name] if fmt == "jsonl" else float(row[name])
+                    assert type(cell) is float, name
+                    assert struct.pack("d", cell) == struct.pack("d", value), name
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,3 +1,7 @@
+import csv
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from tantheta import (
 )
 from tantheta.harness import (
     MARGIN_FAILURE_THRESHOLD,
+    REPORT_FIELDS,
     FailureRecord,
     TrialReport,
     report_to_json_line,
@@ -46,6 +51,8 @@ class TestGenConfig:
             {"seed": -1},
             {"ratio": float("nan")},
             {"span": float("nan")},
+            {"D": float("inf")},
+            {"span": float("inf")},
         ],
     )
     def test_validate_rejects(self, overrides):
@@ -296,6 +303,30 @@ class TestSerialization:
         obj = json.loads(summary_to_json_line(summary))
         assert obj["summary"] is True
         assert obj["trials"] == 2
+
+    def test_floats_read_back_bit_identical(self, tmp_path):
+        # ratio 1.5 > sqrt(2) leaves apriori and the cross-check None.
+        records, summary = run_sweep(base_cfg(), trials=2, ratio_grid=[0.3, 1.5])
+        write_reports(records, summary, tmp_path / "r.jsonl")
+        write_reports(records, summary, tmp_path / "r.csv", fmt="csv")
+        lines = (tmp_path / "r.jsonl").read_text().splitlines()
+        with (tmp_path / "r.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        nulls = 0
+        for rec, line, row in zip(records, lines, rows):
+            obj = json.loads(line)
+            for name in REPORT_FIELDS:
+                value = getattr(rec, name)
+                if value is None:
+                    assert obj[name] is None and row[name] == ""
+                    nulls += 1
+                elif isinstance(value, float):
+                    assert type(obj[name]) is float, name
+                    assert struct.pack("d", obj[name]) == struct.pack("d", value), name
+                    assert struct.pack("d", float(row[name])) == struct.pack("d", value), name
+        assert nulls > 0
+        obj = json.loads(lines[-1])
+        assert struct.pack("d", obj["min_margin"]) == struct.pack("d", summary.min_margin)
 
     def test_failure_record_stream(self, tmp_path):
         import json

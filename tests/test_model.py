@@ -13,6 +13,7 @@ from tantheta import (
     DispositionViolated,
     DomainError,
     Region,
+    ResidualTooLarge,
     SymMatrix,
     block_operator_from_dict,
     block_operator_to_dict,
@@ -41,6 +42,14 @@ class TestSymMatrix:
             SymMatrix(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
             SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_symmetrizes_near_overflow(self):
+        S = SymMatrix(np.diag([1e308, 1.7e308]))
+        assert np.array_equal(S.eig.values, [1e308, 1.7e308])
+
+    def test_overflowing_spectrum_raises(self):
+        with pytest.raises(ResidualTooLarge):
+            SymMatrix(np.full((2, 2), 1.7e308)).eig
 
     def test_immutable(self):
         S = SymMatrix(np.eye(2))
