@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import RADICAND_GUARD, phi_maximizer, sin_arctan
 from .errors import DomainError
-from .model import BlockOperator, make_block_operator
+from .model import BlockOperator, make_block_operator, require_finite
 
 
 def rank_one_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperator:
@@ -34,8 +34,9 @@ def rank_one_inner_expected(d: float, v: float) -> float:
 
     The inner expression is the norm of the angular operator; it coincides
     with the bound branch M1 on the inner region, which is what makes this
-    family a sharpness witness there.
+    family a sharpness witness there. Non-finite d or v raise DomainError.
     """
+    require_finite("d, v", d, v)
     if d <= 0.0 or v < 0.0:
         raise DomainError(f"need d > 0 and v >= 0, got d={d}, v={v}")
     x_norm = 2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v))
@@ -78,7 +79,9 @@ def circulant_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperat
 
 def circulant_kappas(gamma: float, a: float, b1: float, b2: float) -> tuple:
     """Closed-form entries (kappa1, kappa2) of the explicit Riccati solution
-    X = [[k1, k2], [-k2, -k1]] of the 4x4 family; ||X|| = k1 + k2."""
+    X = [[k1, k2], [-k2, -k1]] of the 4x4 family; ||X|| = k1 + k2. Non-finite
+    arguments raise DomainError."""
+    require_finite("gamma, a, b1, b2", gamma, a, b1, b2)
     if not 0.0 <= a < gamma:
         raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
     if b1 < 0.0 or b2 < 0.0:

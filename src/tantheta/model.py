@@ -42,9 +42,17 @@ def _as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return arr
+
+
+def frobenius(A: np.ndarray) -> float:
+    """Frobenius norm of a float array: exactly what np.linalg.norm(A)
+    computes (the square root of the dot product of the flattened entries),
+    without its dispatch."""
+    r = A.ravel(order="K")
+    return math.sqrt(r.dot(r))
 
 
 def spectral_norm(M) -> float:
@@ -59,7 +67,7 @@ def spectral_norm(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    m = float(np.max(np.abs(M)))
+    m = float(np.abs(M).max())
     if not math.isfinite(m):
         raise DimensionMismatch("spectral norm of a matrix with non-finite entries")
     if m == 0.0:
@@ -71,11 +79,13 @@ def spectral_norm(M) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Full symmetric eigendecomposition with its backward residual."""
+    """Full symmetric eigendecomposition with its backward residual and
+    its norm, the largest eigenvalue magnitude."""
 
     values: np.ndarray
     vectors: np.ndarray
     residual: float
+    norm: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -96,21 +106,29 @@ class EigenSystem:
             values, vectors = np.linalg.eigh(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
-        residual = float(np.linalg.norm(M @ vectors - vectors * values))
-        cap = EIG_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(values))))
+        # The values ascend, so the largest magnitude is at one end.
+        norm = max(abs(float(values[0])), abs(float(values[-1])))
+        R = M @ vectors
+        R -= vectors * values
+        # Scaled by max|w| (when nonzero), so that the squares the Frobenius
+        # norm sums cannot overflow where the decomposition is finite.
+        unit = norm or 1.0
+        R /= unit
+        residual = frobenius(R) * unit
+        cap = EIG_RESIDUAL_TOL * (1.0 + norm)
         if not residual <= cap:
             raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
-        return cls(values, vectors, residual)
+        return cls(values, vectors, residual, norm)
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense real symmetric matrix; construction symmetrizes exactly.
 
-    The eigendecomposition is computed at most once, on first use, and the
-    norm is read from its spectrum.
+    The eigendecomposition is computed at most once, on first use; the norm
+    is read from its spectrum (`eig.norm`).
     """
 
     entries: np.ndarray
@@ -120,8 +138,8 @@ class SymMatrix:
         n, m = arr.shape
         if n != m or n < 1:
             raise DimensionMismatch(f"SymMatrix must be square and nonempty, got {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.linalg.norm(arr - arr.T) > ASYMMETRY_TOL * scale:
+        scale = max(1.0, float(np.abs(arr).max()))
+        if frobenius(arr - arr.T) > ASYMMETRY_TOL * scale:
             raise DimensionMismatch("matrix is not symmetric within 1e-12 relative")
         # Halving first cannot overflow; away from subnormals it is
         # bit-identical to (arr + arr.T) / 2.
@@ -137,11 +155,6 @@ class SymMatrix:
     def eig(self) -> EigenSystem:
         """The checked eigendecomposition (EigenSystem.of), computed once."""
         return EigenSystem.of(self.entries)
-
-    @cached_property
-    def norm(self) -> float:
-        """Operator norm, the largest eigenvalue magnitude."""
-        return float(np.max(np.abs(self.eig.values)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from .errors import (
     GapEmptyOrRankMismatch,
     NotAProjector,
 )
-from .model import BlockOperator, EigenSystem, SpectralDisposition
+from .model import BlockOperator, EigenSystem, SpectralDisposition, frobenius
 
 # Projectors have unit norm, so their defects have no units and this
 # tolerance is absolute. It applies to ||U^T U - I||_F of a range basis U,
@@ -81,7 +81,7 @@ class RangeProjector:
         three are read-only.
         """
         Y = self.basis
-        gram_defect = np.linalg.norm(Y.T @ Y - np.eye(self.rank))
+        gram_defect = frobenius(Y.T @ Y - np.eye(self.rank))
         if gram_defect > PROJECTOR_TOL:
             raise NotAProjector(
                 f"range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
@@ -122,15 +122,14 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
     # L is exactly symmetric by construction, so it needs no SymMatrix.
     es = EigenSystem.of(block.assemble_perturbed())
     w = es.values
-    scale = 1.0 + float(np.max(np.abs(w)))  # ||L||
+    scale = 1.0 + es.norm  # ||L||
     band = BOUNDARY_BAND * scale
     collar = EDGE_COLLAR * scale
-    to_l = w - disp.gamma_l
-    to_r = disp.gamma_r - w
+    near = np.minimum(w - disp.gamma_l, disp.gamma_r - w)  # to the nearer edge
     # Endpoint eigenvalues (round-off absorbed by the collar) lie outside.
-    inside = (to_l > collar) & (to_r > collar)
-    on_boundary = inside & ((to_l <= band) | (to_r <= band))
-    if np.any(on_boundary):
+    inside = near > collar
+    on_boundary = inside & (near <= band)
+    if on_boundary.any():
         raise EigenvalueOnBoundary(
             f"eigenvalue {float(w[on_boundary][0])!r} is within {band:g} of a gap endpoint"
         )

@@ -172,3 +172,28 @@ class TestCirculant:
             circulant_case_params(2.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             circulant_case_params(2.0, 1.0, 1.8)
+
+
+# Each closed form at a point of its domain, so that only the non-finite
+# slot can make it raise.
+CLOSED_FORMS = [
+    (rank_one_inner_expected, (1.0, 0.5)),
+    (circulant_kappas, (2.0, 1.0, 0.3, 0.5)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "fn, slot, point",
+    [
+        pytest.param(fn, slot, point, id=f"{fn.__name__}-{slot}")
+        for fn, point in CLOSED_FORMS
+        for slot in range(len(point))
+    ],
+)
+def test_non_finite_argument_raises(fn, slot, point, bad):
+    fn(*point)
+    args = list(point)
+    args[slot] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        fn(*args)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tantheta import (
     save_instance,
 )
 from tantheta.errors import TanThetaError
-from tantheta.model import spectral_norm
+from tantheta.model import EigenSystem, frobenius, spectral_norm
 
 
 class TestSymMatrix:
@@ -46,6 +47,15 @@ class TestSymMatrix:
     def test_symmetrizes_near_overflow(self):
         S = SymMatrix(np.diag([1e308, 1.7e308]))
         assert np.array_equal(S.eig.values, [1e308, 1.7e308])
+
+    def test_residual_of_spectrum_near_overflow(self):
+        # Largest eigenvalue 1.5e308: finite, but the squares in an
+        # unscaled Frobenius residual overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            es = SymMatrix(np.full((3, 3), 5e307)).eig
+        assert es.values[-1] == pytest.approx(1.5e308, rel=1e-14)
+        assert es.residual <= 1e-10 * (1.0 + es.norm)
 
     def test_overflowing_spectrum_raises(self):
         with pytest.raises(ResidualTooLarge):
@@ -251,3 +261,39 @@ class TestSpectralNorm:
             spectral_norm(M)
         with pytest.raises(DimensionMismatch):
             spectral_norm(M.T)
+
+
+def _views():
+    A = np.random.default_rng(3).standard_normal((7, 5))
+    return {
+        "C": A,
+        "F": np.asfortranarray(A),
+        "transposed": A.T,
+        "strided": A[::2, 1::2],
+        "negative-stride": A[::-1, ::-3],
+        "1x1": A[:1, :1],
+        "zeros": np.zeros((3, 4)),
+        "empty": np.zeros((0, 3)),
+    }
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("name", list(_views()))
+    def test_equals_numpy_norm_bit_for_bit(self, name):
+        A = _views()[name]
+        assert frobenius(A) == float(np.linalg.norm(A))
+
+
+class TestSpectrumNorm:
+    @pytest.mark.parametrize("shift", [-10.0, -2.0, 0.0, 2.0, 10.0])
+    def test_equals_max_abs_of_values(self, shift):
+        rng = np.random.default_rng(int(shift) + 20)
+        for n in (1, 2, 5, 9):
+            G = rng.standard_normal((n, n))
+            S = SymMatrix(G + G.T + shift * np.eye(n))
+            expected = float(np.max(np.abs(S.eig.values)))
+            assert S.eig.norm == expected
+
+    def test_zero_matrix(self):
+        es = EigenSystem.of(np.zeros((3, 3)))
+        assert es.norm == 0.0 and es.residual == 0.0

@@ -84,7 +84,7 @@ class TestExtraction:
     def test_extraction_residual_contract(self):
         for block in random_blocks(8, seed=200):
             _, _, ang = pipeline(block)
-            scale = 1.0 + block.A0.norm + block.A1.norm + np.linalg.norm(block.B, 2)
+            scale = 1.0 + block.A0.eig.norm + block.A1.eig.norm + np.linalg.norm(block.B, 2)
             assert ang.riccati_residual <= 1e-8 * scale * (1.0 + ang.norm) ** 2
 
     def test_complement_spans_adjoint_graph(self):
@@ -124,7 +124,7 @@ class TestFixedPoint:
             return
         # if it converged anyway the result must still solve the equation
         assert riccati_residual(fp, block) <= 1e-6 * (1.0 + np.linalg.norm(fp, 2)) ** 2 * (
-            1.0 + block.A0.norm + block.A1.norm + np.linalg.norm(block.B, 2)
+            1.0 + block.A0.eig.norm + block.A1.eig.norm + np.linalg.norm(block.B, 2)
         )
 
 
@@ -195,6 +195,19 @@ class TestLemmaIdentities:
                 verify_lemma_identities(ang, block, seed=seed)
         else:
             assert verify_lemma_identities(ang, block, seed=seed).max_residual <= 1e-8
+
+    def test_seed_unused_without_degenerate_cluster(self):
+        cfg = GenConfig(dim0=4, dim1=6, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=31)
+        block, _ = generate_instance(cfg)
+        _, _, ang = pipeline(block)
+        s = ang.singular_values
+        assert np.all(s[:-1] - s[1:] > riccati.DEGENERACY_TOL * (1.0 + s[:-1]))
+        first = verify_lemma_identities(ang, block, seed=0)
+        last = verify_lemma_identities(ang, block, seed=2**64 - 1)
+        assert first.lam.size == block.dim0
+        for name in ("lam", "id1", "id2", "id3"):
+            assert np.array_equal(getattr(first, name), getattr(last, name)), name
+        assert first.max_residual == last.max_residual
 
     def test_zero_solution_degenerate_case(self):
         block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
