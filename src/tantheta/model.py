@@ -5,6 +5,7 @@ All types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
+import base64
 import enum
 import json
 import math
@@ -279,26 +280,57 @@ def classify_region(D: float, d: float, v: float) -> Region:
     return Region.OMEGA2
 
 
+def _encode_block(entries: np.ndarray) -> dict:
+    """A block in the exact-bits form: its shape and the base64 text of its
+    C-order little-endian float64 bytes."""
+    raw = np.asarray(entries, dtype="<f8").tobytes()
+    return {"shape": list(entries.shape), "f8le": base64.b64encode(raw).decode("ascii")}
+
+
+def _is_json_int(value) -> bool:
+    # bool is a subclass of int; JSON true/false is not an integer here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode_block(entry) -> np.ndarray:
+    """A block from either instance form: a nested list of numbers, or the
+    exact-bits object {"shape": [m, n], "f8le": base64}. The finiteness and
+    shape checks of the matrix types apply to both."""
+    if not isinstance(entry, dict):
+        return np.asarray(entry, dtype=float)
+    shape, text = entry["shape"], entry["f8le"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_json_int(k) and k >= 0 for k in shape)):
+        raise ConfigInvalid(f"block shape must be two non-negative JSON integers, got {shape!r}")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ConfigInvalid(
+            f"block of shape {shape} needs {8 * shape[0] * shape[1]} bytes, got {len(raw)}"
+        )
+    return np.frombuffer(raw, "<f8").reshape(shape)
+
+
 def block_operator_to_dict(block: BlockOperator) -> dict:
-    """Serializable instance representation (row-major nested lists)."""
+    """Serializable instance representation, each block in the exact-bits
+    form {"shape": [m, n], "f8le": base64 of its float64 bytes}."""
     return {
         "dim0": block.dim0,
         "dim1": block.dim1,
-        "A0": block.A0.entries.tolist(),
-        "A1": block.A1.entries.tolist(),
-        "B": np.asarray(block.B).tolist(),
+        "A0": _encode_block(block.A0.entries),
+        "A1": _encode_block(block.A1.entries),
+        "B": _encode_block(block.B),
     }
 
 
 def block_operator_from_dict(data: dict) -> BlockOperator:
-    """Parse an instance dict; rejects NaN/Inf and shape mismatches."""
+    """Parse an instance dict, each block in either form; rejects NaN/Inf,
+    dims that are not JSON integers and shape mismatches."""
     try:
-        dim0 = int(data["dim0"])
-        dim1 = int(data["dim1"])
-        A0 = np.asarray(data["A0"], dtype=float)
-        A1 = np.asarray(data["A1"], dtype=float)
-        B = np.asarray(data["B"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim0, dim1 = data["dim0"], data["dim1"]
+        if not (_is_json_int(dim0) and _is_json_int(dim1)):
+            raise ConfigInvalid(f"dim0 and dim1 must be JSON integers, got {dim0!r}, {dim1!r}")
+        A0, A1, B = (_decode_block(data[key]) for key in ("A0", "A1", "B"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"malformed instance data: {exc}") from None
     block = make_block_operator(A0, A1, B)
     if block.dim0 != dim0 or block.dim1 != dim1:
@@ -314,12 +346,15 @@ def _reject_constant(token: str):
 
 
 def read_json(path):
-    """Parse a JSON file, rejecting NaN and Infinity with ConfigInvalid."""
-    with open(path) as fh:
+    """Parse a UTF-8 JSON file, rejecting NaN, Infinity and undecodable bytes
+    with ConfigInvalid."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"not a UTF-8 file: {exc}") from None
 
 
 def load_instance(path) -> BlockOperator:

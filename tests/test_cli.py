@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from tantheta import GenConfig, make_block_operator, run_sweep, save_instance
+from tantheta import (
+    GenConfig, circulant_build, generate_instance, make_block_operator, run_sweep, save_instance,
+)
 from tantheta.harness import REPORT_FIELDS
 from tantheta.cli import main
 
@@ -356,3 +358,51 @@ class TestCheckIdentities:
         path = tmp_path / "instance.json"
         save_instance(block, path)
         assert main(["check-identities", "--instance", str(path), "--seed", seed]) == code
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b'{"dim0": 1e400, "dim1": 2, "A0": [[1.0]], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+            b'{"dim0": true, "dim1": 2, "A0": [[1.0]], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+            b'{"dim0": 1, "dim1": 2, "A0": {"shape": [1, 1], "f8le": "AAAA"},'
+            b' "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+        ],
+    )
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        assert main(["check-identities", "--instance", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            make_block_operator(
+                np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.array([[0.3, 0.4], [0.4, 0.3]])
+            ),
+            # a doubly degenerate singular value of X: the audit draws from the seed
+            make_block_operator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2)),
+            circulant_build(2.0, 1.0, 0.3, 0.4),
+            generate_instance(
+                GenConfig(dim0=5, dim1=8, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=9)
+            )[0],
+        ],
+        ids=["diagonal", "degenerate", "circulant", "generated"],
+    )
+    def test_output_identical_for_either_file_form(self, tmp_path, capsys, block):
+        exact, nested = tmp_path / "exact.json", tmp_path / "nested.json"
+        save_instance(block, exact)
+        nested.write_text(json.dumps({
+            "dim0": block.dim0, "dim1": block.dim1, "A0": block.A0.entries.tolist(),
+            "A1": block.A1.entries.tolist(), "B": block.B.tolist(),
+        }))
+        assert "f8le" in exact.read_text() and "f8le" not in nested.read_text()
+        for seed in ("0", "3"):
+            for extra in ([], ["--json"]):
+                outputs = []
+                for path in (exact, nested):
+                    argv = ["check-identities", "--instance", str(path), "--seed", seed]
+                    assert main(argv + extra) == 0
+                    outputs.append(capsys.readouterr().out)
+                assert outputs[0] == outputs[1]

@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from tantheta import (
     DimensionMismatch,
     DispositionViolated,
     DomainError,
+    GenConfig,
     Region,
     ResidualTooLarge,
     SymMatrix,
@@ -20,6 +23,7 @@ from tantheta import (
     block_operator_to_dict,
     classify_region,
     find_disposition,
+    generate_instance,
     load_instance,
     make_block_operator,
     save_instance,
@@ -218,6 +222,155 @@ class TestInstanceIO:
         block = make_block_operator(np.eye(2), np.diag([-3.0, 3.0]), np.ones((2, 2)))
         again = block_operator_from_dict(json.loads(json.dumps(block_operator_to_dict(block))))
         assert np.array_equal(again.B, block.B)
+
+    def test_non_utf8_file_raises_config_invalid(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigInvalid, match="UTF-8"):
+            load_instance(path)
+
+    def test_overflowing_numbers_raise_config_invalid(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim0": 1e400, "dim1": 2, "A0": [[1.0]], "A1": [[-2,0],[0,2]], "B": [[0,0.5]]}')
+        with pytest.raises(ConfigInvalid):
+            load_instance(path)
+        data = {"dim0": 1, "dim1": 2, "A0": [[10**400]], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}
+        with pytest.raises(ConfigInvalid):
+            block_operator_from_dict(data)
+
+    @pytest.mark.parametrize("value", [True, 1.9, 1.0, "1", None])
+    @pytest.mark.parametrize("where", ["dim0", "shape0", "shape1"])
+    def test_dims_and_shape_must_be_json_integers(self, where, value):
+        data = small_exact_bits_dict()
+        if where == "dim0":
+            data["dim0"] = value
+            match = "dim0 and dim1 must be JSON integers"
+        else:
+            data["A0"]["shape"][int(where[-1])] = value
+            match = "shape must be two non-negative JSON integers"
+        with pytest.raises(ConfigInvalid, match=match):
+            block_operator_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "A0, A1, B",
+        [
+            ([[0.5]], [[-1.0]], [[0.25]]),  # 1x1 blocks
+            (np.diag([-0.0, 1.0, 0.0]), np.diag([-1.7e308, 1.7e308]),  # dim1 < dim0
+             [[5e-324, -0.0], [-1.7e308, 2.2250738585072009e-308], [1.7e308, 3e-310]]),
+            (np.arange(9.0).reshape(3, 3) + np.arange(9.0).reshape(3, 3).T, [[2.0]],
+             [[math.pi], [-math.e], [1e-300]]),
+            # odd subnormals in A0 and A1: symmetrization rounds them once, on
+            # construction, and the stored entries then read back unchanged
+            ([[1.0, 1.5e-323], [1.5e-323, 5e-324]], [[-5e-324, 0.0], [0.0, 3.0]],
+             [[0.0, 1.0], [1.0, 0.0]]),
+        ],
+    )
+    def test_exact_bits_round_trip(self, tmp_path, A0, A1, B):
+        assert_bit_identical_round_trip(make_block_operator(A0, A1, B), tmp_path)
+
+    def test_exact_bits_round_trip_of_generated_instance(self, tmp_path):
+        cfg = GenConfig(dim0=50, dim1=80, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=5)
+        assert_bit_identical_round_trip(generate_instance(cfg)[0], tmp_path)
+
+    def test_saved_file_holds_exact_bits_blocks(self, tmp_path):
+        B = np.array([[0.0, 0.5]])
+        path = tmp_path / "instance.json"
+        save_instance(make_block_operator(np.array([[1.0]]), np.diag([-2.0, 2.0]), B), path)
+        saved = json.loads(path.read_text())
+        assert list(saved) == ["dim0", "dim1", "A0", "A1", "B"]
+        assert (saved["dim0"], saved["dim1"]) == (1, 2)
+        assert saved["B"] == {"shape": [1, 2], "f8le": base64.b64encode(struct.pack("<2d", 0.0, 0.5)).decode()}
+
+    def test_nested_list_and_mixed_files_load(self, tmp_path):
+        A0, A1, B = np.array([[0.25]]), np.diag([-2.0, 2.0]), np.array([[0.1, 0.5]])
+        nested = {"dim0": 1, "dim1": 2, "A0": A0.tolist(), "A1": A1.tolist(), "B": B.tolist()}
+        mixed = exact_bits_dict(A0, A1, B)
+        mixed["A1"] = A1.tolist()
+        for i, data in enumerate((nested, mixed)):
+            path = tmp_path / f"instance_{i}.json"
+            path.write_text(json.dumps(data))
+            loaded = load_instance(path)
+            for got, want in ((loaded.A0.entries, A0), (loaded.A1.entries, A1), (loaded.B, B)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "key, edit, match",
+        [
+            ("B", lambda e: e.update(f8le=rebytes(e, lambda raw: raw[:-8])), "needs 16 bytes, got 8"),
+            ("B", lambda e: e.update(f8le=rebytes(e, lambda raw: raw[:-1])), "needs 16 bytes, got 15"),
+            ("B", lambda e: e.update(f8le=rebytes(e, lambda raw: raw + bytes(8))), "needs 16 bytes, got 24"),
+            ("A0", lambda e: e.update(f8le=e["f8le"][:-1] + "-"), "malformed"),  # urlsafe alphabet
+            ("A0", lambda e: e.update(f8le=e["f8le"] + "\n"), "malformed"),
+            ("A0", lambda e: e.update(f8le="é" + e["f8le"]), "malformed"),
+            ("A0", lambda e: e.update(f8le=7), "malformed"),
+            ("A1", lambda e: e.update(shape=[-2, -2]), "shape must be"),
+            # the bytes of a 2x2 block, which reshape(-1, 2) would accept
+            ("A1", lambda e: e.update(shape=[-1, 2]), "shape must be"),
+            ("A1", lambda e: e.update(shape=[2, 2, 1]), "shape must be"),
+            ("A1", lambda e: e.update(shape=[4]), "shape must be"),
+            ("A1", lambda e: e.update(shape=True), "shape must be"),
+            ("A1", lambda e: e.update(shape="2x2"), "shape must be"),
+            ("A1", lambda e: e.pop("f8le"), "malformed"),
+            ("A1", lambda e: e.pop("shape"), "malformed"),
+        ],
+    )
+    def test_malformed_exact_bits_block_raises_config_invalid(self, key, edit, match):
+        data = small_exact_bits_dict()
+        edit(data[key])
+        with pytest.raises(ConfigInvalid, match=match):
+            block_operator_from_dict(data)
+
+    def test_shape_must_match_declared_dims(self):
+        # The bytes fit the shape, but the shape is not the block's.
+        data = small_exact_bits_dict()
+        data["B"]["shape"] = [2, 1]
+        with pytest.raises(DimensionMismatch):
+            block_operator_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "bits", [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000001,
+                 0x7FF0000000000000, 0xFFF0000000000000],
+    )
+    @pytest.mark.parametrize("key", ["A0", "A1", "B"])
+    def test_non_finite_bit_patterns_raise_dimension_mismatch(self, key, bits):
+        data = small_exact_bits_dict()
+        raw = bytearray(base64.b64decode(data[key]["f8le"]))
+        raw[:8] = struct.pack("<Q", bits)
+        data[key]["f8le"] = base64.b64encode(bytes(raw)).decode()
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            block_operator_from_dict(data)
+
+
+def exact_bits_dict(A0, A1, B) -> dict:
+    """An instance dict in the exact-bits form, encoded here independently
+    of the library's writer."""
+    def block(M):
+        M = np.asarray(M, dtype=float)
+        raw = struct.pack(f"<{M.size}d", *M.ravel().tolist())
+        return {"shape": list(M.shape), "f8le": base64.b64encode(raw).decode("ascii")}
+
+    return {"dim0": len(A0), "dim1": len(A1), "A0": block(A0), "A1": block(A1), "B": block(B)}
+
+
+def small_exact_bits_dict() -> dict:
+    """A fresh 1 + 2 instance in the exact-bits form: A0 1x1, A1 2x2, B 1x2."""
+    return exact_bits_dict(np.array([[1.0]]), np.diag([-2.0, 2.0]), np.array([[0.0, 0.5]]))
+
+
+def rebytes(entry, change) -> str:
+    """The base64 text of an exact-bits block with its bytes changed."""
+    return base64.b64encode(change(base64.b64decode(entry["f8le"]))).decode("ascii")
+
+
+def assert_bit_identical_round_trip(block, tmp_path):
+    path = tmp_path / "instance.json"
+    save_instance(block, path)
+    loaded = load_instance(path)
+    assert (loaded.dim0, loaded.dim1) == (block.dim0, block.dim1)
+    for got, want in ((loaded.A0.entries, block.A0.entries),
+                      (loaded.A1.entries, block.A1.entries), (loaded.B, block.B)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpectralNorm:
