@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import Region, classify_region, require_finite
+from .model import Region, classify_region, require_finite, unit_scaled
 
 # Negative radicands within this absolute slack are treated as round-off at
 # a domain boundary and clamped to zero.
@@ -57,44 +57,44 @@ def kappa(D: float, d: float, v: float) -> float:
     branch is continuous across that threshold and blows up as v approaches
     sqrt(d(D-d)).
     """
-    require_finite("D, d, v", D, d, v)
-    if not _in_omega1(D, d, v):
+    Ds, ds, vs = unit_scaled(D, d, v)
+    if not _in_omega1(Ds, ds, vs):
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1")
-    if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
-        return 2.0 * v / d
-    num = v * D + math.sqrt(d * (D - d)) * math.sqrt((D - 2.0 * d) ** 2 + 4.0 * v * v)
-    return num / (2.0 * (d * (D - d) - v * v))
+    if vs <= 0.5 * math.sqrt(ds * (Ds - 2.0 * ds)):
+        return 2.0 * vs / ds
+    num = vs * Ds + math.sqrt(ds * (Ds - ds)) * math.sqrt((Ds - 2.0 * ds) ** 2 + 4.0 * vs * vs)
+    return num / (2.0 * (ds * (Ds - ds) - vs * vs))
 
 
 def m1(D: float, d: float, v: float) -> float:
     """First bound branch, in [0, 1]; defined up to and including the
     boundary v = sqrt(d(D-d)) by continuous extension (value 1 there)."""
-    require_finite("D, d, v", D, d, v)
-    if D <= 0.0 or d <= 0.0 or d > D / 2.0 or v < 0.0:
+    Ds, ds, vs = unit_scaled(D, d, v)
+    if Ds <= 0.0 or ds <= 0.0 or ds > Ds / 2.0 or vs < 0.0:
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1 closure")
-    v_boundary = math.sqrt(d * (D - d))
-    if v > v_boundary * (1.0 + RADICAND_GUARD):
-        raise DomainError(f"v = {v} exceeds the boundary sqrt(d(D-d)) = {v_boundary}")
-    if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
-        return 2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v))
-    root = math.sqrt((D - 2.0 * d) ** 2 + 4.0 * v * v)
-    num = v * (2.0 * v + root) + v_boundary * (D - 2.0 * v_boundary)
-    den = D * v + v_boundary * root
+    v_boundary = math.sqrt(ds * (Ds - ds))
+    if vs > v_boundary * (1.0 + RADICAND_GUARD):
+        raise DomainError(f"v = {v} exceeds the boundary sqrt(d(D-d)) = {v_boundary * (D / Ds)}")
+    if vs <= 0.5 * math.sqrt(ds * (Ds - 2.0 * ds)):
+        return 2.0 * vs / (ds + math.sqrt(ds * ds + 4.0 * vs * vs))
+    root = math.sqrt((Ds - 2.0 * ds) ** 2 + 4.0 * vs * vs)
+    num = vs * (2.0 * vs + root) + v_boundary * (Ds - 2.0 * v_boundary)
+    den = Ds * vs + v_boundary * root
     return num / den
 
 
 def m2(D: float, d: float, v: float) -> float:
     """Second bound branch, in [1, sqrt(2)); defined for
     sqrt(d(D-d)) <= v < sqrt(d D)."""
-    require_finite("D, d, v", D, d, v)
-    if D <= 0.0 or d <= 0.0 or d > D / 2.0:
+    Ds, ds, vs = unit_scaled(D, d, v)
+    if Ds <= 0.0 or ds <= 0.0 or ds > Ds / 2.0:
         raise DomainError(f"(D, d) = ({D}, {d}) is outside the bound domain")
-    v_boundary = math.sqrt(d * (D - d))
-    if v < v_boundary * (1.0 - RADICAND_GUARD) or v >= math.sqrt(d * D):
+    v_boundary = math.sqrt(ds * (Ds - ds))
+    if vs < v_boundary * (1.0 - RADICAND_GUARD) or vs >= math.sqrt(ds * Ds):
         raise DomainError(f"v = {v} is outside [sqrt(d(D-d)), sqrt(dD))")
-    t1 = _guarded_sqrt(d * D - v * v, "M2 first factor")
-    t2 = _guarded_sqrt((D - d) * D - v * v, "M2 second factor")
-    radicand = 1.0 + 2.0 * v * v / (D * D) - 2.0 * t1 * t2 / (D * D)
+    t1 = _guarded_sqrt(ds * Ds - vs * vs, "M2 first factor")
+    t2 = _guarded_sqrt((Ds - ds) * Ds - vs * vs, "M2 second factor")
+    radicand = 1.0 + 2.0 * vs * vs / (Ds * Ds) - 2.0 * t1 * t2 / (Ds * Ds)
     return _guarded_sqrt(radicand, "M2")
 
 
@@ -122,11 +122,12 @@ def m_total(D: float, d: float, v: float) -> BoundEvaluation:
     region = classify_region(D, d, v)
     if region is Region.OUTSIDE_OMEGA:
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega")
-    v_boundary = math.sqrt(d * (D - d))
+    Ds, ds, vs = unit_scaled(D, d, v)
+    v_boundary = math.sqrt(ds * (Ds - ds))
     kap = kappa(D, d, v) if region in (Region.OMEGA1_0, Region.OMEGA1_1) else None
-    M1_val = m1(D, d, v) if v <= v_boundary else None
-    M2_val = m2(D, d, v) if v >= v_boundary else None
-    M = M1_val if v < v_boundary else M2_val
+    M1_val = m1(D, d, v) if vs <= v_boundary else None
+    M2_val = m2(D, d, v) if vs >= v_boundary else None
+    M = M1_val if vs < v_boundary else M2_val
     apriori = apriori_bound(d, v) if v < SQRT2 * d else None
     return BoundEvaluation(
         D=float(D),

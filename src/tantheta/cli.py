@@ -29,7 +29,7 @@ from .harness import (
     run_trial,
     write_reports,
 )
-from .model import load_instance, read_json
+from .model import is_json_number, load_instance, read_json
 
 
 def _emit(pairs, as_json: bool) -> None:
@@ -62,22 +62,20 @@ def cmd_trial(args) -> int:
     return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
 
 
-# Python type requested -> (JSON type name, accepted Python types). bool is
-# a subclass of int, so JSON true/false is refused for the numeric kinds
-# by a separate test.
+# Python type requested -> (JSON type name, test of a parsed JSON value).
 _JSON_KINDS = {
-    int: ("integer", (int,)),
-    float: ("number", (int, float)),
-    bool: ("boolean", (bool,)),
-    list: ("array", (list,)),
+    int: ("integer", lambda x: is_json_number(x, int)),
+    float: ("number", is_json_number),
+    bool: ("boolean", lambda x: isinstance(x, bool)),
+    list: ("array", lambda x: isinstance(x, list)),
 }
 
 
 def _typed(key: str, value, kind: type):
     """A sweep config value as `kind`, if its JSON type is the one `kind`
     stands for; ConfigInvalid otherwise, never a lossy coercion."""
-    name, accepted = _JSON_KINDS[kind]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+    name, is_kind = _JSON_KINDS[kind]
+    if not is_kind(value):
         raise ConfigInvalid(f"config field {key!r} must be a JSON {name}, got {value!r}")
     return kind(value)
 
@@ -127,24 +125,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_example(args) -> int:
-    gamma, a = args.gamma, args.a
+    gamma, a, b = args.gamma, args.a, args.b
+    if b is None:
+        raise ConfigInvalid(f"{args.family} requires --b (the coupling norm ||B||)")
     if args.family == "rank1-inner":
-        if args.v is None:
-            raise TanThetaError("rank1-inner requires --v (the single coupling)")
-        ver = Verification(rank_one_build(gamma, a, 0.0, args.v))
-        expected = rank_one_inner_expected(ver.disposition.d, args.v)
-    elif args.family == "rank1-outer":
-        if args.b is None:
-            raise TanThetaError("rank1-outer requires --b (total coupling norm)")
-        _, _, b1, b2 = rank_one_outer_params(gamma, a, args.b)
-        ver = Verification(rank_one_build(gamma, a, b1, b2))
-        expected = m_total(ver.disposition.D, ver.disposition.d, args.b).projection_bound
+        ver = Verification(rank_one_build(gamma, a, 0.0, b))
+        expected = rank_one_inner_expected(ver.disposition.d, b)
     else:
-        if args.b is None:
-            raise TanThetaError("circulant requires --b (total coupling norm)")
-        _, b1, b2 = circulant_case_params(gamma, a, args.b)
-        ver = Verification(circulant_build(gamma, a, b1, b2))
-        expected = m_total(ver.disposition.D, ver.disposition.d, args.b).projection_bound
+        if args.family == "rank1-outer":
+            _, _, b1, b2 = rank_one_outer_params(gamma, a, b)
+            ver = Verification(rank_one_build(gamma, a, b1, b2))
+        else:
+            _, b1, b2 = circulant_case_params(gamma, a, b)
+            ver = Verification(circulant_build(gamma, a, b1, b2))
+        expected = m_total(ver.disposition.D, ver.disposition.d, b).projection_bound
     disp, distance = ver.disposition, ver.distance
     bound = ver.bound.projection_bound
     pairs = [
@@ -221,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=("rank1-inner", "rank1-outer", "circulant"))
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--b", "--v", type=float, default=None, help="the coupling norm ||B||")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_example)
 

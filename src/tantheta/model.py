@@ -254,6 +254,17 @@ def require_finite(names: str, *values: float) -> None:
         raise DomainError(f"({names}) = ({', '.join(str(x) for x in values)}) must be finite")
 
 
+def unit_scaled(D: float, d: float, v: float) -> tuple:
+    """The point (D, d, v), which must be finite (DomainError otherwise),
+    times the power of two that puts |D| in [1, 2). The scaling is exact
+    unless d or v falls below the normal range, so a function homogeneous
+    of degree 0 in (D, d, v) gives the same bits at the scaled point, where
+    products such as d D and v^2 neither overflow nor underflow."""
+    require_finite("D, d, v", D, d, v)
+    e = 1 - math.frexp(D)[1]
+    return math.ldexp(D, e), math.ldexp(d, e), math.ldexp(v, e)
+
+
 def classify_region(D: float, d: float, v: float) -> Region:
     """Classify the point (D, d, v) into the region partition.
 
@@ -262,8 +273,7 @@ def classify_region(D: float, d: float, v: float) -> Region:
     valid label, not an error; it covers v >= sqrt(d*D) as well as
     degenerate d. Non-finite D, d or v raise DomainError.
     """
-    D, d, v = float(D), float(d), float(v)
-    require_finite("D, d, v", D, d, v)
+    D, d, v = unit_scaled(D, d, v)
     if D <= 0.0:
         raise DomainError("D must be positive")
     if v < 0.0:
@@ -287,20 +297,25 @@ def _encode_block(entries: np.ndarray) -> dict:
     return {"shape": list(entries.shape), "f8le": base64.b64encode(raw).decode("ascii")}
 
 
-def _is_json_int(value) -> bool:
-    # bool is a subclass of int; JSON true/false is not an integer here.
-    return isinstance(value, int) and not isinstance(value, bool)
+def is_json_number(value, kinds=(int, float)) -> bool:
+    """Whether a parsed JSON value is a number of the given Python kinds.
+    A bool is not a number, although Python makes it an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _decode_block(entry) -> np.ndarray:
-    """A block from either instance form: a nested list of numbers, or the
+    """A block from either instance form: rows of JSON numbers, or the
     exact-bits object {"shape": [m, n], "f8le": base64}. The finiteness and
     shape checks of the matrix types apply to both."""
     if not isinstance(entry, dict):
+        for row in entry if isinstance(entry, list) else [entry]:
+            for x in row if isinstance(row, list) else [row]:
+                if not is_json_number(x):
+                    raise ConfigInvalid(f"block entries must be JSON numbers, got {x!r}")
         return np.asarray(entry, dtype=float)
     shape, text = entry["shape"], entry["f8le"]
     if not (isinstance(shape, list) and len(shape) == 2
-            and all(_is_json_int(k) and k >= 0 for k in shape)):
+            and all(is_json_number(k, int) and k >= 0 for k in shape)):
         raise ConfigInvalid(f"block shape must be two non-negative JSON integers, got {shape!r}")
     raw = base64.b64decode(text, validate=True)
     if len(raw) != 8 * shape[0] * shape[1]:
@@ -327,7 +342,7 @@ def block_operator_from_dict(data: dict) -> BlockOperator:
     dims that are not JSON integers and shape mismatches."""
     try:
         dim0, dim1 = data["dim0"], data["dim1"]
-        if not (_is_json_int(dim0) and _is_json_int(dim1)):
+        if not (is_json_number(dim0, int) and is_json_number(dim1, int)):
             raise ConfigInvalid(f"dim0 and dim1 must be JSON integers, got {dim0!r}, {dim1!r}")
         A0, A1, B = (_decode_block(data[key]) for key in ("A0", "A1", "B"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

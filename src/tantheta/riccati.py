@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .bounds import sin_arctan
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -36,42 +36,33 @@ FIXED_POINT_MAX_ITER = 2000
 @dataclass(frozen=True, eq=False)
 class AngularOperator:
     """Solution X (dim1 x dim0) of the Riccati equation of a block operator,
-    with an SVD X = U diag(s) W[:, :k]^T and its Riccati residual.
+    with its polar decomposition X = U |X| and its Riccati residual.
 
-    `left_vectors` U is dim1 x k and `singular_values` s has length
-    k = min(dim0, dim1), descending; `right_basis` W is a square orthonormal
-    dim0 x dim0 basis whose columns past the k-th span ker(X). All arrays
-    are read-only.
+    `right_basis` W is a square orthonormal dim0 x dim0 eigenbasis of |X|,
+    `eigenvalues_abs` the eigenvalues of |X| in its order (descending, zero
+    on ker X), and `polar` the dim1 x dim0 matrix U W of polar images: its
+    column c is X W[:, c] / eigenvalues_abs[c], and zero where that
+    eigenvalue is at most KERNEL_CUTOFF ||X||. All arrays are read-only.
     """
 
     X: np.ndarray
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
+    polar: np.ndarray
+    eigenvalues_abs: np.ndarray
     right_basis: np.ndarray
     riccati_residual: float
 
     def __post_init__(self):
-        for arr in (self.X, self.left_vectors, self.singular_values, self.right_basis):
+        for arr in (self.X, self.polar, self.eigenvalues_abs, self.right_basis):
             arr.setflags(write=False)
 
     @property
     def norm(self) -> float:
-        s = self.singular_values
-        return float(s[0]) if s.size else 0.0
-
-    @cached_property
-    def eigenvalues_abs(self) -> np.ndarray:
-        """Eigenvalues of |X| in the order of right_basis: the singular
-        values padded with zeros when dim1 < dim0."""
-        s = np.zeros(self.X.shape[1])
-        s[: self.singular_values.size] = self.singular_values
-        s.setflags(write=False)
-        return s
+        return float(self.eigenvalues_abs[0])
 
     @property
     def sin_theta(self) -> float:
-        """sin(arctan ||X||) = ||X|| / sqrt(1 + ||X||^2)."""
-        return self.norm / math.hypot(1.0, self.norm)
+        """sin(arctan ||X||)."""
+        return sin_arctan(self.norm)
 
 
 def riccati_residual(X, block: BlockOperator) -> float:
@@ -100,7 +91,8 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     projector distance (P0.lower_svd). The columns of Y0 W are orthogonal
     with norms c, the cosines of the principal angles, so with
     Z = Y0 W / c, Y0 = Z diag(c) W^T and X = U diag(s / c) Z[:, :k]^T is an
-    SVD of X whose right basis Z is already square. Raises
+    SVD of X whose right basis Z is already square; the record keeps it as
+    the polar decomposition, U with its columns on ker X zeroed. Raises
     GraphExtractionFailed if Y0 is too ill-conditioned (cond(Y0) =
     max c / min c) for the subspace to be a graph, and ResidualTooLarge if
     the result fails its Riccati residual contract.
@@ -122,12 +114,17 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     Z = Y0W / c
     k = s.size
     t = s / c[:k]
+    x_norm = float(t[0])
     X = (U * t) @ Z[:, :k].T
     res = riccati_residual(X, block)
-    cap = _residual_cap(block, float(t[0]))
+    cap = _residual_cap(block, x_norm)
     if res > cap:
         raise ResidualTooLarge(f"Riccati residual {res:g} exceeds {cap:g}")
-    return AngularOperator(X, U, t, Z, res)
+    eigenvalues_abs = np.zeros(dim0)
+    eigenvalues_abs[:k] = t
+    polar = np.zeros((block.dim1, dim0))
+    polar[:, :k] = np.where(t > KERNEL_CUTOFF * (x_norm or 1.0), U, 0.0)
+    return AngularOperator(X, polar, eigenvalues_abs, Z, res)
 
 
 def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -> np.ndarray:
@@ -180,7 +177,7 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
 
 def lambda0(X: AngularOperator, block: BlockOperator) -> np.ndarray:
     """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2},
-    computed in the eigenbasis of |X| that X's SVD already holds.
+    computed in the eigenbasis of |X| that X already holds.
     Self-adjoint with spectrum equal to the in-gap component of spec(L);
     returned as the exactly symmetric part of the computed matrix, after
     a check that its asymmetry is round-off (ResidualTooLarge otherwise,
@@ -246,24 +243,17 @@ def verify_lemma_identities(
 ) -> IdentityResiduals:
     """Audit the three identities satisfied by every eigenpair of |X|.
 
-    Every right singular vector of X (including the kernel, where the polar
+    Every eigenvector of |X| (including the kernel, where the polar
     isometry is zero) is checked. Within clusters of degenerate singular
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
     explicit for reproducibility and must lie in [0, 2^64); ConfigInvalid
-    otherwise. Uses the SVD held by X.
+    otherwise. Uses the polar decomposition held by X.
     """
     if not 0 <= seed < 1 << 64:
         raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed}")
-    W = X.right_basis
-    s_full = X.eigenvalues_abs
+    W, U, s_full = X.right_basis, X.polar, X.eigenvalues_abs
     dim0 = s_full.size
-    cutoff = KERNEL_CUTOFF * (X.norm if X.norm > 0.0 else 1.0)
-    # Polar images: the left singular vector, or zero on (numerical) ker(X).
-    U = np.zeros((block.dim1, dim0))
-    live = np.flatnonzero(s_full[: X.singular_values.size] > cutoff)
-    U[:, live] = X.left_vectors[:, live]
-
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
     Lam0 = lambda0(X, block)
     lams = [s_full]

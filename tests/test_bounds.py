@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,31 @@ class TestMTotal:
             vals = [m_total(D, d, v).M for D in Ds]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
             assert m_total(2.0 * d, d, v).M == pytest.approx(v / d, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(4.0, 1.0, 0.1), (4.0, 1.0, 1.2), (4.0, 1.0, math.sqrt(3.0)), (4.0, 1.0, 1.9),
+         (2.5, 1.0, 0.9), (2.0, 1.0, 1.2), (10.0, 3.0, 0.0)],
+        ids=["omega1_0", "omega1_1", "boundary", "omega2", "omega1_1_narrow",
+             "minimal_gap", "zero_coupling"],
+    )
+    def test_exact_at_every_binary_scale(self, point):
+        # M is homogeneous of degree 0 and r_V of degree 1, and scaling by
+        # 2^k is exact, so nothing may move but r_V, by exactly 2^k.
+        ref = m_total(*point)
+        for k in range(-1000, 1001, 50):
+            ev = m_total(*(math.ldexp(x, k) for x in point))
+            for name in ("region", "kappa", "M1", "M2", "M", "projection_bound",
+                         "apriori_bound"):
+                assert getattr(ev, name) == getattr(ref, name), (k, name)
+            assert ev.r_V == math.ldexp(ref.r_V, k), k
+
+    def test_domain_message_keeps_caller_scale(self):
+        D, d, v = (math.ldexp(x, 600) for x in (4.0, 1.0, 1.9))
+        with pytest.raises(DomainError, match=re.escape(f"= {math.ldexp(math.sqrt(3.0), 600)}")):
+            m1(D, d, v)
+        with pytest.raises(DomainError, match=re.escape(f"({D}, {d}, {v})")):
+            kappa(D, d, v)
 
     def test_domain(self):
         with pytest.raises(DomainError):

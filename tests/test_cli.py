@@ -309,6 +309,18 @@ class TestExample:
         obj = json.loads(capsys.readouterr().out)
         assert obj["distance"] == pytest.approx(obj["closed_form"], abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "family, gamma, a, b", [("rank1-inner", "2", "1", "0.5"), ("rank1-outer", "2", "1", "1.8")]
+    )
+    def test_b_and_v_are_one_option(self, capsys, family, gamma, a, b):
+        outputs = []
+        for spelling in ("--b", "--v"):
+            for extra in ([], ["--json"]):
+                argv = ["example", family, "--gamma", gamma, "--a", a, spelling, b] + extra
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
     def test_missing_parameter_exits_2(self, capsys):
         assert main(["example", "circulant", "--gamma", "2", "--a", "1"]) == 2
 
@@ -367,6 +379,9 @@ class TestCheckIdentities:
             b'{"dim0": true, "dim1": 2, "A0": [[1.0]], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
             b'{"dim0": 1, "dim1": 2, "A0": {"shape": [1, 1], "f8le": "AAAA"},'
             b' "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+            b'{"dim0": 1, "dim1": 2, "A0": [["0.5"]], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+            b'{"dim0": 1, "dim1": 2, "A0": [[1.0]], "A1": [[true, 0], [0, 2]], "B": [[0, 0.5]]}',
+            b'{"dim0": 1, "dim1": 2, "A0": [[1.0]], "A1": [[-2, 0], [0, 2]], "B": [[null, 0.5]]}',
         ],
     )
     def test_malformed_instance_exits_2(self, tmp_path, capsys, content):

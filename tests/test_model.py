@@ -293,6 +293,16 @@ class TestInstanceIO:
             for got, want in ((loaded.A0.entries, A0), (loaded.A1.entries, A1), (loaded.B, B)):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    @pytest.mark.parametrize("key", ["A0", "A1", "B"])
+    def test_nested_entries_must_be_json_numbers(self, key, value):
+        data = {"dim0": 1, "dim1": 2, "A0": [[1]], "A1": [[-2, 0], [0, 2]], "B": [[0, 1]]}
+        loaded = block_operator_from_dict(data)  # integers are JSON numbers
+        assert loaded.B.tolist() == [[0.0, 1.0]] and loaded.B.dtype == np.float64
+        data[key][0][0] = value
+        with pytest.raises(ConfigInvalid, match="block entries must be JSON numbers"):
+            block_operator_from_dict(data)
+
     @pytest.mark.parametrize(
         "key, edit, match",
         [

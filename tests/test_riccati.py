@@ -98,6 +98,41 @@ class TestExtraction:
             assert np.max(np.abs(part.P0.basis.T @ Z)) <= 1e-8
 
 
+# (dim0, dim1, D, ratio, seed, number of eigenvalues of |X| at or below
+# the kernel cutoff); d = 1 and conjugated throughout
+POLAR_CASES = {
+    "dim1_below_dim0": (6, 3, 4.0, 0.7, 9, 3),
+    "ratio_0": (3, 5, 4.0, 0.0, 4, 3),
+    "ratio_0_dim1_below_dim0": (4, 2, 4.0, 0.0, 5, 4),
+    "dim0_below_dim1": (4, 6, 2.5, 1.2, 12, 0),
+}
+
+
+class TestPolarRecord:
+    """The polar decomposition X = U |X| the extraction returns, checked
+    against X alone."""
+
+    @pytest.mark.parametrize(
+        "dim0, dim1, D, ratio, seed, dead", POLAR_CASES.values(), ids=POLAR_CASES.keys()
+    )
+    def test_polar_decomposition(self, dim0, dim1, D, ratio, seed, dead):
+        cfg = GenConfig(dim0=dim0, dim1=dim1, D=D, d=1.0, ratio=ratio, conjugate=True, seed=seed)
+        block, _ = generate_instance(cfg)
+        _, _, ang = pipeline(block)
+        W, U, lam = ang.right_basis, ang.polar, ang.eigenvalues_abs
+        assert U.shape == (block.dim1, block.dim0) and lam.shape == (block.dim0,)
+        assert np.linalg.norm(ang.X @ W - U * lam) <= 1e-12 * np.linalg.norm(ang.X)
+        kernel = lam <= KERNEL_CUTOFF * (ang.norm or 1.0)
+        assert np.count_nonzero(kernel) == dead
+        assert np.all(U[:, kernel] == 0.0)
+        live = U[:, ~kernel]
+        assert np.allclose(live.T @ live, np.eye(live.shape[1]), rtol=0.0, atol=1e-12)
+        for arr in (ang.X, U, lam, W):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestFixedPoint:
     def test_zero_coupling_one_step(self):
         block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
@@ -178,7 +213,7 @@ class TestLemmaIdentities:
             np.zeros((2, 2)), np.diag([-1.0, 1.0]), c * np.eye(2)
         )
         _, _, ang = pipeline(block)
-        assert ang.singular_values[0] == pytest.approx(ang.singular_values[1], rel=1e-12)
+        assert ang.eigenvalues_abs[0] == pytest.approx(ang.eigenvalues_abs[1], rel=1e-12)
         for seed in (0, 1, 2):
             audit = verify_lemma_identities(ang, block, seed=seed)
             # rotated cluster bases are audited in addition to the SVD basis
@@ -200,7 +235,7 @@ class TestLemmaIdentities:
         cfg = GenConfig(dim0=4, dim1=6, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=31)
         block, _ = generate_instance(cfg)
         _, _, ang = pipeline(block)
-        s = ang.singular_values
+        s = ang.eigenvalues_abs
         assert np.all(s[:-1] - s[1:] > riccati.DEGENERACY_TOL * (1.0 + s[:-1]))
         first = verify_lemma_identities(ang, block, seed=0)
         last = verify_lemma_identities(ang, block, seed=2**64 - 1)
@@ -260,12 +295,12 @@ class TestAgainstReferences:
             Lam0 = lambda0(ang, block)
             W = ang.right_basis
             assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
-            k = ang.singular_values.size
             cutoff = KERNEL_CUTOFF * ang.norm
             for c in range(block.dim0):
-                live = c < k and ang.eigenvalues_abs[c] > cutoff
-                Uu = ang.left_vectors[:, c] if live else np.zeros(block.dim1)
-                assert audit.lam[c] == ang.eigenvalues_abs[c]
+                lam = ang.eigenvalues_abs[c]
+                # the polar image X w / lambda, zero on ker X
+                Uu = ang.X @ W[:, c] / lam if lam > cutoff else np.zeros(block.dim1)
+                assert audit.lam[c] == lam
                 expected = reference_pair_residuals(audit.lam[c], W[:, c], Uu, block, Lam0)
                 got = (audit.id1[c], audit.id2[c], audit.id3[c])
                 assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
@@ -287,6 +322,6 @@ class TestAgainstReferences:
         assert np.allclose(W.T @ W, np.eye(6), atol=1e-12)
         assert np.allclose(ang.X @ W[:, 3:], 0.0, atol=1e-12)
         assert list(ang.eigenvalues_abs[3:]) == [0.0, 0.0, 0.0]
-        X = (ang.left_vectors * ang.singular_values) @ W[:, :3].T
+        X = (ang.polar * ang.eigenvalues_abs) @ W.T
         assert np.linalg.norm(X - ang.X) <= 1e-12 * np.linalg.norm(ang.X)
         assert verify_lemma_identities(ang, block).max_residual <= 1e-8

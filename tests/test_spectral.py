@@ -310,14 +310,16 @@ class TestCosineSineRoute:
             ang = ver.angular
             assert relative_gap(ang.X, X_ref) <= 1e-12
             assert abs(ang.norm - s_ref[0]) <= 1e-12 * s_ref[0]
-            assert relative_gap(ang.singular_values, s_ref) <= 1e-12
+            k = s_ref.size
+            assert relative_gap(ang.eigenvalues_abs[:k], s_ref) <= 1e-12
+            assert not ang.eigenvalues_abs[k:].any()
             # X^T X from the factors held by the result, W diag(s^2) W^T
             W = ang.right_basis
             XtX = (W * ang.eigenvalues_abs**2) @ W.T
             assert relative_gap(XtX, X_ref.T @ X_ref) <= 1e-12
             assert relative_gap(ang.X.T @ ang.X, X_ref.T @ X_ref) <= 1e-12
             assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
-            U = ang.left_vectors
+            U = ang.polar[:, :k]
             assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
             assert ver.distance == pytest.approx(ang.sin_theta, abs=1e-12)
             count += 1
