@@ -6,21 +6,23 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import cached_property
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .bounds import m_total
+from .bounds import BoundEvaluation, m_total
 from .errors import ConfigInvalid, NoConvergence, TanThetaError
 from .model import BlockOperator, SpectralDisposition, make_block_operator, spectral_norm
 from .riccati import (
+    AngularOperator,
+    IdentityResiduals,
     extract_angular_operator,
     solve_riccati_fixed_point,
     verify_lemma_identities,
 )
 from .spectral import (
+    SpectrumPartition,
     find_disposition,
     perturbed_partition,
     projection_distance,
@@ -165,53 +167,36 @@ class Verification:
     perturbed partition, angular operator, projector distance, bound and
     identity audit.
 
-    Each stage is computed on first access, after the stages it depends
-    on, and cached; a caller pays only for the stages it reads. `seed`
-    drives the audit's rotation of degenerate singular bases.
+    Construction runs the six stages once, in that order; the first stage
+    that raises ends it with its own error. `seed` drives the audit's
+    rotation of degenerate singular bases.
     """
 
     block: BlockOperator
     seed: int = 0
+    disposition: SpectralDisposition = field(init=False)
+    partition: SpectrumPartition = field(init=False)
+    angular: AngularOperator = field(init=False)
+    distance: float = field(init=False)
+    bound: BoundEvaluation = field(init=False)  # at the measured (D, d) and ||B||
+    audit: IdentityResiduals = field(init=False)
 
-    @cached_property
-    def disposition(self) -> SpectralDisposition:
-        return find_disposition(self.block)
-
-    @cached_property
-    def partition(self):
-        return perturbed_partition(self.block, self.disposition)
-
-    @cached_property
-    def angular(self):
-        return extract_angular_operator(self.partition, self.block)
-
-    @cached_property
-    def distance(self) -> float:
-        return projection_distance(unperturbed_projector(self.block), self.partition.P0)
-
-    @cached_property
-    def bound(self):
-        """The BoundEvaluation at the measured (D, d) and ||B||."""
-        return m_total(self.disposition.D, self.disposition.d, self.block.v_norm)
-
-    @cached_property
-    def audit(self):
-        return verify_lemma_identities(self.angular, self.block, seed=self.seed)
-
-
-# Pipeline order: a failing trial reports the error of the first stage
-# that raises.
-TRIAL_STAGES = ("disposition", "partition", "angular", "distance", "bound", "audit")
+    def __post_init__(self):
+        block, put = self.block, object.__setattr__
+        put(self, "disposition", find_disposition(block))
+        put(self, "partition", perturbed_partition(block, self.disposition))
+        put(self, "angular", extract_angular_operator(self.partition, block))
+        put(self, "distance", projection_distance(unperturbed_projector(block), self.partition.P0))
+        put(self, "bound", m_total(self.disposition.D, self.disposition.d, block.v_norm))
+        put(self, "audit", verify_lemma_identities(self.angular, block, seed=self.seed))
 
 
 def run_trial(cfg: GenConfig) -> TrialReport:
-    """Full pipeline: generate, run every Verification stage, and (for
-    small ratio) cross-check against the fixed-point solver."""
+    """Full pipeline: generate, verify, and (for small ratio) cross-check
+    against the fixed-point solver."""
     start = time.perf_counter()
     block, _ = generate_instance(cfg)
     ver = Verification(block, seed=cfg.seed)
-    for stage in TRIAL_STAGES:
-        getattr(ver, stage)
     cross = None
     if 0.0 < cfg.ratio <= CROSS_CHECK_RATIO:
         try:

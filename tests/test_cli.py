@@ -339,13 +339,12 @@ class TestCheckIdentities:
         assert obj["max_residual"] <= 1e-8
         assert len(obj["per_pair"]) == 2
 
-    def test_skips_distance_and_fixed_point(self, tmp_path, capsys, monkeypatch):
+    def test_skips_fixed_point(self, tmp_path, capsys, monkeypatch):
         from tantheta import harness
 
         def forbidden(*args, **kwargs):
             raise AssertionError("check-identities must not run this stage")
 
-        monkeypatch.setattr(harness, "projection_distance", forbidden)
         monkeypatch.setattr(harness, "solve_riccati_fixed_point", forbidden)
         block = make_block_operator(
             np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),

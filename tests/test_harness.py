@@ -7,6 +7,8 @@ import pytest
 
 from tantheta import (
     ConfigInvalid,
+    GraphExtractionFailed,
+    ResidualTooLarge,
     GenConfig,
     Verification,
     find_disposition,
@@ -16,6 +18,7 @@ from tantheta import (
     run_trial,
     write_reports,
 )
+from tantheta import harness
 from tantheta.harness import (
     MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
@@ -127,6 +130,56 @@ class TestRunTrial:
         assert rep.distance == 0.0
         assert rep.bound == 0.0
         assert rep.x_norm == 0.0
+
+
+class TestVerificationPipeline:
+    """Verification runs its six stage functions once each, in pipeline
+    order, and the first stage that raises ends it with its own error."""
+
+    STAGES = (
+        "find_disposition", "perturbed_partition", "extract_angular_operator",
+        "projection_distance", "m_total", "verify_lemma_identities",
+    )
+
+    def test_each_stage_runs_once_in_order(self, monkeypatch):
+        calls = []
+
+        def spied(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.STAGES:
+            monkeypatch.setattr(harness, name, spied(name, getattr(harness, name)))
+        ver = Verification(generate_instance(base_cfg())[0])
+        assert calls == list(self.STAGES)
+        ver.disposition, ver.partition, ver.angular, ver.distance, ver.bound, ver.audit
+        assert calls == list(self.STAGES)
+        run_trial(base_cfg())
+        assert calls == list(self.STAGES) * 2
+
+    def test_first_failing_stage_reports_its_error(self, monkeypatch):
+        def failing(error):
+            def stage(*args, **kwargs):
+                raise error
+
+            return stage
+
+        monkeypatch.setattr(
+            harness, "extract_angular_operator", failing(GraphExtractionFailed("from extraction"))
+        )
+        monkeypatch.setattr(
+            harness, "verify_lemma_identities", failing(ResidualTooLarge("from the audit"))
+        )
+        cfg = base_cfg()
+        with pytest.raises(GraphExtractionFailed, match="from extraction"):
+            Verification(generate_instance(cfg)[0])
+        records, summary = run_sweep(cfg, 1, [0.5])
+        seed = trial_seed(cfg.seed, 0)
+        assert records == [FailureRecord(seed, "GraphExtractionFailed", "from extraction")]
+        assert summary.failures == 1
 
 
 def test_array_records_compare_by_identity():
