@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Optional
@@ -13,7 +14,9 @@ import numpy as np
 
 from .bounds import BoundEvaluation, m_total
 from .errors import ConfigInvalid, NoConvergence, TanThetaError
-from .model import BlockOperator, SpectralDisposition, make_block_operator, spectral_norm
+from .model import (
+    BlockOperator, SpectralDisposition, is_json_number, make_block_operator, spectral_norm
+)
 from .riccati import (
     AngularOperator,
     IdentityResiduals,
@@ -49,7 +52,7 @@ def splitmix64(x: int) -> int:
 
 def trial_seed(base_seed: int, index: int) -> int:
     """seed_i = base_seed XOR splitmix64(i)."""
-    return (base_seed ^ splitmix64(index)) & _MASK64
+    return (int(base_seed) ^ splitmix64(index)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,14 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("dim0", "dim1", "seed"):
+            if not is_json_number(getattr(self, name), numbers.Integral):
+                raise ConfigInvalid(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("D", "d", "ratio", "span"):
+            if not is_json_number(getattr(self, name), numbers.Real):
+                raise ConfigInvalid(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not isinstance(self.conjugate, bool):
+            raise ConfigInvalid(f"conjugate must be a bool, got {self.conjugate!r}")
         if self.dim0 < 1 or self.dim1 < 2:
             raise ConfigInvalid("need dim0 >= 1 and dim1 >= 2")
         if not (0.0 < self.D < math.inf and 0.0 < self.d <= self.D / 2.0):
@@ -207,8 +218,8 @@ def run_trial(cfg: GenConfig) -> TrialReport:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     ev = ver.bound
     return TrialReport(
-        seed=cfg.seed,
-        dims=(cfg.dim0, cfg.dim1),
+        seed=int(cfg.seed),
+        dims=(int(cfg.dim0), int(cfg.dim1)),
         D=ver.disposition.D,
         d=ver.disposition.d,
         v=block.v_norm,
@@ -232,11 +243,11 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
     Returns (records, summary); records holds TrialReport and FailureRecord
     entries in trial order. Individual failures are recorded in-stream.
     """
-    if trials < 0:
-        raise ConfigInvalid(f"trials must be non-negative, got {trials}")
-    ratio_grid = [float(r) for r in ratio_grid]
+    if not is_json_number(trials, numbers.Integral) or trials < 0:
+        raise ConfigInvalid(f"trials must be a non-negative integer, got {trials!r}")
     for r in ratio_grid:
         replace(base_cfg, ratio=r).validate()
+    ratio_grid = [float(r) for r in ratio_grid]
     records = []
     for index in range(trials * len(ratio_grid)):
         cfg = replace(

@@ -298,8 +298,8 @@ def _encode_block(entries: np.ndarray) -> dict:
 
 
 def is_json_number(value, kinds=(int, float)) -> bool:
-    """Whether a parsed JSON value is a number of the given Python kinds.
-    A bool is not a number, although Python makes it an int."""
+    """Whether a value (parsed JSON, or a config field) is an instance of
+    the given kinds. A bool is not a number, although Python makes it an int."""
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 

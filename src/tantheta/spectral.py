@@ -87,10 +87,11 @@ class RangeProjector:
                 f"range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
             )
         Y1 = Y[self.rank :]
-        factors = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
-        for arr in factors:
+        U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
+        s += 0.0  # LAPACK can return -0.0 for a Y1 of signed zeros; norms read s
+        for arr in (U1, s, Wt):
             arr.setflags(write=False)
-        return tuple(factors)
+        return U1, s, Wt
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +118,7 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
     v = block.v_norm
     if v >= math.sqrt(disp.d * disp.D):
         raise GapEmptyOrRankMismatch(
-            f"||B|| = {v:g} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D):g}"
+            f"||B|| = {v!r} >= sqrt(d*D) = {math.sqrt(disp.d * disp.D)!r}"
         )
     # L is exactly symmetric by construction, so it needs no SymMatrix.
     es = EigenSystem.of(block.assemble_perturbed())

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -61,6 +63,26 @@ class TestGenConfig:
     def test_validate_rejects(self, overrides):
         with pytest.raises(ConfigInvalid):
             base_cfg(**overrides).validate()
+
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("dim0", 2.5), ("dim0", True), ("dim1", np.float64(4.0)), ("seed", 1.5),
+            ("seed", False), ("D", "4"), ("d", True), ("ratio", None), ("span", 1j),
+            ("conjugate", "no"), ("conjugate", 1),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, name, value):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be"):
+            run_trial(base_cfg(**{name: value}))
+
+    def test_integer_and_numpy_values_give_the_same_report(self):
+        ref = report_to_json_line(run_trial(base_cfg(D=4.0, d=1.0)))
+        assert report_to_json_line(run_trial(base_cfg(D=4, d=1))) == ref
+        numpy_cfg = base_cfg(dim0=np.int64(3), dim1=np.uint8(4), seed=np.uint64(11),
+                             D=np.float32(4.0), ratio=np.float64(0.5))
+        assert report_to_json_line(run_trial(numpy_cfg)) == ref
 
 
 class TestGenerateInstance:
@@ -130,6 +152,16 @@ class TestRunTrial:
         assert rep.distance == 0.0
         assert rep.bound == 0.0
         assert rep.x_norm == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5, 8])
+    def test_zero_ratio_conjugated_norms_are_positive_zero(self, seed):
+        # The zero Y1 block then holds -0.0 entries, and LAPACK can return a
+        # -0.0 singular value for it.
+        cfg = base_cfg(dim0=3, dim1=5, ratio=0.0, conjugate=True, seed=seed)
+        rep = run_trial(cfg)
+        ver = Verification(generate_instance(cfg)[0], seed=seed)
+        assert not np.signbit([rep.distance, rep.x_norm]).any()
+        assert not np.signbit(ver.angular.eigenvalues_abs).any()
 
 
 class TestVerificationPipeline:
@@ -301,6 +333,19 @@ class TestRunSweep:
         with pytest.raises(ConfigInvalid):
             run_sweep(base_cfg(), trials=-1, ratio_grid=[0.5])
 
+    @pytest.mark.parametrize(
+        "trials, grid", [(1.5, [0.5]), (True, [0.5]), ("2", [0.5]), (1, [True]), (1, ["0.5"])]
+    )
+    def test_rejects_mistyped_trials_or_grid(self, trials, grid):
+        with pytest.raises(ConfigInvalid, match="^(trials|ratio) must be"):
+            run_sweep(base_cfg(), trials=trials, ratio_grid=grid)
+
+    def test_numpy_integers_write_the_same_bytes(self, tmp_path):
+        cfg = base_cfg(dim0=np.int64(3), seed=np.int64(11))
+        for name, config, trials in (("py", base_cfg(), 2), ("np", cfg, np.int64(2))):
+            write_reports(*run_sweep(config, trials, [0.5]), tmp_path / name)
+        assert (tmp_path / "py").read_bytes() == (tmp_path / "np").read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = []
         for run in range(2):
@@ -335,6 +380,21 @@ class TestRunSweep:
         assert rows[1]["seed"] == "7"
         assert rows[1]["region"] == "failed:NoConvergence"
         assert all(rows[1][k] == "" for k in rows[1] if k not in ("seed", "region"))
+
+    def test_partition_gate_prints_the_compared_floats(self):
+        # One ulp below sqrt(D/d) the measured ||B|| can reach sqrt(d D);
+        # the message must show the two floats the gate compared.
+        edge = math.nextafter(math.sqrt(2.0), 0.0)
+        cfg = base_cfg(dim0=2, dim1=3, D=2.0, d=1.0, seed=1)
+        records, summary = run_sweep(cfg, 10, [edge])
+        pairs = [
+            re.fullmatch(r"\|\|B\|\| = (\S+) >= sqrt\(d\*D\) = (\S+)", rec.message).groups()
+            for rec in records
+            if isinstance(rec, FailureRecord)
+        ]
+        assert len(pairs) == summary.failures > 0
+        assert all(float(v) >= float(gate) for v, gate in pairs)
+        assert any(v != gate for v, gate in pairs)
 
     def test_unknown_format(self, tmp_path):
         records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])

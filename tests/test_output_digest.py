@@ -1,4 +1,5 @@
 """tools/output_digest.py digests every output family of a checkout."""
+import importlib.util
 import re
 import subprocess
 import sys
@@ -31,3 +32,20 @@ def test_rejects_a_directory_without_the_package(tmp_path):
     done = run_tool(str(tmp_path))
     assert done.returncode == 2 and "no tantheta package" in done.stderr
     assert run_tool().returncode == 2
+
+
+def test_sweep_that_writes_no_report(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.chdir(tmp_path)
+    failed = tool.sweeps(lambda argv: 2)
+    assert sorted(failed) == ["sweep_csv", "sweep_jsonl"]
+    assert all(d.items == len(tool.SWEEP_GEOMETRIES) + 1 for d in failed.values())
+
+    def empty_report(argv):
+        open(argv[argv.index("--out") + 1], "w").close()
+        return 2
+
+    wrote = tool.sweeps(empty_report)
+    assert failed["sweep_jsonl"].hexdigest() != wrote["sweep_jsonl"].hexdigest()

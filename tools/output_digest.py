@@ -9,7 +9,8 @@ change moved. Every command runs in-process through `tantheta.cli.main`:
 - sweep_jsonl, sweep_csv: the report files of the four acceptance
   geometries and a conjugated 6x3 (dim1 < dim0), at ratios 0 to 1.35
   including 0.9, and a two-trial sweep at one ulp below sqrt(D/d) whose
-  second trial fails;
+  second trial fails; a sweep that writes no report counts as a fixed
+  marker;
 - check_identities_text, check_identities_json: seeds 0 and 3 on saved
   instances, among them a degenerate singular cluster, dim1 < dim0, zero
   coupling and one file in the nested-list form;
@@ -78,6 +79,8 @@ BOUND_POINTS = ((4.0, 1.0, 0.5), (4.0, 1.0, 1.2), (4.0, 1.0, math.sqrt(3.0)), (4
                 (2.0, 1.0, 1.2), (10.0, 3.0, 0.0), (2.5, 1.0, 0.9))
 BOUND_SCALES = (-30, 0, 7, 300)
 EXTREME_SCALES = (-1020, -700, 700, 1000)
+# Digested in place of the report file of a sweep that wrote none.
+NO_REPORT = "(no report written)"
 
 
 def run(main, argv):
@@ -123,7 +126,9 @@ def sweeps(main) -> dict:
             cfg.write_text(json.dumps(config))
             code, stdout, _ = run(main, ["sweep", "--config", str(cfg), "--out", str(out),
                                          "--format", fmt])
-            digest.add(json.dumps(config), code, stdout, out.read_bytes())
+            # A sweep that fails or exits 2 may write no report at all.
+            report = out.read_bytes() if out.exists() else NO_REPORT
+            digest.add(json.dumps(config), code, stdout, report)
     return digests
 
 
