@@ -88,7 +88,7 @@ class RangeProjector:
             )
         Y1 = Y[self.rank :]
         U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
-        s += 0.0  # LAPACK can return -0.0 for a Y1 of signed zeros; norms read s
+        s += 0.0  # turns the -0.0 LAPACK can return for a Y1 of signed zeros into 0.0
         for arr in (U1, s, Wt):
             arr.setflags(write=False)
         return U1, s, Wt

@@ -126,7 +126,6 @@ def sweeps(main) -> dict:
             cfg.write_text(json.dumps(config))
             code, stdout, _ = run(main, ["sweep", "--config", str(cfg), "--out", str(out),
                                          "--format", fmt])
-            # A sweep that fails or exits 2 may write no report at all.
             report = out.read_bytes() if out.exists() else NO_REPORT
             digest.add(json.dumps(config), code, stdout, report)
     return digests
