@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .bounds import m_total
 from .errors import ConfigInvalid, TanThetaError
@@ -29,7 +29,7 @@ from .harness import (
     run_trial,
     write_reports,
 )
-from .model import is_json_number, load_instance, read_json
+from .model import load_instance, read_json
 
 
 def _emit(pairs, as_json: bool) -> None:
@@ -62,36 +62,17 @@ def cmd_trial(args) -> int:
     return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
 
 
-# Python type requested -> (JSON type name, test of a parsed JSON value).
-_JSON_KINDS = {
-    int: ("integer", lambda x: is_json_number(x, int)),
-    float: ("number", is_json_number),
-    bool: ("boolean", lambda x: isinstance(x, bool)),
-    list: ("array", lambda x: isinstance(x, list)),
-}
-
-
-def _typed(key: str, value, kind: type):
-    """A sweep config value as `kind`, if its JSON type is the one `kind`
-    stands for; ConfigInvalid otherwise, never a lossy coercion."""
-    name, is_kind = _JSON_KINDS[kind]
-    if not is_kind(value):
-        raise ConfigInvalid(f"config field {key!r} must be a JSON {name}, got {value!r}")
-    return kind(value)
-
-
-# The nine sweep config fields: the kind each must have and its default,
-# None for a required field.
-_SWEEP_FIELDS = {
-    "dim0": (int, None), "dim1": (int, None), "D": (float, None), "d": (float, None),
-    "trials": (int, None), "ratio_grid": (list, None),
-    "span": (float, 1.0), "conjugate": (bool, False), "seed": (int, 0),
-}
+# A sweep config holds GenConfig's fields but `ratio`, plus `trials` and
+# `ratio_grid`; a field with a default may be left out.
+_SWEEP_FIELDS = [f.name for f in fields(GenConfig) if f.name != "ratio"] + ["trials", "ratio_grid"]
+_SWEEP_DEFAULTS = {f.name: f.default for f in fields(GenConfig) if f.default is not MISSING}
 
 
 def _sweep_fields(raw) -> dict:
-    """The typed fields of a sweep config; ConfigInvalid if it is not a
-    JSON object, names an unknown field or lacks a required one."""
+    """The fields of a sweep config, as given or defaulted; ConfigInvalid
+    if it is not a JSON object, names an unknown field, lacks a required
+    one or has a `ratio_grid` that is not a JSON array. GenConfig.validate
+    and run_sweep decide the types and ranges of the rest."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("a sweep config must be a JSON object")
     unknown = sorted(set(raw) - set(_SWEEP_FIELDS))
@@ -99,21 +80,21 @@ def _sweep_fields(raw) -> dict:
         raise ConfigInvalid(
             f"unknown config field {unknown[0]!r}; the fields are {', '.join(_SWEEP_FIELDS)}"
         )
-    fields = {}
-    for key, (kind, default) in _SWEEP_FIELDS.items():
-        if key not in raw and default is None:
-            raise ConfigInvalid(f"config field {key!r} is missing")
-        fields[key] = _typed(key, raw.get(key, default), kind)
-    return fields
+    missing = [key for key in _SWEEP_FIELDS if key not in raw and key not in _SWEEP_DEFAULTS]
+    if missing:
+        raise ConfigInvalid(f"config field {missing[0]!r} is missing")
+    grid = raw["ratio_grid"]
+    if not isinstance(grid, list):
+        raise ConfigInvalid(f"config field 'ratio_grid' must be a JSON array, got {grid!r}")
+    return {**_SWEEP_DEFAULTS, **raw}
 
 
 def cmd_sweep(args) -> int:
-    fields = _sweep_fields(read_json(args.config))
-    trials = fields.pop("trials")
-    ratio_grid = [_typed("ratio_grid", r, float) for r in fields.pop("ratio_grid")]
-    if trials < 1 or not ratio_grid:
+    config = _sweep_fields(read_json(args.config))
+    trials, ratio_grid = config.pop("trials"), config.pop("ratio_grid")
+    records, summary = run_sweep(GenConfig(ratio=0.0, **config), trials, ratio_grid)
+    if not records:
         raise ConfigInvalid("a sweep needs trials >= 1 and a non-empty ratio_grid")
-    records, summary = run_sweep(GenConfig(ratio=0.0, **fields), trials, ratio_grid)
     write_reports(records, summary, args.out, fmt=args.format)
     print(
         f"wrote {len(records)} records to {args.out} "

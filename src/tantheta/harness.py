@@ -73,8 +73,13 @@ class GenConfig:
             if not is_json_number(getattr(self, name), numbers.Integral):
                 raise ConfigInvalid(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("D", "d", "ratio", "span"):
-            if not is_json_number(getattr(self, name), numbers.Real):
-                raise ConfigInvalid(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not is_json_number(value, numbers.Real):
+                raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigInvalid(f"{name} must round to a finite float") from None
         if not isinstance(self.conjugate, bool):
             raise ConfigInvalid(f"conjugate must be a bool, got {self.conjugate!r}")
         if self.dim0 < 1 or self.dim1 < 2:
@@ -245,14 +250,15 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
     """
     if not is_json_number(trials, numbers.Integral) or trials < 0:
         raise ConfigInvalid(f"trials must be a non-negative integer, got {trials!r}")
+    grid = []
     for r in ratio_grid:
         replace(base_cfg, ratio=r).validate()
-    ratio_grid = [float(r) for r in ratio_grid]
+        grid.append(float(r))
     records = []
-    for index in range(trials * len(ratio_grid)):
+    for index in range(trials * len(grid)):
         cfg = replace(
             base_cfg,
-            ratio=ratio_grid[index % len(ratio_grid)],
+            ratio=grid[index % len(grid)],
             seed=trial_seed(base_cfg.seed, index),
         )
         try:

@@ -238,6 +238,7 @@ def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> np.ndarray:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_lemma_identities(
     X: AngularOperator, block: BlockOperator, seed: int = 0
 ) -> IdentityResiduals:
@@ -248,7 +249,9 @@ def verify_lemma_identities(
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
     explicit for reproducibility and must lie in [0, 2^64); ConfigInvalid
-    otherwise. Uses the polar decomposition held by X.
+    otherwise. Uses the polar decomposition held by X. Squared norms
+    overflow once entries near 2^510; a residual that is not finite then
+    raises ResidualTooLarge, without a floating-point warning.
     """
     if not 0 <= seed < 1 << 64:
         raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed}")
@@ -281,4 +284,7 @@ def verify_lemma_identities(
         i = j
 
     R = np.concatenate(residuals, axis=1)
-    return IdentityResiduals(np.concatenate(lams), *R, float(R.max()))
+    max_residual = float(R.max())
+    if not math.isfinite(max_residual):
+        raise ResidualTooLarge(f"identity residual {max_residual:g} is not finite")
+    return IdentityResiduals(np.concatenate(lams), *R, max_residual)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestTrial:
              "--D", "4", "--d", "1", "--ratio", "0.5"]
         )
         assert rc == 2
+
+    def test_overflowing_audit_exits_2(self, capsys):
+        rc = main(
+            ["trial", "--seed", "11", "--dim0", "3", "--dim1", "5", "--D", "4e154",
+             "--d", "1e153", "--ratio", "1.2", "--conjugate", "--json"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "identity residual nan is not finite" in captured.err
 
 
 class TestSweep:
@@ -211,7 +222,11 @@ class TestSweep:
         out = tmp_path / "report.jsonl"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert "must be a JSON" in capsys.readouterr().err
+        # GenConfig.validate checks each ratio_grid entry as the field `ratio`.
+        ((key, value),) = overrides.items()
+        name = "ratio" if key == "ratio_grid" and isinstance(value, list) else key
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{name}\b", err), err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [False, True])
@@ -229,7 +244,17 @@ class TestSweep:
         cfg = self.config(tmp_path, conjugate=flag, dim0=3, d=1, trials=1)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert seen[0].conjugate is flag
-        assert (seen[0].dim0, seen[0].d, type(seen[0].d)) == (3, 1.0, float)
+        assert (seen[0].dim0, seen[0].d) == (3, 1)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_integer_spellings_give_the_same_bytes(self, tmp_path, capsys, fmt):
+        outputs = []
+        for D, d, span, grid in ((4.0, 1.0, 1.0, [1.0, 0.0]), (4, 1, 1, [1, 0])):
+            cfg = self.config(tmp_path, D=D, d=d, span=span, ratio_grid=grid)
+            out = tmp_path / f"report-{type(D).__name__}.{fmt}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -353,6 +378,18 @@ class TestCheckIdentities:
         path = tmp_path / "instance.json"
         save_instance(block, path)
         assert main(["check-identities", "--instance", str(path)]) == 0
+
+    def test_overflowing_residual_exits_2(self, tmp_path, capsys):
+        block, _ = generate_instance(
+            GenConfig(dim0=3, dim1=5, D=10.0, d=1.0, ratio=1.2, conjugate=True, seed=11)
+        )
+        A0, A1, B = (np.ldexp(M, 511) for M in (block.A0.entries, block.A1.entries, block.B))
+        path = tmp_path / "instance.json"
+        save_instance(make_block_operator(A0, A1, B), path)
+        assert main(["check-identities", "--instance", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite" in captured.err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["check-identities", "--instance", str(tmp_path / "nope.json")])

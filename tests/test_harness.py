@@ -58,6 +58,8 @@ class TestGenConfig:
             {"span": float("nan")},
             {"D": float("inf")},
             {"span": float("inf")},
+            {"D": 10**400},  # no finite float value
+            {"span": 10**400},
         ],
     )
     def test_validate_rejects(self, overrides):
@@ -320,6 +322,20 @@ class TestRunSweep:
         assert summary.trials == 0
         assert summary.min_margin is None
         assert summary.max_distance_bound_ratio is None
+
+    def test_generator_grid_gives_the_list_grid_records(self):
+        records, summary = run_sweep(base_cfg(), 2, (r / 10 for r in (3, 5)))
+        ref_records, ref_summary = run_sweep(base_cfg(), 2, [0.3, 0.5])
+        assert summary == ref_summary and summary.trials == 4
+        assert list(map(report_to_json_line, records)) == list(
+            map(report_to_json_line, ref_records)
+        )
+
+    def test_overflowing_audit_is_a_failure_not_nan(self):
+        base = base_cfg(dim0=3, dim1=5, D=4e154, d=1e153, conjugate=True)
+        records, summary = run_sweep(base, 3, [0.5, 1.2])
+        assert summary.failures == summary.trials == 6
+        assert {(type(rec), rec.error) for rec in records} == {(FailureRecord, "ResidualTooLarge")}
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ConfigInvalid):

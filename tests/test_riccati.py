@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tantheta import (
     DimensionMismatch,
     GenConfig,
     NoConvergence,
+    ResidualTooLarge,
     extract_angular_operator,
     find_disposition,
     generate_instance,
@@ -250,6 +253,32 @@ class TestLemmaIdentities:
         audit = verify_lemma_identities(ang, block)
         assert audit.max_residual <= 1e-12
         assert np.all(audit.lam == 0.0)
+
+
+class TestAuditOverflow:
+    """The seed-11 3x5 instance scaled by 2^k: its squared norms overflow
+    from k = 510 on."""
+
+    def scaled(self, k):
+        cfg = GenConfig(dim0=3, dim1=5, D=10.0, d=1.0, ratio=1.2, conjugate=True, seed=11)
+        block, _ = generate_instance(cfg)
+        A0, A1, B = (np.ldexp(M, k) for M in (block.A0.entries, block.A1.entries, block.B))
+        block = make_block_operator(A0, A1, B)
+        return block, pipeline(block)[2]
+
+    @pytest.mark.parametrize("k", [510, 511, 520, 600, 1000])
+    def test_non_finite_residual_raises_without_warning(self, k):
+        block, ang = self.scaled(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResidualTooLarge):
+                verify_lemma_identities(ang, block)
+
+    def test_last_finite_scale_passes(self):
+        block, ang = self.scaled(509)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_lemma_identities(ang, block).max_residual <= 1e-8
 
 
 def reference_pair_residuals(lam, u, Uu, block, Lam0):
