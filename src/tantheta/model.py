@@ -9,8 +9,9 @@ import base64
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +34,9 @@ ASYMMETRY_TOL = 1e-12
 # Backward-error contract of every symmetric eigendecomposition:
 # ||S V - V diag(w)||_F <= EIG_RESIDUAL_TOL (1 + max|w|).
 EIG_RESIDUAL_TOL = 1e-10
+# Orthonormality of a supplied eigenbasis V (EigenSystem.known), absolute
+# because V has unit columns: ||V^T V - I||_F <= EIG_GRAM_TOL.
+EIG_GRAM_TOL = 1e-8
 
 # Tolerance (relative to sqrt(d*D)) for labelling a point as lying on the
 # common boundary between the two bound regions.
@@ -99,14 +103,49 @@ class EigenSystem:
         The contract enforced here is the residual: ||M V - V diag(w)||_F
         <= 1e-10 (1 + max|w|), in the Frobenius norm, which bounds the
         operator norm; ResidualTooLarge is raised beyond it, and for a
-        non-finite eigenvalue, whose residual is not meaningful. Orthonormality
-        of V is not checked here: it is checked only for the in-gap basis of
-        L, by the Gram test of RangeProjector.lower_svd.
+        non-finite eigenvalue, whose residual is not meaningful. The
+        orthonormality of V is LAPACK's and is not checked here; a supplied
+        eigenbasis is checked for it (EigenSystem.known), and the in-gap
+        basis of L by the Gram test of RangeProjector.lower_svd.
         """
         try:
             values, vectors = np.linalg.eigh(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+        return cls(values, vectors, *cls._residual_contract(M, values, vectors))
+
+    @classmethod
+    def known(cls, M: np.ndarray, values, vectors) -> "EigenSystem":
+        """The eigensystem of an exactly symmetric matrix M from a supplied
+        eigenpair set (values ascending, eigenvectors as columns), checked
+        instead of recomputed and kept as read-only copies.
+
+        Besides the residual contract of EigenSystem.of, the values must
+        ascend and ||V^T V - I||_F <= EIG_GRAM_TOL (ResidualTooLarge
+        otherwise): an orthonormal V with a small residual certifies each
+        value to within the residual, as eigh's own output does, while a V
+        far from orthonormal (V = 0 has residual 0) certifies nothing.
+        """
+        n = M.shape[0]
+        values = np.array(values, dtype=float)
+        vectors = np.array(vectors, dtype=float)
+        if values.shape != (n,) or vectors.shape != (n, n):
+            raise DimensionMismatch(f"spectrum of shapes {values.shape}, {vectors.shape} for n={n}")
+        if not (values[1:] >= values[:-1]).all():
+            raise ResidualTooLarge("supplied eigenvalues do not ascend")
+        gram = vectors.T @ vectors
+        gram.reshape(-1)[:: n + 1] -= 1.0  # the diagonal, in place
+        defect = frobenius(gram)
+        if not defect <= EIG_GRAM_TOL:
+            raise ResidualTooLarge(
+                f"supplied eigenvectors are off orthonormal by {defect:g} > {EIG_GRAM_TOL:g}"
+            )
+        return cls(values, vectors, *cls._residual_contract(M, values, vectors))
+
+    @staticmethod
+    def _residual_contract(M: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> tuple:
+        """(residual, norm) of an eigenpair set with ascending values, after
+        the residual contract."""
         if not np.isfinite(values).all():
             raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
         # The values ascend, so the largest magnitude is at one end.
@@ -121,7 +160,7 @@ class EigenSystem:
         cap = EIG_RESIDUAL_TOL * (1.0 + norm)
         if not residual <= cap:
             raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
-        return cls(values, vectors, residual, norm)
+        return residual, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +168,15 @@ class SymMatrix:
     """Dense real symmetric matrix; construction symmetrizes exactly.
 
     The eigendecomposition is computed at most once, on first use; the norm
-    is read from its spectrum (`eig.norm`).
+    is read from its spectrum (`eig.norm`). A matrix built from a known
+    spectrum takes it as `spectrum=(values, vectors)`, checked once by
+    EigenSystem.known, and then runs no eigensolver.
     """
 
     entries: np.ndarray
+    spectrum: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         arr = _as_float_matrix(self.entries, "SymMatrix")
         n, m = arr.shape
         if n != m or n < 1:
@@ -147,6 +189,9 @@ class SymMatrix:
         sym = arr / 2.0 + arr.T / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
+        if spectrum is not None:
+            # eig is a cached_property, so this fills its cache.
+            object.__setattr__(self, "eig", EigenSystem.known(sym, *spectrum))
 
     @property
     def n(self) -> int:
@@ -154,7 +199,8 @@ class SymMatrix:
 
     @cached_property
     def eig(self) -> EigenSystem:
-        """The checked eigendecomposition (EigenSystem.of), computed once."""
+        """The checked eigendecomposition (EigenSystem.of), computed once,
+        or the checked spectrum given at construction."""
         return EigenSystem.of(self.entries)
 
 

@@ -164,6 +164,13 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_base_with_empty_grid_names_the_field(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, D="4", ratio_grid=[])
+        out = tmp_path / "report.jsonl"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "D must be a real number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_seed_exits_2(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         cfg.write_text(cfg.read_text().replace('"seed": 9', '"seed": 1e400'))

@@ -12,12 +12,15 @@ from tantheta import (
     GraphExtractionFailed,
     ResidualTooLarge,
     GenConfig,
+    SymMatrix,
     Verification,
     find_disposition,
     generate_instance,
+    load_instance,
     make_block_operator,
     run_sweep,
     run_trial,
+    save_instance,
     write_reports,
 )
 from tantheta import harness
@@ -241,8 +244,10 @@ class TestDecompositionCount:
     """Which matrices one trial hands to numpy's decompositions; a count,
     so it does not depend on timing."""
 
-    def test_each_matrix_decomposed_at_most_once(self, monkeypatch):
-        cfg = base_cfg(dim0=8, dim1=12, ratio=0.5, conjugate=True, seed=21)
+    @staticmethod
+    def record_decompositions(monkeypatch, run):
+        """The (name, argument) of every eigh, eigvalsh, svd and 2-norm call
+        that run() makes."""
         calls = []
 
         def recording(name, fn):
@@ -256,8 +261,17 @@ class TestDecompositionCount:
 
         for name in ("eigh", "eigvalsh", "svd", "norm"):
             monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-        report = run_trial(cfg)
+        result = run()
         monkeypatch.undo()
+        return calls, result
+
+    @staticmethod
+    def times_decomposed(calls, target):
+        return sum(np.array_equal(M, target) or np.array_equal(M, target.T) for _, M in calls)
+
+    def test_each_matrix_decomposed_at_most_once(self, monkeypatch):
+        cfg = base_cfg(dim0=8, dim1=12, ratio=0.5, conjugate=True, seed=21)
+        calls, report = self.record_decompositions(monkeypatch, lambda: run_trial(cfg))
         assert report.cross_method_deviation is not None  # the fixed point ran
 
         block, _ = generate_instance(cfg)
@@ -266,17 +280,14 @@ class TestDecompositionCount:
         square = [(name, M.shape) for name, M in calls if M.shape == (n, n)]
         assert square == [("eigh", (n, n))]
         L = block.assemble_perturbed()
-        assert any(name == "eigh" and np.array_equal(M, L) for name, M in calls)
+        assert sum(name == "eigh" and np.array_equal(M, L) for name, M in calls) == 1
 
-        def times_decomposed(target):
-            return sum(
-                np.array_equal(M, target) or np.array_equal(M, target.T) for _, M in calls
-            )
-
-        for label, target in (
-            ("A0", block.A0.entries), ("A1", block.A1.entries), ("B", block.B), ("X", X)
-        ):
-            assert times_decomposed(target) <= 1, label
+        # A generated block carries the spectra A0 and A1 were built from,
+        # so neither reaches an eigensolver.
+        assert self.times_decomposed(calls, block.A0.entries) == 0
+        assert self.times_decomposed(calls, block.A1.entries) == 0
+        for label, target in (("B", block.B), ("X", X)):
+            assert self.times_decomposed(calls, target) <= 1, label
 
         # A symmetric eigensolve of M^T M or M M^T (scaled) decomposes M too.
         def times_gram_decomposed(target):
@@ -294,7 +305,9 @@ class TestDecompositionCount:
             )
 
         for label, target in (("B", block.B), ("X", X)):
-            assert times_decomposed(target) + times_gram_decomposed(target) <= 1, label
+            assert (
+                self.times_decomposed(calls, target) + times_gram_decomposed(target) <= 1
+            ), label
         assert times_gram_decomposed(block.B) == 1  # ||B||, from its Gram matrix
 
         # The only SVD of a trial is the one of Y1, the lower block of the
@@ -303,6 +316,55 @@ class TestDecompositionCount:
         svds = [M for name, M in calls if name == "svd"]
         assert len(svds) == 1 and np.array_equal(svds[0], Y1)
         assert sum(name == "norm" for name, _ in calls) <= 1
+
+    def test_loaded_instance_decomposes_each_diagonal_block_once(self, monkeypatch, tmp_path):
+        block, _ = generate_instance(base_cfg(dim0=8, dim1=12, conjugate=True, seed=21))
+        path = tmp_path / "instance.json"
+        save_instance(block, path)
+        calls, ver = self.record_decompositions(
+            monkeypatch, lambda: Verification(load_instance(path))
+        )
+        for label, target in (("A0", block.A0.entries), ("A1", block.A1.entries)):
+            assert [name for name, M in calls if np.array_equal(M, target)] == ["eigh"], label
+        assert self.times_decomposed(calls, ver.block.assemble_perturbed()) == 1
+
+
+class TestGeneratedSpectra:
+    """A generated block carries the spectra A0 and A1 were built from;
+    np.linalg.eigvalsh and a block rebuilt from the same entries, whose
+    spectra come from eigh, are the references."""
+
+    @staticmethod
+    def assert_values_match_eigvalsh(S):
+        ref = np.linalg.eigvalsh(S.entries)
+        assert np.max(np.abs(S.eig.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.2])
+    @pytest.mark.parametrize("dim0, dim1", [(2, 3), (8, 12), (6, 3)])
+    def test_generated_trial_matches_the_eigh_path(self, dim0, dim1, ratio):
+        for seed in range(4):
+            cfg = base_cfg(dim0=dim0, dim1=dim1, ratio=ratio, conjugate=True, seed=seed)
+            block, disp = generate_instance(cfg)
+            self.assert_values_match_eigvalsh(block.A0)
+            self.assert_values_match_eigvalsh(block.A1)
+            rebuilt = make_block_operator(block.A0.entries, block.A1.entries, block.B)
+            one, two = Verification(block, seed=seed), Verification(rebuilt, seed=seed)
+            assert (one.disposition.D, one.disposition.d) == (disp.D, disp.d)
+            for name in ("D", "d"):
+                mine, ref = getattr(one.disposition, name), getattr(two.disposition, name)
+                assert abs(mine - ref) <= 1e-14 * ref, name
+            assert one.distance == two.distance
+            assert one.angular.norm == two.angular.norm
+            assert one.angular.riccati_residual == two.angular.riccati_residual
+            assert one.audit.max_residual == two.audit.max_residual
+            assert one.bound.region == two.bound.region
+
+    def test_repeated_eigenvalue(self):
+        sigma = np.array([-1.0, 0.5, 0.5, 0.5, 2.0])
+        Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+        S = SymMatrix((Q * sigma) @ Q.T, spectrum=(sigma, Q))
+        assert np.array_equal(S.eig.values, sigma)
+        self.assert_values_match_eigvalsh(S)
 
 
 class TestRunSweep:
@@ -336,6 +398,11 @@ class TestRunSweep:
         records, summary = run_sweep(base, 3, [0.5, 1.2])
         assert summary.failures == summary.trials == 6
         assert {(type(rec), rec.error) for rec in records} == {(FailureRecord, "ResidualTooLarge")}
+
+    def test_empty_grid_still_validates_the_base(self):
+        base = GenConfig(dim0=3, dim1=4, D="4", d=1.0, ratio=0.0)
+        with pytest.raises(ConfigInvalid, match="^D must be a real number"):
+            run_sweep(base, 1, [])
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ConfigInvalid):

@@ -71,6 +71,61 @@ class TestSymMatrix:
             S.entries[0, 0] = 5.0
 
 
+class TestKnownSpectrum:
+    """SymMatrix(entries, spectrum=(values, vectors)): the supplied spectrum
+    is checked, not recomputed."""
+
+    @staticmethod
+    def conjugated(n=5, seed=3):
+        rng = np.random.default_rng(seed)
+        sigma = np.sort(rng.uniform(-2.0, 2.0, n))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (Q * sigma) @ Q.T, sigma, Q
+
+    def test_true_spectrum_passes_without_an_eigensolver(self, monkeypatch):
+        A, sigma, Q = self.conjugated()
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        S = SymMatrix(A, spectrum=(sigma, Q))
+        assert np.array_equal(S.eig.values, sigma)
+        assert np.array_equal(S.eig.vectors, Q)
+        assert S.eig.norm == np.max(np.abs(sigma))
+        assert S.eig.residual <= 1e-10 * (1.0 + S.eig.norm)
+
+    def test_keeps_read_only_copies(self):
+        A, sigma, Q = self.conjugated()
+        S = SymMatrix(A, spectrum=(sigma, Q))
+        sigma[0], Q[0, 0] = 7.0, 7.0
+        assert S.eig.values[0] != 7.0 and S.eig.vectors[0, 0] != 7.0
+        with pytest.raises(ValueError):
+            S.eig.values[0] = 1.0
+        with pytest.raises(ValueError):
+            S.eig.vectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0])
+    def test_vectors_off_orthonormal_raise(self, scale):
+        # Scaled eigenvectors keep a tiny residual; V = 0 has residual 0.
+        A, sigma, Q = self.conjugated()
+        with pytest.raises(ResidualTooLarge, match="off orthonormal"):
+            SymMatrix(A, spectrum=(sigma, scale * Q))
+
+    def test_values_off_raise(self):
+        A, sigma, Q = self.conjugated()
+        with pytest.raises(ResidualTooLarge, match="residual"):
+            SymMatrix(A, spectrum=(sigma + 1e-6, Q))
+
+    def test_descending_values_raise(self):
+        A, sigma, Q = self.conjugated()
+        with pytest.raises(ResidualTooLarge, match="ascend"):
+            SymMatrix(A, spectrum=(sigma[::-1], Q[:, ::-1]))
+
+    def test_wrong_shapes_raise(self):
+        A, sigma, Q = self.conjugated()
+        with pytest.raises(DimensionMismatch):
+            SymMatrix(A, spectrum=(sigma[:-1], Q))
+        with pytest.raises(DimensionMismatch):
+            SymMatrix(A, spectrum=(sigma, Q[:, :-1]))
+
+
 class TestMakeBlockOperator:
     def test_rank_one_family_shape(self):
         block = make_block_operator(
