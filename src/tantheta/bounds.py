@@ -8,12 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .errors import RADICAND_GUARD, DomainError
 from .model import Region, classify_region, require_finite, unit_scaled
-
-# Negative radicands within this absolute slack are treated as round-off at
-# a domain boundary and clamped to zero.
-RADICAND_GUARD = 1e-12
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,6 +151,13 @@ def apriori_bound(d: float, v: float) -> float:
     return sin_arctan(v / d)
 
 
+def require_in_gap(gamma: float, a: float) -> None:
+    """Raise DomainError unless 0 <= a < gamma, the range of the unperturbed
+    value a of the sharpness families inside the gap (-gamma, gamma)."""
+    if not 0.0 <= a < gamma:
+        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
+
+
 def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     """Maximizer z0 and maximum of phi(z) = (b^2 + 2z(a-z)) / (gamma^2 - z^2)
     over [0, gamma); the maximum equals M2(2 gamma, gamma - a, b)^2.
@@ -162,8 +165,7 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     Defined for 0 <= a < gamma and sqrt(gamma^2 - a^2) <= b <
     sqrt(2 gamma (gamma - a)).
     """
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
+    require_in_gap(gamma, a)
     b_lo = math.sqrt(gamma * gamma - a * a)
     b_hi = math.sqrt(2.0 * gamma * (gamma - a))
     if not b_lo * (1.0 - RADICAND_GUARD) <= b < b_hi:
@@ -173,7 +175,7 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     else:
         h = (2.0 * gamma * gamma - b * b) / (2.0 * a)
         z0 = h - _guarded_sqrt(h * h - gamma * gamma, "z0")
-    phi_max = (b * b + 2.0 * z0 * (a - z0)) / (gamma * gamma - z0 * z0)
     if not 0.0 <= z0 < gamma:
         raise DomainError(f"maximizer z0 = {z0} escaped [0, gamma)")
+    phi_max = (b * b + 2.0 * z0 * (a - z0)) / (gamma * gamma - z0 * z0)
     return z0, phi_max

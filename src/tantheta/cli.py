@@ -22,9 +22,9 @@ from .families import (
 )
 from .harness import (
     GenConfig,
-    MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
     Verification,
+    margin_fails,
     run_sweep,
     run_trial,
     write_reports,
@@ -59,7 +59,7 @@ def cmd_trial(args) -> int:
     report = run_trial(GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)}))
     names = REPORT_FIELDS if args.json else REPORT_FIELDS + ("elapsed_ms",)
     _emit([(name, getattr(report, name)) for name in names], args.json)
-    return 0 if report.margin >= MARGIN_FAILURE_THRESHOLD else 1
+    return 1 if margin_fails(report.margin) else 0
 
 
 # A sweep config holds GenConfig's fields but `ratio`, plus `trials` and
@@ -101,8 +101,8 @@ def cmd_sweep(args) -> int:
         f"(failures: {summary.failures}, min margin: "
         f"{'-' if summary.min_margin is None else summary.min_margin})"
     )
-    violated = summary.min_margin is not None and summary.min_margin < MARGIN_FAILURE_THRESHOLD
-    return 1 if violated or summary.failures > 0 else 0
+    # min_margin is None only when every trial failed.
+    return 1 if summary.failures or margin_fails(summary.min_margin) else 0
 
 
 def cmd_example(args) -> int:
@@ -134,7 +134,7 @@ def cmd_example(args) -> int:
         ("margin", bound - distance),
     ]
     _emit(pairs, args.json)
-    return 0 if bound - distance >= MARGIN_FAILURE_THRESHOLD else 1
+    return 1 if margin_fails(bound - distance) else 0
 
 
 def cmd_check_identities(args) -> int:

@@ -8,9 +8,15 @@ import math
 
 import numpy as np
 
-from .bounds import RADICAND_GUARD, phi_maximizer, sin_arctan
-from .errors import DomainError
+from .bounds import phi_maximizer, require_in_gap, sin_arctan
+from .errors import RADICAND_GUARD, DomainError
 from .model import BlockOperator, make_block_operator, require_finite
+
+
+def _require_weights(b1: float, b2: float) -> None:
+    """Raise DomainError if a coupling weight is negative."""
+    if b1 < 0.0 or b2 < 0.0:
+        raise DomainError("b1 and b2 must be non-negative")
 
 
 def rank_one_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperator:
@@ -19,10 +25,8 @@ def rank_one_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperato
     The single unperturbed eigenvalue a sits in the gap (-gamma, gamma),
     so d = gamma - a and D = 2 gamma.
     """
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
-    if b1 < 0.0 or b2 < 0.0:
-        raise DomainError("b1 and b2 must be non-negative")
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
     return make_block_operator(
         np.array([[a]]), np.diag([-gamma, gamma]), np.array([[b1, b2]])
     )
@@ -68,10 +72,8 @@ def circulant_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperat
 
     Here d = gamma - a, D = 2 gamma and ||B|| = b1 + b2.
     """
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
-    if b1 < 0.0 or b2 < 0.0:
-        raise DomainError("b1 and b2 must be non-negative")
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
     return make_block_operator(
         np.diag([-a, a]), np.diag([-gamma, gamma]), np.array([[b1, b2], [b2, b1]])
     )
@@ -82,10 +84,8 @@ def circulant_kappas(gamma: float, a: float, b1: float, b2: float) -> tuple:
     X = [[k1, k2], [-k2, -k1]] of the 4x4 family; ||X|| = k1 + k2. Non-finite
     arguments raise DomainError."""
     require_finite("gamma, a, b1, b2", gamma, a, b1, b2)
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
-    if b1 < 0.0 or b2 < 0.0:
-        raise DomainError("b1 and b2 must be non-negative")
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
     if b1 + b2 >= math.sqrt(2.0 * gamma * (gamma - a)):
         raise DomainError(
             f"||B|| = {b1 + b2} is not below sqrt(2 gamma (gamma - a))"
@@ -109,8 +109,7 @@ def circulant_case_params(gamma: float, a: float, b: float) -> tuple:
     Requires sqrt(2 (gamma - a) a) / 2 < b < sqrt(gamma^2 - a^2); both
     returned weights are positive (b2 > 0 by the lower inequality).
     """
-    if not 0.0 <= a < gamma:
-        raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
+    require_in_gap(gamma, a)
     b_lo = 0.5 * math.sqrt(2.0 * (gamma - a) * a)
     b_hi = math.sqrt(gamma * gamma - a * a)
     if not b_lo < b < b_hi:

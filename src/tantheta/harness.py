@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundEvaluation, m_total
-from .errors import ConfigInvalid, NoConvergence, TanThetaError
+from .errors import MARGIN_FAILURE_THRESHOLD, ConfigInvalid, NoConvergence, TanThetaError
 from .model import BlockOperator, SpectralDisposition, SymMatrix, is_json_number, spectral_norm
 from .riccati import (
     AngularOperator,
@@ -33,8 +33,6 @@ from .spectral import (
 # Trials with ratio at or below this also run the fixed-point solver and
 # record the cross-method deviation.
 CROSS_CHECK_RATIO = 0.9
-
-MARGIN_FAILURE_THRESHOLD = -1e-8
 
 _MASK64 = (1 << 64) - 1
 
@@ -254,6 +252,12 @@ def run_trial(cfg: GenConfig) -> TrialReport:
         elapsed_ms=elapsed_ms,
         cross_method_deviation=cross,
     )
+
+
+def margin_fails(margin: float) -> bool:
+    """Whether a margin bound - distance falls below MARGIN_FAILURE_THRESHOLD;
+    a NaN margin fails."""
+    return not margin >= MARGIN_FAILURE_THRESHOLD
 
 
 def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:

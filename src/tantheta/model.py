@@ -16,31 +16,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ASYMMETRY_TOL,
+    BOUNDARY_CLASSIFY_TOL,
+    EIG_GRAM_TOL,
+    EIG_RESIDUAL_TOL,
     ConfigInvalid,
     DimensionMismatch,
     DomainError,
     NoConvergence,
     ResidualTooLarge,
+    require,
 )
-
-# Relative asymmetry below this is treated as I/O round-off and symmetrized;
-# anything larger is rejected as wrong data. It bounds ||S - S^T||_F by
-# ASYMMETRY_TOL * max(1, max|s_ij|); the Frobenius norm is at least the
-# operator norm and the largest entry at most the operator norm, so this
-# rejects everything the operator-norm test ||S - S^T|| <= tol max(1, ||S||)
-# rejects.
-ASYMMETRY_TOL = 1e-12
-
-# Backward-error contract of every symmetric eigendecomposition:
-# ||S V - V diag(w)||_F <= EIG_RESIDUAL_TOL (1 + max|w|).
-EIG_RESIDUAL_TOL = 1e-10
-# Orthonormality of a supplied eigenbasis V (EigenSystem.known), absolute
-# because V has unit columns: ||V^T V - I||_F <= EIG_GRAM_TOL.
-EIG_GRAM_TOL = 1e-8
-
-# Tolerance (relative to sqrt(d*D)) for labelling a point as lying on the
-# common boundary between the two bound regions.
-BOUNDARY_CLASSIFY_TOL = 1e-9
 
 
 def _as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
@@ -101,9 +87,9 @@ class EigenSystem:
         """Eigendecomposition of an exactly symmetric matrix, values ascending.
 
         The contract enforced here is the residual: ||M V - V diag(w)||_F
-        <= 1e-10 (1 + max|w|), in the Frobenius norm, which bounds the
-        operator norm; ResidualTooLarge is raised beyond it, and for a
-        non-finite eigenvalue, whose residual is not meaningful. The
+        <= EIG_RESIDUAL_TOL (1 + max|w|), in the Frobenius norm, which
+        bounds the operator norm; ResidualTooLarge is raised beyond it, and
+        for a non-finite eigenvalue, whose residual is not meaningful. The
         orthonormality of V is LAPACK's and is not checked here; a supplied
         eigenbasis is checked for it (EigenSystem.known), and the in-gap
         basis of L by the Gram test of RangeProjector.lower_svd.
@@ -135,11 +121,7 @@ class EigenSystem:
             raise ResidualTooLarge("supplied eigenvalues do not ascend")
         gram = vectors.T @ vectors
         gram.reshape(-1)[:: n + 1] -= 1.0  # the diagonal, in place
-        defect = frobenius(gram)
-        if not defect <= EIG_GRAM_TOL:
-            raise ResidualTooLarge(
-                f"supplied eigenvectors are off orthonormal by {defect:g} > {EIG_GRAM_TOL:g}"
-            )
+        require("supplied eigenbasis Gram defect", frobenius(gram), EIG_GRAM_TOL, ResidualTooLarge)
         return cls(values, vectors, *cls._residual_contract(M, values, vectors))
 
     @staticmethod
@@ -158,8 +140,7 @@ class EigenSystem:
         R /= unit
         residual = frobenius(R) * unit
         cap = EIG_RESIDUAL_TOL * (1.0 + norm)
-        if not residual <= cap:
-            raise ResidualTooLarge(f"eigendecomposition residual {residual:g} exceeds {cap:g}")
+        require("eigendecomposition residual", residual, cap, ResidualTooLarge)
         return residual, norm
 
 
@@ -181,9 +162,11 @@ class SymMatrix:
         n, m = arr.shape
         if n != m or n < 1:
             raise DimensionMismatch(f"SymMatrix must be square and nonempty, got {arr.shape}")
-        scale = max(1.0, float(np.abs(arr).max()))
-        if frobenius(arr - arr.T) > ASYMMETRY_TOL * scale:
-            raise DimensionMismatch("matrix is not symmetric within 1e-12 relative")
+        # The Frobenius norm is at least the operator norm and the largest
+        # entry at most it, so this rejects all that the operator-norm test
+        # ||S - S^T|| <= tol max(1, ||S||) rejects.
+        cap = ASYMMETRY_TOL * max(1.0, float(np.abs(arr).max()))
+        require("matrix asymmetry", frobenius(arr - arr.T), cap, DimensionMismatch)
         # Halving first cannot overflow; away from subnormals it is
         # bit-identical to (arr + arr.T) / 2.
         sym = arr / 2.0 + arr.T / 2.0

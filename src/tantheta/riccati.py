@@ -10,26 +10,23 @@ import numpy as np
 
 from .bounds import sin_arctan
 from .errors import (
+    DEGENERACY_TOL,
+    EXTRACTION_COND_CAP,
+    FIXED_POINT_TOL,
+    KERNEL_CUTOFF,
+    RESIDUAL_REL_TOL,
     ConfigInvalid,
     DimensionMismatch,
     DispositionViolated,
     GraphExtractionFailed,
     NoConvergence,
     ResidualTooLarge,
+    require,
 )
 from .model import BlockOperator, SpectralDisposition, frobenius, spectral_norm
 from .spectral import SpectrumPartition
 
-EXTRACTION_COND_CAP = 1e12
-RESIDUAL_REL_TOL = 1e-8
-# Singular values below this fraction of ||X|| pair with a zero left vector,
-# realizing the convention that the polar isometry vanishes on ker(X).
-KERNEL_CUTOFF = 1e-12
-# Relative width of a cluster of singular values treated as degenerate when
-# auditing basis-independence of the identities.
-DEGENERACY_TOL = 1e-8
-# Step tolerance and iteration cap of the fixed-point cross-check.
-FIXED_POINT_TOL = 1e-13
+# Iteration cap of the fixed-point cross-check.
 FIXED_POINT_MAX_ITER = 2000
 
 
@@ -77,11 +74,6 @@ def riccati_residual(X, block: BlockOperator) -> float:
     return spectral_norm(R)
 
 
-def _residual_cap(block: BlockOperator, x_norm: float) -> float:
-    scale = 1.0 + block.A0.eig.norm + block.A1.eig.norm + block.v_norm
-    return RESIDUAL_REL_TOL * scale * (1.0 + x_norm) ** 2
-
-
 def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator) -> AngularOperator:
     """Angular operator of the perturbed spectral subspace.
 
@@ -106,20 +98,16 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     c = np.sqrt(np.einsum("ij,ij->j", Y0W, Y0W))
     c_min, c_max = float(c.min()), float(c.max())
     cond = c_max / c_min if c_min > 0.0 else math.inf
-    if not math.isfinite(cond) or cond > EXTRACTION_COND_CAP:
-        raise GraphExtractionFailed(
-            f"top block condition number {cond:g} exceeds {EXTRACTION_COND_CAP:g}; "
-            "the subspace is not a graph over the reference block"
-        )
+    require("top block condition number", cond, EXTRACTION_COND_CAP, GraphExtractionFailed)
     Z = Y0W / c
     k = s.size
     t = s / c[:k]
     x_norm = float(t[0])
     X = (U * t) @ Z[:, :k].T
     res = riccati_residual(X, block)
-    cap = _residual_cap(block, x_norm)
-    if res > cap:
-        raise ResidualTooLarge(f"Riccati residual {res:g} exceeds {cap:g}")
+    scale = 1.0 + block.A0.eig.norm + block.A1.eig.norm + block.v_norm
+    cap = RESIDUAL_REL_TOL * scale * (1.0 + x_norm) ** 2
+    require("Riccati residual", res, cap, ResidualTooLarge)
     eigenvalues_abs = np.zeros(dim0)
     eigenvalues_abs[:k] = t
     polar = np.zeros((block.dim1, dim0))
@@ -148,10 +136,8 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     Q1, w1 = es1.vectors, es1.values
     denom = w1[:, None] - w0[None, :]
     min_divisor = float(np.abs(denom).min())
-    if min_divisor < disp.d / 2.0:
-        raise DispositionViolated(
-            f"Sylvester divisor {min_divisor:g} below d/2 = {disp.d / 2.0:g}"
-        )
+    floor = disp.d / 2.0
+    require("d/2 against the smallest Sylvester divisor:", floor, min_divisor, DispositionViolated)
     Bt = Q0.T @ block.B @ Q1
     BtT = Bt.T
     # X B X costs 2 dim0 dim1 min(dim0, dim1) multiplications in the better order.
@@ -188,9 +174,7 @@ def lambda0(X: AngularOperator, block: BlockOperator) -> np.ndarray:
     M = W @ (sqrt_fac[:, None] * (W.T @ core @ W) / sqrt_fac[None, :]) @ W.T
     scale = 1.0 + block.A0.eig.norm + block.v_norm * (1.0 + X.norm)
     # The Frobenius norm bounds the operator norm of the asymmetry.
-    asymmetry = frobenius(M - M.T)
-    if not asymmetry <= RESIDUAL_REL_TOL * scale:
-        raise ResidualTooLarge(f"Lambda0 asymmetry {asymmetry:g} exceeds tolerance")
+    require("Lambda0 asymmetry", frobenius(M - M.T), RESIDUAL_REL_TOL * scale, ResidualTooLarge)
     return (M + M.T) / 2.0
 
 

@@ -9,24 +9,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BOUNDARY_BAND,
+    EDGE_COLLAR,
+    PROJECTOR_DISTANCE_SLACK,
+    PROJECTOR_TOL,
     DispositionViolated,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
     NotAProjector,
+    require,
 )
 from .model import BlockOperator, EigenSystem, SpectralDisposition, frobenius
-
-# Projectors have unit norm, so their defects have no units and this
-# tolerance is absolute. It applies to ||U^T U - I||_F of a range basis U,
-# which bounds the idempotency defect ||P^2 - P|| of P = U U^T to first
-# order.
-PROJECTOR_TOL = 1e-8
-# Eigenvalues this close to a gap endpoint (from inside the gap) cannot be
-# assigned to either spectral component and are reported as boundary hits.
-BOUNDARY_BAND = 1e-9
-# Inner collar absorbing eigensolver round-off on eigenvalues that belong
-# exactly to a gap endpoint (e.g. the unperturbed B = 0 case).
-EDGE_COLLAR = 1e-12
 
 
 def find_disposition(block: BlockOperator) -> SpectralDisposition:
@@ -82,10 +75,7 @@ class RangeProjector:
         """
         Y = self.basis
         gram_defect = frobenius(Y.T @ Y - np.eye(self.rank))
-        if gram_defect > PROJECTOR_TOL:
-            raise NotAProjector(
-                f"range basis is off orthonormal by {gram_defect:g} > {PROJECTOR_TOL:g}"
-            )
+        require("range basis Gram defect", gram_defect, PROJECTOR_TOL, NotAProjector)
         Y1 = Y[self.rank :]
         U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
         s += 0.0  # turns the -0.0 LAPACK can return for a Y1 of signed zeros into 0.0
@@ -162,8 +152,7 @@ def projection_distance(P: RangeProjector, Q: RangeProjector) -> float:
         )
     s = (Q if P.leading else P).lower_svd[1]
     dist = float(s[0]) if s.size else 0.0
-    if dist > 1.0 + 1e-9:
-        raise NotAProjector(f"projector distance {dist:g} exceeds 1")
+    require("projector distance", dist, 1.0 + PROJECTOR_DISTANCE_SLACK, NotAProjector)
     return min(dist, 1.0)
 
 

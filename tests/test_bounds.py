@@ -264,6 +264,11 @@ class TestPhiMaximizer:
         with pytest.raises(DomainError):
             phi_maximizer(2.0, 1.0, 2.0)  # at sqrt(2 gamma (gamma - a))
 
+    def test_maximizer_at_gamma_raises_before_dividing(self):
+        # z0 rounds to gamma, where phi's denominator gamma^2 - z0^2 is 0.
+        with pytest.raises(DomainError, match="escaped"):
+            phi_maximizer(1.0, 0.99999998, 0.00019999999969756423)
+
 
 # Each public function at a point of its domain, so that only the
 # non-finite slot can make it raise.

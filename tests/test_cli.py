@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +359,17 @@ class TestExample:
 
     def test_missing_parameter_exits_2(self, capsys):
         assert main(["example", "circulant", "--gamma", "2", "--a", "1"]) == 2
+
+    def test_maximizer_at_gamma_exits_2_without_traceback(self):
+        # Its phi maximizer rounds to gamma, where phi's denominator is 0.
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "tantheta.cli", "example", "rank1-outer", "--gamma", "1",
+             "--a", "0.99999998", "--b", "0.00019999999969756423"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 class TestCheckIdentities:

@@ -105,7 +105,7 @@ class TestKnownSpectrum:
     def test_vectors_off_orthonormal_raise(self, scale):
         # Scaled eigenvectors keep a tiny residual; V = 0 has residual 0.
         A, sigma, Q = self.conjugated()
-        with pytest.raises(ResidualTooLarge, match="off orthonormal"):
+        with pytest.raises(ResidualTooLarge, match="Gram defect"):
             SymMatrix(A, spectrum=(sigma, scale * Q))
 
     def test_values_off_raise(self):
