@@ -1,7 +1,9 @@
 """Core domain types: symmetric matrices, block operators, spectral
 dispositions and the regions of the bound domain.
 
-All types are immutable after construction and all functions are pure.
+All types are immutable after construction and all functions are pure. A
+symmetric matrix is built with its checked eigensystem, so a block operator
+exists only once both diagonal blocks' spectra are certified.
 """
 from __future__ import annotations
 
@@ -9,8 +11,7 @@ import base64
 import enum
 import json
 import math
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,8 @@ def spectral_norm(M) -> float:
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Full symmetric eigendecomposition with its backward residual and
-    its norm, the largest eigenvalue magnitude."""
+    its norm, the largest eigenvalue magnitude; made only by
+    EigenSystem.of, which checks it."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -83,51 +85,39 @@ class EigenSystem:
         self.vectors.setflags(write=False)
 
     @classmethod
-    def of(cls, M: np.ndarray) -> "EigenSystem":
-        """Eigendecomposition of an exactly symmetric matrix, values ascending.
-
-        The contract enforced here is the residual: ||M V - V diag(w)||_F
-        <= EIG_RESIDUAL_TOL (1 + max|w|), in the Frobenius norm, which
-        bounds the operator norm; ResidualTooLarge is raised beyond it, and
-        for a non-finite eigenvalue, whose residual is not meaningful. The
-        orthonormality of V is LAPACK's and is not checked here; a supplied
-        eigenbasis is checked for it (EigenSystem.known), and the in-gap
-        basis of L by the Gram test of RangeProjector.lower_svd.
+    def of(cls, M: np.ndarray, spectrum: Optional[tuple] = None) -> "EigenSystem":
+        """The checked eigensystem of an exactly symmetric matrix M, values
+        ascending: eigh's (NoConvergence if it fails), or a supplied
+        spectrum=(values, vectors), eigenvectors as columns, kept as
+        read-only copies after a check that it has M's shapes, ascends and
+        has ||V^T V - I||_F <= EIG_GRAM_TOL (ResidualTooLarge otherwise): an
+        orthonormal V with a small residual certifies each value to within
+        the residual, as eigh's own output does, while V = 0 has residual 0
+        and certifies nothing. Both routes then enforce ||M V - V diag(w)||_F
+        <= EIG_RESIDUAL_TOL (1 + max|w|), which bounds the operator-norm
+        residual; ResidualTooLarge is raised beyond it and for a non-finite
+        eigenvalue. eigh's V is not checked for orthonormality; the in-gap
+        basis of L is, by RangeProjector.lower_svd.
         """
-        try:
-            values, vectors = np.linalg.eigh(M)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-        return cls(values, vectors, *cls._residual_contract(M, values, vectors))
-
-    @classmethod
-    def known(cls, M: np.ndarray, values, vectors) -> "EigenSystem":
-        """The eigensystem of an exactly symmetric matrix M from a supplied
-        eigenpair set (values ascending, eigenvectors as columns), checked
-        instead of recomputed and kept as read-only copies.
-
-        Besides the residual contract of EigenSystem.of, the values must
-        ascend and ||V^T V - I||_F <= EIG_GRAM_TOL (ResidualTooLarge
-        otherwise): an orthonormal V with a small residual certifies each
-        value to within the residual, as eigh's own output does, while a V
-        far from orthonormal (V = 0 has residual 0) certifies nothing.
-        """
-        n = M.shape[0]
-        values = np.array(values, dtype=float)
-        vectors = np.array(vectors, dtype=float)
-        if values.shape != (n,) or vectors.shape != (n, n):
-            raise DimensionMismatch(f"spectrum of shapes {values.shape}, {vectors.shape} for n={n}")
-        if not (values[1:] >= values[:-1]).all():
-            raise ResidualTooLarge("supplied eigenvalues do not ascend")
-        gram = vectors.T @ vectors
-        gram.reshape(-1)[:: n + 1] -= 1.0  # the diagonal, in place
-        require("supplied eigenbasis Gram defect", frobenius(gram), EIG_GRAM_TOL, ResidualTooLarge)
-        return cls(values, vectors, *cls._residual_contract(M, values, vectors))
-
-    @staticmethod
-    def _residual_contract(M: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> tuple:
-        """(residual, norm) of an eigenpair set with ascending values, after
-        the residual contract."""
+        if spectrum is None:
+            try:
+                values, vectors = np.linalg.eigh(M)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+        else:
+            n = M.shape[0]
+            values = np.array(spectrum[0], dtype=float)
+            vectors = np.array(spectrum[1], dtype=float)
+            if values.shape != (n,) or vectors.shape != (n, n):
+                raise DimensionMismatch(
+                    f"spectrum of shapes {values.shape}, {vectors.shape} for n={n}"
+                )
+            if not (values[1:] >= values[:-1]).all():
+                raise ResidualTooLarge("supplied eigenvalues do not ascend")
+            gram = vectors.T @ vectors
+            gram.reshape(-1)[:: n + 1] -= 1.0  # the diagonal, in place
+            require("supplied eigenbasis Gram defect", frobenius(gram), EIG_GRAM_TOL,
+                    ResidualTooLarge)
         if not np.isfinite(values).all():
             raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
         # The values ascend, so the largest magnitude is at one end.
@@ -141,21 +131,23 @@ class EigenSystem:
         residual = frobenius(R) * unit
         cap = EIG_RESIDUAL_TOL * (1.0 + norm)
         require("eigendecomposition residual", residual, cap, ResidualTooLarge)
-        return residual, norm
+        return cls(values, vectors, residual, norm)
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Dense real symmetric matrix; construction symmetrizes exactly.
+    """Dense real symmetric matrix with its checked eigensystem.
 
-    The eigendecomposition is computed at most once, on first use; the norm
-    is read from its spectrum (`eig.norm`). A matrix built from a known
-    spectrum takes it as `spectrum=(values, vectors)`, checked once by
-    EigenSystem.known, and then runs no eigensolver.
+    Construction symmetrizes exactly and sets `eig` to
+    EigenSystem.of(entries, spectrum): eigh's, or a given
+    `spectrum=(values, vectors)`, checked instead of recomputed. So no
+    SymMatrix lacks its certified spectrum, its norm is `eig.norm`, and
+    reading `eig` runs no eigensolver.
     """
 
     entries: np.ndarray
     spectrum: InitVar[Optional[tuple]] = None
+    eig: EigenSystem = field(init=False)
 
     def __post_init__(self, spectrum):
         arr = _as_float_matrix(self.entries, "SymMatrix")
@@ -172,19 +164,11 @@ class SymMatrix:
         sym = arr / 2.0 + arr.T / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
-        if spectrum is not None:
-            # eig is a cached_property, so this fills its cache.
-            object.__setattr__(self, "eig", EigenSystem.known(sym, *spectrum))
+        object.__setattr__(self, "eig", EigenSystem.of(sym, spectrum))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def eig(self) -> EigenSystem:
-        """The checked eigendecomposition (EigenSystem.of), computed once,
-        or the checked spectrum given at construction."""
-        return EigenSystem.of(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +202,8 @@ class BlockOperator:
     def n(self) -> int:
         return self.dim0 + self.dim1
 
-    # A property with its own cache rather than a cached_property:
-    # perfbench times it by rewrapping the getter it reads from `.fget`,
-    # which a cached_property does not have.
+    # A plain property with its own cache: perfbench times it by rewrapping
+    # the getter it reads from `.fget`.
     @property
     def v_norm(self) -> float:
         """Norm of the perturbation, equal to the largest singular value of

@@ -118,12 +118,12 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
 def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -> np.ndarray:
     """Independent cross-check solver; returns the matrix X.
 
-    Iterates X0 = 0, with X_{k+1} solving the Sylvester equation
+    Iterates X_0 = 0, with X_{k+1} solving the Sylvester equation
     A1 X - X A0 = X_k B X_k - B^T by entrywise division (all divisors at
-    least d in magnitude). The iteration runs wholly in the eigenbases Q0,
-    Q1 of A0 and A1, which it shares with find_disposition: there X~ =
-    Q1^T X Q0 and B~ = Q0^T B Q1 give X~_{k+1} = (X~_k B~ X~_k - B~^T) / (w1 - w0),
-    and X = Q1 X~ Q0^T is formed once at the end. It stops when
+    least d in magnitude), in the eigenbases Q0, Q1 of A0 and A1, which it
+    shares with find_disposition: there X~ = Q1^T X Q0 and B~ = Q0^T B Q1
+    give X~_{k+1} = (X~_k B~ X~_k - B~^T) / (w1 - w0), X~_1 directly, and
+    X = Q1 X~ Q0^T is formed once at the end. It stops when
     ||X_{k+1} - X_k||_F <= tol (1 + ||X_{k+1}||_F / sqrt(min(dim0, dim1))),
     tol = FIXED_POINT_TOL, a test at least as strict as the operator-norm
     test ||X_{k+1} - X_k|| <= tol (1 + ||X_{k+1}||). Convergence is
@@ -143,8 +143,12 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     # X B X costs 2 dim0 dim1 min(dim0, dim1) multiplications in the better order.
     narrow = block.dim0 <= block.dim1
     root_k = math.sqrt(min(block.dim0, block.dim1))
-    X = np.zeros((block.dim1, block.dim0))
+    # X_1, from X_0 = 0 by the arithmetic of a step (+0 - b), and its step.
+    X = (0.0 - BtT) / denom
+    step = frobenius(X)
     for _ in range(FIXED_POINT_MAX_ITER):
+        if step <= FIXED_POINT_TOL * (1.0 + frobenius(X) / root_k):
+            return Q1 @ X @ Q0.T
         # In place: XBX becomes X_{k+1}, and X the step X_k - X_{k+1}, whose
         # norm is that of X_{k+1} - X_k bit for bit (negation is exact).
         XBX = X @ (Bt @ X) if narrow else (X @ Bt) @ X
@@ -153,8 +157,6 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
         X -= XBX
         step = frobenius(X)
         X = XBX
-        if step <= FIXED_POINT_TOL * (1.0 + frobenius(X) / root_k):
-            return Q1 @ X @ Q0.T
     raise NoConvergence(
         f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} steps "
         f"(||B||/d = {block.v_norm / disp.d:g})"

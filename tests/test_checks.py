@@ -2,7 +2,11 @@
 prints exact floats, and each cap rewritten onto `require` has teeth. A
 value about ten times past the cap raises the check's typed error and the
 honest value passes, so loosening the cap (say, a thousandfold) or skipping
-the check fails a test here."""
+the check fails a test here. The same holds for the checks that report a
+value rather than raise (identity residuals, the cross-method deviation)
+and for the cutoffs that classify (kernel of X, region boundary, degenerate
+cluster, domain edge); tools/mutants.py loosens each of them on a copy of
+the package and expects tier-1 to fail."""
 import dataclasses
 import math
 import re
@@ -13,11 +17,14 @@ import pytest
 from tantheta import (
     DimensionMismatch,
     DispositionViolated,
+    DomainError,
     GenConfig,
     GraphExtractionFailed,
     NotAProjector,
+    Region,
     ResidualTooLarge,
     SymMatrix,
+    classify_region,
     extract_angular_operator,
     find_disposition,
     generate_instance,
@@ -26,8 +33,9 @@ from tantheta import (
     projection_distance,
     run_trial,
     solve_riccati_fixed_point,
+    verify_lemma_identities,
 )
-from tantheta import errors, harness
+from tantheta import bounds, errors, harness
 from tantheta.cli import main
 from tantheta.errors import TanThetaError, require
 from tantheta.families import rank_one_build
@@ -142,6 +150,63 @@ class TestCapsHaveTeeth:
         monkeypatch.setattr(harness, "projection_distance", lambda P, Q: bound + excess)
         assert main(["trial", *argv]) == code
         assert f"distance: {bound + excess!r}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(dim0=3, dim1=5, D=10.0, d=1.0, ratio=1.2, conjugate=True, seed=11),
+        GenConfig(dim0=8, dim1=12, D=4.0, d=1.0, ratio=0.8, seed=3),
+    ])
+    def test_identity_residual_normaliser(self, cfg):
+        # Polar images 1e-6 too long break the identities by about 1e-6 in
+        # relative terms; a normaliser that dilutes the residuals (1e6 in
+        # place of 1) would report about 1e-12.
+        block, _ = generate_instance(cfg)
+        ver = harness.Verification(block)
+        assert ver.audit.max_residual <= 1e-13
+        long = dataclasses.replace(ver.angular, polar=ver.angular.polar * (1.0 + 1e-6))
+        assert verify_lemma_identities(long, block).max_residual > 1e-7
+
+    def test_cross_method_deviation(self, monkeypatch):
+        # A fixed-point solution 1e-6 off in every entry is reported as a
+        # deviation of at least 1e-7; the honest one agrees to round-off.
+        cfg = GenConfig(seed=7, dim0=3, dim1=4, D=4.0, d=1.0, ratio=0.8)
+        assert run_trial(cfg).cross_method_deviation <= 1e-12
+        solve = harness.solve_riccati_fixed_point
+        monkeypatch.setattr(harness, "solve_riccati_fixed_point", lambda *a: solve(*a) + 1e-6)
+        assert run_trial(cfg).cross_method_deviation >= 1e-7
+
+    def test_kernel_cutoff(self):
+        # X has singular values 0.30 and 3.3e-7: both are above the kernel
+        # cutoff (1e-12 ||X||), so both polar images keep unit norm.
+        block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]),
+                                    [[0.5, 0.0], [0.0, 5e-7]])
+        ang = harness.Verification(block).angular
+        assert ang.eigenvalues_abs[1] == pytest.approx(1e-6 / 3.0, rel=1e-6)
+        assert np.linalg.norm(ang.polar, axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    def test_region_boundary_band(self):
+        # v = sqrt(d (D - d)) = sqrt(3) at (D, d) = (4, 1): a relative 1e-6
+        # past it lies in OMEGA2, a relative 1e-12 is the boundary.
+        v = math.sqrt(3.0)
+        assert classify_region(4.0, 1.0, v * (1.0 + 1e-6)) is Region.OMEGA2
+        assert classify_region(4.0, 1.0, v * (1.0 + 1e-12)) is Region.BOUNDARY_OMEGA12
+
+    @pytest.mark.parametrize("split, audited", [(1e-11, 4), (1e-6, 2)])
+    def test_degenerate_cluster_width(self, split, audited):
+        # Singular values of X a relative 1e-11 apart form a cluster, whose
+        # rotated basis is audited beside the two base pairs; 1e-6 apart
+        # they are two simple values.
+        B = np.diag([0.4, 0.4 * (1.0 + split)])
+        ver = harness.Verification(make_block_operator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), B))
+        assert ver.audit.lam.size == audited
+        assert ver.audit.max_residual <= 1e-10
+
+    def test_radicand_guard(self):
+        # v a relative 1e-6 past the boundary sqrt(d (D - d)) is outside the
+        # closure of Omega_1; a relative 1e-14 past it is round-off.
+        v = math.sqrt(3.0)
+        assert bounds.m1(4.0, 1.0, v * (1.0 + 1e-14)) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DomainError, match="exceeds the boundary"):
+            bounds.m1(4.0, 1.0, v * (1.0 + 1e-6))
 
 
 class TestMarginFails:

@@ -28,6 +28,7 @@ from tantheta import (
     make_block_operator,
     save_instance,
 )
+from tantheta.cli import main
 from tantheta.errors import TanThetaError
 from tantheta.model import EigenSystem, frobenius, spectral_norm
 
@@ -64,6 +65,14 @@ class TestSymMatrix:
     def test_overflowing_spectrum_raises(self):
         with pytest.raises(ResidualTooLarge):
             SymMatrix(np.full((2, 2), 1.7e308)).eig
+
+    def test_eigensystem_is_set_at_construction(self, monkeypatch):
+        # eig is a field filled by the constructor: reading it calls no
+        # eigensolver.
+        S = SymMatrix(np.diag([3.0, 1.0, 2.0]))
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert vars(S)["eig"] is S.eig
+        assert S.eig.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_immutable(self):
         S = SymMatrix(np.eye(2))
@@ -261,6 +270,23 @@ class TestInstanceIO:
         loaded = load_instance(path)
         assert np.array_equal(loaded.B, block.B)
         assert np.array_equal(loaded.A1.entries, block.A1.entries)
+
+    def test_eigendecomposition_is_checked_on_load(self, tmp_path, monkeypatch, capsys):
+        # A1's eigenvectors off by 1e-6 fail the residual contract when the
+        # file is loaded, before any stage runs.
+        path = tmp_path / "instance.json"
+        save_instance(make_block_operator([[1.0]], np.diag([-2.0, 2.0]), [[0.0, 0.5]]), path)
+        eigh = np.linalg.eigh
+
+        def perturbed(M):
+            w, V = eigh(M)
+            return w, V + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ResidualTooLarge, match="^eigendecomposition residual "):
+            load_instance(path)
+        assert main(["check-identities", "--instance", str(path)]) == 2
+        assert "error: eigendecomposition residual " in capsys.readouterr().err
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ from tantheta import (
     verify_lemma_identities,
 )
 from tantheta import riccati
-from tantheta.riccati import KERNEL_CUTOFF
+from tantheta.model import frobenius
+from tantheta.riccati import FIXED_POINT_TOL, KERNEL_CUTOFF
 from tantheta.families import circulant_build, circulant_case_params, circulant_kappa_matrix
 
 
@@ -149,6 +151,42 @@ class TestFixedPoint:
         disp, _, ang = pipeline(block)
         fp = solve_riccati_fixed_point(block, disp)
         assert np.linalg.norm(fp - ang.X, 2) <= 1e-8 * (1.0 + ang.norm)
+
+    @staticmethod
+    def iterate_from_zero(block):
+        """The eigenbasis recurrence written out from X_0 = 0, zero products
+        included: (Q1 X_k Q0^T, k) at the first iterate k whose step passes."""
+        es0, es1 = block.A0.eig, block.A1.eig
+        denom = es1.values[:, None] - es0.values[None, :]
+        Bt = es0.vectors.T @ block.B @ es1.vectors
+        root_k = math.sqrt(min(block.dim0, block.dim1))
+        X = np.zeros((block.dim1, block.dim0))
+        for k in range(1, riccati.FIXED_POINT_MAX_ITER + 1):
+            XBX = X @ (Bt @ X) if block.dim0 <= block.dim1 else (X @ Bt) @ X
+            X_next = (XBX - Bt.T) / denom
+            step = frobenius(X_next - X)
+            X = X_next
+            if step <= FIXED_POINT_TOL * (1.0 + frobenius(X) / root_k):
+                return es1.vectors @ X @ es0.vectors.T, k
+        raise AssertionError("the recurrence did not converge")
+
+    def test_same_bits_and_iterates_as_the_recurrence_from_zero(self, monkeypatch):
+        # Starting at X_1 skips only X_0 = 0's products: the result, and the
+        # iterate at which the cap is met, are the recurrence's.
+        blocks = list(random_blocks(10, seed=700)) + [
+            generate_instance(GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7,
+                                        conjugate=True, seed=9))[0]
+        ]
+        for block in blocks:
+            disp = find_disposition(block)
+            X_ref, k = self.iterate_from_zero(block)
+            assert solve_riccati_fixed_point(block, disp).tobytes() == X_ref.tobytes()
+            monkeypatch.setattr(riccati, "FIXED_POINT_MAX_ITER", k)
+            assert solve_riccati_fixed_point(block, disp).tobytes() == X_ref.tobytes()
+            monkeypatch.setattr(riccati, "FIXED_POINT_MAX_ITER", k - 1)
+            with pytest.raises(NoConvergence):
+                solve_riccati_fixed_point(block, disp)
+            monkeypatch.undo()
 
     def test_no_convergence_outside_regime(self, monkeypatch):
         # v/d = 1.3 sits in the outer region; divergence is a regime limit

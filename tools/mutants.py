@@ -1,0 +1,149 @@
+"""Mutation gate: tier-1 must fail on every one-line mutant of a check.
+
+    python3 tools/mutants.py
+
+Each mutant in MUTANTS loosens or removes one check of the tantheta
+package: a tolerance of the table in errors.py widened, a verdict diluted,
+a stage skipped. The tool copies this checkout (without .git and caches) to
+a temporary directory once and checks that tier-1 passes there unmutated.
+Then, for each mutant, it replaces the old text, which must occur exactly
+once in its file, runs tier-1 with -x and restores the file. A mutant is
+killed when tier-1 fails; the first failing test is printed beside it.
+The mutant runs leave out the test that the README's tolerance table lists
+each value of errors.py: it fails for every mutant of that table whether or
+not any check has teeth.
+
+Exit code 0 when every mutant is killed, 1 when one survives, and 2 when the
+copy cannot be tested: tier-1 fails unmutated, the copy's package is not the
+one imported, or an old text is not found exactly once.
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+
+# (file, old text, new text, reason): the twenty mutants of the first
+# mutation analysis of the checks, then later ones, so that every tolerance
+# of the table in errors.py has at least one.
+MUTANTS = (
+    ("src/tantheta/spectral.py", "dist = float(s[0])", "dist = float(s[-1])",
+     "the distance read from the smallest principal angle"),
+    ("src/tantheta/spectral.py", "d = min(lo0 - gamma_l", "d = max(lo0 - gamma_l",
+     "d taken as the larger distance to the gap edges"),
+    ("src/tantheta/riccati.py", "if j - i > 1:", "if False:",
+     "no audit of rotated degenerate singular clusters"),
+    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, W, U, A0, A1, B, Lam0)]",
+     "residuals = [np.zeros((3, dim0))]", "the audit skips its base eigenpairs"),
+    ("src/tantheta/errors.py", "EDGE_COLLAR = 1e-12", "EDGE_COLLAR = 1e-6",
+     "gap-edge collar widened a millionfold"),
+    ("src/tantheta/errors.py", "EIG_RESIDUAL_TOL = 1e-10", "EIG_RESIDUAL_TOL = 1e-4",
+     "eigensystem residual cap loosened a millionfold"),
+    ("src/tantheta/errors.py", "EIG_GRAM_TOL = 1e-8", "EIG_GRAM_TOL = 1e-2",
+     "supplied eigenbasis Gram defect cap loosened a millionfold"),
+    ("src/tantheta/errors.py", "BOUNDARY_BAND = 1e-9", "BOUNDARY_BAND = 1e-15",
+     "boundary band below the edge collar: no eigenvalue is on the boundary"),
+    ("src/tantheta/errors.py", "EXTRACTION_COND_CAP = 1e12", "EXTRACTION_COND_CAP = 1e300",
+     "top block condition cap loosened to any finite condition number"),
+    ("src/tantheta/spectral.py", "if v >= math.sqrt(disp.d * disp.D):", "if False:",
+     "no partition gate at ||B|| >= sqrt(d D)"),
+    ("src/tantheta/errors.py", "FIXED_POINT_TOL = 1e-13", "FIXED_POINT_TOL = 1e-7",
+     "fixed-point step tolerance loosened a millionfold"),
+    ("src/tantheta/errors.py", "MARGIN_FAILURE_THRESHOLD = -1e-8",
+     "MARGIN_FAILURE_THRESHOLD = -1e-3", "the verdict: margins down to -1e-3 pass"),
+    ("src/tantheta/errors.py", "RESIDUAL_REL_TOL = 1e-8", "RESIDUAL_REL_TOL = 1e-2",
+     "Riccati residual and Lambda0 asymmetry caps loosened a millionfold"),
+    ("src/tantheta/riccati.py", '    require("Lambda0 asymmetry"',
+     '    0 and require("Lambda0 asymmetry"', "no Lambda0 asymmetry check"),
+    ("src/tantheta/riccati.py", "(1.0 + abs(lhs) + abs(rhs))", "(1e6 + abs(lhs) + abs(rhs))",
+     "identity residual normaliser dilutes every residual a millionfold"),
+    ("src/tantheta/harness.py", "cross = spectral_norm(fp - ver.angular.X)", "cross = 0.0",
+     "cross_method_deviation always 0.0"),
+    ("src/tantheta/errors.py", "ASYMMETRY_TOL = 1e-12", "ASYMMETRY_TOL = 1e-6",
+     "input block asymmetry cap loosened a millionfold"),
+    ("src/tantheta/errors.py", "KERNEL_CUTOFF = 1e-12", "KERNEL_CUTOFF = 1e-3",
+     "kernel cutoff of X raised a billionfold"),
+    ("src/tantheta/errors.py", "BOUNDARY_CLASSIFY_TOL = 1e-9", "BOUNDARY_CLASSIFY_TOL = 1e-3",
+     "region boundary band widened a millionfold"),
+    ("src/tantheta/errors.py", "PROJECTOR_DISTANCE_SLACK = 1e-9",
+     "PROJECTOR_DISTANCE_SLACK = 1.0", "projector distances up to 2 pass"),
+    ("src/tantheta/errors.py", "PROJECTOR_TOL = 1e-8", "PROJECTOR_TOL = 1e-2",
+     "range basis Gram defect cap loosened a millionfold"),
+    ("src/tantheta/model.py", "if not (values[1:] >= values[:-1]).all():", "if False:",
+     "a supplied spectrum need not ascend"),
+    ("src/tantheta/model.py", "EigenSystem.of(sym, spectrum)", "EigenSystem.of(sym)",
+     "a generated block's known spectrum recomputed by eigh"),
+    ("src/tantheta/errors.py", "DEGENERACY_TOL = 1e-8", "DEGENERACY_TOL = 0.0",
+     "only exactly tied singular values form an audited cluster"),
+    ("src/tantheta/errors.py", "RADICAND_GUARD = 1e-12", "RADICAND_GUARD = 1e-3",
+     "domain-edge round-off guard of the bounds loosened a billionfold"),
+    ("src/tantheta/model.py", "if not np.isfinite(values).all():", "if False:",
+     "non-finite eigenvalues not rejected before the residual"),
+    ("src/tantheta/model.py", "unit = norm or 1.0", "unit = 1.0",
+     "eigensystem residual summed unscaled, overflowing near the float range"),
+)
+
+DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
+FAILED = re.compile(r"^FAILED (\S+)", re.M)
+
+
+def copy_checkout(dest: Path) -> None:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", "*.egg-info"))
+
+
+def tier1(copy: Path, env: dict, *extra) -> tuple:
+    """(exit code, first failing test or the end of the output) of tier-1
+    in the copy."""
+    done = subprocess.run(TIER1 + list(extra), cwd=copy, env=env, capture_output=True, text=True)
+    failed = FAILED.search(done.stdout)
+    return done.returncode, failed.group(1) if failed else done.stdout.strip()[-200:]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        copy_checkout(copy)
+        # No bytecode: a mutant as long as its original, written within the
+        # same second, could otherwise run from the original's cached .pyc.
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run([sys.executable, "-c", "import tantheta; print(tantheta.__file__)"],
+                               cwd=copy, env=env, capture_output=True, text=True).stdout.strip()
+        if Path(where).resolve().parent != (copy / "src" / "tantheta").resolve():
+            print(f"error: tantheta was imported from {where!r}, not the copy", file=sys.stderr)
+            return 2
+        code, detail = tier1(copy, env)
+        if code != 0:
+            print(f"error: tier-1 fails on the unmutated copy ({detail})", file=sys.stderr)
+            return 2
+        survivors = 0
+        start = time.perf_counter()
+        for file, old, new, reason in MUTANTS:
+            path = copy / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"error: {old!r} occurs {text.count(old)} times in {file}", file=sys.stderr)
+                return 2
+            path.write_text(text.replace(old, new))
+            code, detail = tier1(copy, env, "--deselect", DOC_TEST)
+            path.write_text(text)
+            killed = code != 0
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED':<8} {file}: {reason}"
+                  + (f" [{detail}]" if killed else ""), flush=True)
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+              f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
