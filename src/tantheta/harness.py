@@ -27,7 +27,6 @@ from .spectral import (
     find_disposition,
     perturbed_partition,
     projection_distance,
-    unperturbed_projector,
 )
 
 # Trials with ratio at or below this also run the fixed-point solver and
@@ -215,7 +214,7 @@ class Verification:
         put(self, "disposition", find_disposition(block))
         put(self, "partition", perturbed_partition(block, self.disposition))
         put(self, "angular", extract_angular_operator(self.partition, block))
-        put(self, "distance", projection_distance(unperturbed_projector(block), self.partition.P0))
+        put(self, "distance", projection_distance(block, self.partition))
         put(self, "bound", m_total(self.disposition.D, self.disposition.d, block.v_norm))
         put(self, "audit", verify_lemma_identities(self.angular, block, seed=self.seed))
 

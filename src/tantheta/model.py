@@ -97,7 +97,7 @@ class EigenSystem:
         <= EIG_RESIDUAL_TOL (1 + max|w|), which bounds the operator-norm
         residual; ResidualTooLarge is raised beyond it and for a non-finite
         eigenvalue. eigh's V is not checked for orthonormality; the in-gap
-        basis of L is, by RangeProjector.lower_svd.
+        basis of L is, by SpectrumPartition.
         """
         if spectrum is None:
             try:

@@ -79,8 +79,8 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
 
     Splits the orthonormal in-gap basis Y of the partition into blocks Y0
     (top dim0 rows) and Y1 and returns X = Y1 Y0^{-1}, read off the SVD
-    Y1 = U diag(s) W^T that the partition's projector caches for the
-    projector distance (P0.lower_svd). The columns of Y0 W are orthogonal
+    Y1 = U diag(s) W^T that the partition holds for the projector
+    distance too (lower_svd). The columns of Y0 W are orthogonal
     with norms c, the cosines of the principal angles, so with
     Z = Y0 W / c, Y0 = Z diag(c) W^T and X = U diag(s / c) Z[:, :k]^T is an
     SVD of X whose right basis Z is already square; the record keeps it as
@@ -90,11 +90,11 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     the result fails its Riccati residual contract.
     """
     dim0 = block.dim0
-    P0 = partition.P0
-    if P0.rank != dim0:
-        raise GraphExtractionFailed(f"partition rank {P0.rank} != dim0 {dim0}")
-    U, s, Wt = P0.lower_svd
-    Y0W = P0.basis[:dim0, :] @ Wt.T
+    Y = partition.basis
+    if Y.shape[1] != dim0:
+        raise GraphExtractionFailed(f"partition rank {Y.shape[1]} != dim0 {dim0}")
+    U, s, Wt = partition.lower_svd
+    Y0W = Y[:dim0, :] @ Wt.T
     c = np.sqrt(np.einsum("ij,ij->j", Y0W, Y0W))
     c_min, c_max = float(c.min()), float(c.max())
     cond = c_max / c_min if c_min > 0.0 else math.inf
@@ -115,6 +115,7 @@ def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator)
     return AngularOperator(X, polar, eigenvalues_abs, Z, res)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -> np.ndarray:
     """Independent cross-check solver; returns the matrix X.
 
@@ -129,6 +130,8 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     test ||X_{k+1} - X_k|| <= tol (1 + ||X_{k+1}||). Convergence is
     guaranteed only for small ||B||/d; NoConvergence past
     FIXED_POINT_MAX_ITER steps is a regime limit, not a correctness failure.
+    A diverged iteration, whose step or iterate norm is not finite, raises
+    NoConvergence at once, without a floating-point warning.
     """
     es0 = block.A0.eig
     es1 = block.A1.eig
@@ -146,8 +149,14 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     # X_1, from X_0 = 0 by the arithmetic of a step (+0 - b), and its step.
     X = (0.0 - BtT) / denom
     step = frobenius(X)
-    for _ in range(FIXED_POINT_MAX_ITER):
-        if step <= FIXED_POINT_TOL * (1.0 + frobenius(X) / root_k):
+    for k in range(FIXED_POINT_MAX_ITER):
+        x_norm = frobenius(X)
+        if not (math.isfinite(step) and math.isfinite(x_norm)):
+            raise NoConvergence(
+                f"fixed-point iteration diverged at step {k + 1} "
+                f"(||X||_F = {x_norm:g}, ||B||/d = {block.v_norm / disp.d:g})"
+            )
+        if step <= FIXED_POINT_TOL * (1.0 + x_norm / root_k):
             return Q1 @ X @ Q0.T
         # In place: XBX becomes X_{k+1}, and X the step X_k - X_{k+1}, whose
         # norm is that of X_{k+1} - X_k bit for bit (negation is exact).

@@ -1,10 +1,9 @@
-"""Eigendecomposition-based ground truth: gap discovery, perturbed-spectrum
-partition and projector distances."""
+"""Eigendecomposition-based ground truth: gap discovery, the perturbed
+spectrum's partition with its in-gap subspace, and the projector distance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .model import BlockOperator, EigenSystem, SpectralDisposition, frobenius
 
 def find_disposition(block: BlockOperator) -> SpectralDisposition:
     """Locate the finite gap of sigma1 = spec(A1) containing all of
-    sigma0 = spec(A0), reading both spectra (ascending) off the cached
-    eigensystems of A0 and A1.
+    sigma0 = spec(A0), reading both spectra (ascending) off the eigensystems
+    that A0 and A1 carry from construction.
 
     Raises DispositionViolated when sigma0 is not inside a single finite
     gap of sigma1: a value of sigma1 lies in the closed hull of sigma0, or
@@ -44,57 +43,34 @@ def find_disposition(block: BlockOperator) -> SpectralDisposition:
 
 
 @dataclass(frozen=True, eq=False)
-class RangeProjector:
-    """Orthogonal projector U U^T held by an orthonormal basis U (n x k,
-    columns) of its range."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @cached_property
-    def leading(self) -> bool:
-        """Whether the basis is the first k coordinate vectors."""
-        return np.array_equal(self.basis, np.eye(*self.basis.shape))
-
-    @cached_property
-    def lower_svd(self) -> tuple:
-        """SVD (U1, s, Wt) of the lower block Y1 = Y[k:] of the basis
-        Y = [Y0; Y1], k = rank, after a check ||Y^T Y - I||_F <= PROJECTOR_TOL.
-
-        The singular values s (descending) are the sines of the principal
-        angles between the range and the span of the first k coordinate
-        vectors. U1 and s are thin and Wt is square (k x k), so that its
-        rows span the whole domain also when Y1 has fewer rows than k. All
-        three are read-only.
-        """
-        Y = self.basis
-        gram_defect = frobenius(Y.T @ Y - np.eye(self.rank))
-        require("range basis Gram defect", gram_defect, PROJECTOR_TOL, NotAProjector)
-        Y1 = Y[self.rank :]
-        U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
-        s += 0.0  # turns the -0.0 LAPACK can return for a Y1 of signed zeros into 0.0
-        for arr in (U1, s, Wt):
-            arr.setflags(write=False)
-        return U1, s, Wt
-
-
-@dataclass(frozen=True, eq=False)
 class SpectrumPartition:
-    """The in-gap eigenvalues omega0 of L (ascending, read-only) with the
-    orthogonal projector onto their spectral subspace, held by the
-    orthonormal in-gap eigenvectors."""
+    """The in-gap eigenvalues omega0 of L (ascending) with their orthonormal
+    eigenvectors Y = [Y0; Y1] (n x k, columns), a basis of the spectral
+    subspace, and lower_svd = (U1, s, Wt), the SVD of Y1 = Y[k:].
+
+    Construction checks ||Y^T Y - I||_F <= PROJECTOR_TOL (NotAProjector
+    otherwise), then takes the SVD. Its singular values s (descending) are
+    the sines of the principal angles between the subspace and the span of
+    the first k coordinate vectors. U1 and s are thin and Wt is square
+    (k x k), so that its rows span the whole domain also when Y1 has fewer
+    rows than k. Every array is read-only.
+    """
 
     omega0: np.ndarray
-    P0: RangeProjector
+    basis: np.ndarray
+    lower_svd: tuple = field(init=False)
 
     def __post_init__(self):
-        self.omega0.setflags(write=False)
+        Y = self.basis
+        k = Y.shape[1]
+        gram_defect = frobenius(Y.T @ Y - np.eye(k))
+        require("range basis Gram defect", gram_defect, PROJECTOR_TOL, NotAProjector)
+        Y1 = Y[k:]
+        U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
+        s += 0.0  # turns the -0.0 LAPACK can return for a Y1 of signed zeros into 0.0
+        for arr in (self.omega0, Y, U1, s, Wt):
+            arr.setflags(write=False)
+        object.__setattr__(self, "lower_svd", (U1, s, Wt))
 
 
 def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> SpectrumPartition:
@@ -129,34 +105,29 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
         raise GapEmptyOrRankMismatch(
             f"in-gap rank {omega0.size} != dim0 {block.dim0} (numerical trouble)"
         )
-    return SpectrumPartition(omega0, RangeProjector(es.vectors[:, inside]))
+    return SpectrumPartition(omega0, es.vectors[:, inside])
 
 
-def projection_distance(P: RangeProjector, Q: RangeProjector) -> float:
-    """Operator norm of the difference of two orthogonal projectors of one
-    rank, one of which projects onto the leading coordinates.
+def projection_distance(block: BlockOperator, partition: SpectrumPartition) -> float:
+    """||E_A(sigma0) - E_L(omega0)||, the operator norm of the difference
+    of the projector onto the top dim0 coordinates and the partition's
+    spectral projector.
 
-    P and Q are RangeProjectors of the same shape, one of them `leading`;
-    the distance ||(I - P) Q|| is then the norm of the other basis' rows
-    below the first k, the largest singular value of its cached lower_svd.
-    Any other pair raises NotAProjector.
+    Both have rank dim0, so the distance is ||(I - E_A) E_L|| = ||Y1||, the
+    largest singular value of the partition's lower_svd. A partition basis
+    that is not n x dim0 raises NotAProjector.
     """
-    if not (
-        isinstance(P, RangeProjector)
-        and isinstance(Q, RangeProjector)
-        and P.basis.shape == Q.basis.shape
-        and (P.leading or Q.leading)
-    ):
+    if partition.basis.shape != (block.n, block.dim0):
         raise NotAProjector(
-            "projection_distance takes two range projectors of one shape, one of them leading"
+            f"partition basis shape {partition.basis.shape} != (n, dim0) = {(block.n, block.dim0)}"
         )
-    s = (Q if P.leading else P).lower_svd[1]
-    dist = float(s[0]) if s.size else 0.0
+    s = partition.lower_svd[1]
+    dist = float(s[0])
     require("projector distance", dist, 1.0 + PROJECTOR_DISTANCE_SLACK, NotAProjector)
     return min(dist, 1.0)
 
 
-def unperturbed_projector(block: BlockOperator) -> RangeProjector:
-    """Projector onto the reference subspace carrying spec(A0) (the top
-    dim0 coordinates of the block decomposition)."""
-    return RangeProjector(np.eye(block.n, block.dim0))
+def unperturbed_projector(block: BlockOperator) -> np.ndarray:
+    """Orthonormal basis of the range of E_A(sigma0), the reference
+    subspace carrying spec(A0): the first dim0 coordinate vectors (n x dim0)."""
+    return np.eye(block.n, block.dim0)

@@ -6,16 +6,16 @@ import numpy as np
 from tantheta import NotAProjector
 from tantheta.bounds import half_arctan_tangent, kappa
 from tantheta.model import spectral_norm
-from tantheta.spectral import PROJECTOR_TOL, RangeProjector
+from tantheta.spectral import PROJECTOR_TOL
 
 
 def dense_projector(P) -> np.ndarray:
-    """The dense n x n matrix of a RangeProjector (U U^T, symmetrized), a
-    SymMatrix or an array."""
-    if isinstance(P, RangeProjector):
-        M = P.basis @ P.basis.T
+    """The dense n x n matrix of a projector given by an orthonormal range
+    basis U, an n x k array (U U^T, symmetrized), or by a SymMatrix."""
+    if isinstance(P, np.ndarray):
+        M = P @ P.T
         return (M + M.T) / 2.0
-    return np.asarray(getattr(P, "entries", P), dtype=float)
+    return np.asarray(P.entries, dtype=float)
 
 
 def check_projector(P: np.ndarray, name: str) -> None:

@@ -26,7 +26,6 @@ from tantheta import (
     projection_distance,
     r_v,
     run_sweep,
-    unperturbed_projector,
     verify_lemma_identities,
     write_reports,
 )
@@ -68,7 +67,7 @@ def trial_records():
 
 def measured_distance(block):
     part = perturbed_partition(block, find_disposition(block))
-    return projection_distance(part.P0, unperturbed_projector(block))
+    return projection_distance(block, part)
 
 
 def test_1_bound_validity(trial_records):

@@ -41,7 +41,7 @@ from tantheta.errors import TanThetaError, require
 from tantheta.families import rank_one_build
 from tantheta.harness import margin_fails
 from tantheta.model import EigenSystem
-from tantheta.spectral import RangeProjector, SpectrumPartition
+from tantheta.spectral import SpectrumPartition
 
 TABLE = [
     name for name, value in vars(errors).items() if name.isupper() and isinstance(value, float)
@@ -98,9 +98,9 @@ class TestCapsHaveTeeth:
         part = ver.partition
         es = EigenSystem.of(block.assemble_perturbed())
         outside = es.vectors[:, ~np.isin(es.values, part.omega0)][:, 0]
-        Y = part.P0.basis.copy()
+        Y = part.basis.copy()
         Y[:, 0] = math.cos(eps) * Y[:, 0] + math.sin(eps) * outside
-        turned = SpectrumPartition(part.omega0.copy(), RangeProjector(Y))
+        turned = SpectrumPartition(part.omega0.copy(), Y)
         if not fails:
             extract_angular_operator(turned, block)
             return
@@ -110,7 +110,7 @@ class TestCapsHaveTeeth:
     def test_extraction_condition_infinite(self):
         # An in-gap basis with a zero top block is no graph: cond(Y0) = inf.
         block = make_block_operator([[0.5]], np.diag([-2.0, 2.0]), [[0.3, 0.4]])
-        vertical = SpectrumPartition(np.array([0.5]), RangeProjector(np.eye(3)[:, 1:2]))
+        vertical = SpectrumPartition(np.array([0.5]), np.eye(3)[:, 1:2])
         with pytest.raises(GraphExtractionFailed, match="^top block condition number inf "):
             extract_angular_operator(vertical, block)
 
@@ -135,11 +135,29 @@ class TestCapsHaveTeeth:
     def test_projector_distance(self):
         # A singular value 1 + 3e-9 passes the Gram check (defect 6e-9) but
         # is no sine of an angle.
-        leading = RangeProjector(np.eye(3, 1))
-        assert projection_distance(leading, RangeProjector(np.array([[0.0], [1.0], [0.0]]))) == 1.0
-        long = RangeProjector(np.array([[0.0], [1.0 + 3e-9], [0.0]]))
+        block = rank_one_build(2.0, 1.0, 0.0, 0.5)
+        vertical = SpectrumPartition(np.zeros(1), np.array([[0.0], [1.0], [0.0]]))
+        assert projection_distance(block, vertical) == 1.0
+        long = SpectrumPartition(np.zeros(1), np.array([[0.0], [1.0 + 3e-9], [0.0]]))
         with pytest.raises(NotAProjector, match=re.escape(f"distance {1.0 + 3e-9!r} exceeds")):
-            projection_distance(leading, long)
+            projection_distance(block, long)
+
+    def test_partition_shape(self):
+        # A partition of another block's in-gap subspace is no E_L(omega0)
+        # of this block, whatever its lower block's singular values.
+        block, ver = reference_instance()
+        assert projection_distance(block, ver.partition) == ver.distance
+        other = harness.Verification(rank_one_build(2.0, 1.0, 0.0, 0.5)).partition
+        with pytest.raises(NotAProjector, match=re.escape("shape (3, 1) != (n, dim0)")):
+            projection_distance(block, other)
+
+    def test_range_basis_gram_defect(self):
+        # A basis 1e-6 too long has a Gram defect of about 2e-6 sqrt(k).
+        _, ver = reference_instance()
+        part = ver.partition
+        SpectrumPartition(part.omega0.copy(), part.basis.copy())
+        with pytest.raises(NotAProjector, match="^range basis Gram defect "):
+            SpectrumPartition(part.omega0.copy(), part.basis * (1.0 + 1e-6))
 
     @pytest.mark.parametrize("excess, code", [(1e-10, 0), (1e-6, 1)])
     def test_margin_verdict(self, monkeypatch, capsys, excess, code):

@@ -5,6 +5,7 @@ import pytest
 
 from tantheta import (
     DomainError,
+    Verification,
     rank_one_build,
     rank_one_inner_expected,
     rank_one_outer_params,
@@ -18,14 +19,13 @@ from tantheta import (
     perturbed_partition,
     projection_distance,
     riccati_residual,
-    unperturbed_projector,
 )
 
 
 def measured_distance(block):
     disp = find_disposition(block)
     part = perturbed_partition(block, disp)
-    return projection_distance(part.P0, unperturbed_projector(block))
+    return projection_distance(block, part)
 
 
 class TestRankOneBuild:
@@ -197,3 +197,32 @@ def test_non_finite_argument_raises(fn, slot, point, bad):
     args[slot] = bad
     with pytest.raises(DomainError, match="must be finite"):
         fn(*args)
+
+
+# v = k sqrt(2) / 40, k = 1..39: the a priori domain 0 < v < sqrt(2) d at d = 1.
+HEADLINE_V = [k * math.sqrt(2.0) / 40.0 for k in range(1, 40)]
+
+
+class TestHeadline:
+    """The paper's headline estimate ||E_A(sigma0) - E_L(omega0)|| <=
+    sin(arctan(||V|| / d)) is the bound at D = 2d, and the a = 0 witnesses
+    attain it there."""
+
+    @pytest.mark.parametrize("v", HEADLINE_V)
+    def test_apriori_estimate_is_the_bound_at_D_2d(self, v):
+        ev = m_total(2.0, 1.0, v)
+        assert abs(ev.apriori_bound - ev.projection_bound) <= 2 * math.ulp(ev.projection_bound)
+
+    @pytest.mark.parametrize("v", HEADLINE_V)
+    def test_a0_witnesses_attain_the_headline(self, v):
+        # circulant below v = d, outer rank-one from v = d up to sqrt(2) d
+        if v < 1.0:
+            _, b1, b2 = circulant_case_params(1.0, 0.0, v)
+            block = circulant_build(1.0, 0.0, b1, b2)
+        else:
+            _, _, b1, b2 = rank_one_outer_params(1.0, 0.0, v)
+            block = rank_one_build(1.0, 0.0, b1, b2)
+        ver = Verification(block)
+        assert (ver.disposition.D, ver.disposition.d) == (2.0, 1.0)
+        assert abs(ver.bound.projection_bound - ver.distance) <= 1e-15
+        assert abs(ver.bound.apriori_bound - ver.distance) <= 1e-15

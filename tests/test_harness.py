@@ -231,7 +231,6 @@ def test_array_records_compare_by_identity():
         (block.A0.eig, twin.A0.eig),
         (ver, other),
         (ver.partition, other.partition),
-        (ver.partition.P0, other.partition.P0),
         (ver.angular, other.angular),
         (ver.audit, other.audit),
     ]
@@ -312,7 +311,7 @@ class TestDecompositionCount:
 
         # The only SVD of a trial is the one of Y1, the lower block of the
         # in-gap eigenvectors, and the only SVD-based 2-norm is generation's.
-        Y1 = Verification(block, seed=cfg.seed).partition.P0.basis[block.dim0 :]
+        Y1 = Verification(block, seed=cfg.seed).partition.basis[block.dim0 :]
         svds = [M for name, M in calls if name == "svd"]
         assert len(svds) == 1 and np.array_equal(svds[0], Y1)
         assert sum(name == "norm" for name, _ in calls) <= 1

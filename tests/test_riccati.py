@@ -20,7 +20,6 @@ from tantheta import (
     projection_distance,
     riccati_residual,
     solve_riccati_fixed_point,
-    unperturbed_projector,
     verify_lemma_identities,
 )
 from tantheta import riccati
@@ -83,7 +82,7 @@ class TestExtraction:
             disp = find_disposition(block)
             part = perturbed_partition(block, disp)
             ang = extract_angular_operator(part, block)
-            dist = projection_distance(unperturbed_projector(block), part.P0)
+            dist = projection_distance(block, part)
             assert abs(dist - ang.sin_theta) <= 1e-9 * (1.0 + ang.norm)
 
     def test_extraction_residual_contract(self):
@@ -100,7 +99,7 @@ class TestExtraction:
             part = perturbed_partition(block, disp)
             ang = extract_angular_operator(part, block)
             Z = np.vstack([-ang.X.T, np.eye(block.dim1)])
-            assert np.max(np.abs(part.P0.basis.T @ Z)) <= 1e-8
+            assert np.max(np.abs(part.basis.T @ Z)) <= 1e-8
 
 
 # (dim0, dim1, D, ratio, seed, number of eigenvalues of |X| at or below
@@ -202,6 +201,18 @@ class TestFixedPoint:
         assert riccati_residual(fp, block) <= 1e-6 * (1.0 + np.linalg.norm(fp, 2)) ** 2 * (
             1.0 + block.A0.eig.norm + block.A1.eig.norm + np.linalg.norm(block.B, 2)
         )
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_diverged_iteration_raises(self, conjugate):
+        # At ||B||/d = 1.35 the iterates grow past the float range within
+        # 81 steps; once ||X||_F overflows, inf <= tol (1 + inf) would pass
+        # the step test and return the diverged X as converged.
+        cfg = GenConfig(dim0=2, dim1=3, D=2.0, d=1.0, ratio=1.35, conjugate=conjugate, seed=12)
+        block, disp = generate_instance(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoConvergence, match="diverged"):
+                solve_riccati_fixed_point(block, disp)
 
 
 class TestLambda0:

@@ -23,7 +23,7 @@ from tantheta import (
     unperturbed_projector,
 )
 from tantheta.model import SpectralDisposition
-from tantheta.spectral import RangeProjector, SpectrumPartition
+from tantheta.spectral import SpectrumPartition
 from tantheta.families import rank_one_build, rank_one_outer_params
 
 from oracles import dense_projection_distance, dense_projector
@@ -95,7 +95,7 @@ class TestPerturbedPartition:
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
         assert part.omega0 == pytest.approx((-1.0, 1.0), abs=1e-12)
-        assert np.allclose(dense_projector(part.P0), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
+        assert np.allclose(dense_projector(part.basis), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
 
     def test_rank_one_outer_single_midgap_eigenvalue(self):
         # a = 0 configuration keeps the in-gap eigenvalue pinned at zero
@@ -190,7 +190,7 @@ class TestProjectionDistance:
     def test_rank_one_value_against_brute_force(self):
         block = rank_one_build(2.0, 1.0, 0.0, 0.5)
         part = perturbed_partition(block, find_disposition(block))
-        d = projection_distance(unperturbed_projector(block), part.P0)
+        d = projection_distance(block, part)
         # independent oracle: dense 3x3 eigendecomposition
         Q = brute_projector(block.assemble_perturbed(), -2.0, 2.0)
         oracle = np.abs(np.linalg.eigvalsh(np.diag([1.0, 0.0, 0.0]) - Q)).max()
@@ -235,19 +235,19 @@ class TestBasisRoute:
     def test_unperturbed_projector_is_a_basis(self):
         block = rank_one_build(2.0, 1.0, 0.0, 0.5)
         P = unperturbed_projector(block)
-        assert P.rank == 1
+        assert P.shape == (3, 1)
         assert np.array_equal(dense_projector(P), np.diag([1.0, 0.0, 0.0]))
 
     def test_partition_projector_dense_form(self):
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
-        assert part.P0.rank == 2
-        assert np.allclose(dense_projector(part.P0), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
+        assert part.basis.shape[1] == 2
+        assert np.allclose(dense_projector(part.basis), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
 
     def test_basis_off_orthonormal_rejected(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
-        good = RangeProjector(Q[:, :3])
-        bad = RangeProjector(Q[:, :3] * (1.0 + 1e-6))
+        good = Q[:, :3]
+        bad = Q[:, :3] * (1.0 + 1e-6)
         assert dense_projection_distance(good, good) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(NotAProjector):
             dense_projection_distance(bad, good)
@@ -256,7 +256,7 @@ class TestBasisRoute:
 
     def test_unequal_ranks_give_one(self):
         Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
-        P, R = RangeProjector(Q[:, :2]), RangeProjector(Q[:, 1:4])
+        P, R = Q[:, :2], Q[:, 1:4]
         assert dense_projection_distance(P, R) == 1.0
         assert dense_projection_distance(R, P) == 1.0
         # the dense route agrees
@@ -268,17 +268,16 @@ class TestBasisRoute:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(NotAProjector):
-            projection_distance(RangeProjector(np.eye(3, 1)), RangeProjector(np.eye(4, 1)))
+            projection_distance(rank_one_build(2.0, 1.0, 0.0, 0.5),
+                                SpectrumPartition(np.zeros(1), np.eye(4, 1)))
 
     def test_matches_dense_route_and_eigh_oracle(self):
         count = 0
         for cfg in oracle_instances():
             block, disp = generate_instance(cfg)
             ver = Verification(block, seed=cfg.seed)
-            P, Q = unperturbed_projector(block), ver.partition.P0
-            dense = dense_projection_distance(P, Q)
-            assert abs(projection_distance(P, Q) - dense) <= 1e-12
-            assert abs(projection_distance(Q, P) - dense) <= 1e-12
+            dense = dense_projection_distance(unperturbed_projector(block), ver.partition.basis)
+            assert abs(projection_distance(block, ver.partition) - dense) <= 1e-12
             # independent oracle: ||Y1|| from a fresh eigendecomposition of L
             w, V = np.linalg.eigh(block.assemble_perturbed())
             Y = V[:, (w > disp.gamma_l) & (w < disp.gamma_r)]
@@ -303,7 +302,7 @@ class TestCosineSineRoute:
         for cfg in oracle_instances():
             block, _ = generate_instance(cfg)
             ver = Verification(block, seed=cfg.seed)
-            Y = ver.partition.P0.basis
+            Y = ver.partition.basis
             Y0, Y1 = Y[: block.dim0], Y[block.dim0 :]
             X_ref = np.linalg.solve(Y0.T, Y1.T).T
             s_ref = np.linalg.svd(X_ref, compute_uv=False)
@@ -335,11 +334,9 @@ class TestCosineSineRoute:
         Y = np.zeros((4, 2))
         Y[0, 0], Y[2, 0], Y[1, 1] = cosine, np.sqrt(1.0 - cosine**2), 1.0
         Y[:2], Y[2:] = R0 @ Y[:2], R1 @ Y[2:]
-        part = SpectrumPartition(np.zeros(2), RangeProjector(Y))
+        part = SpectrumPartition(np.zeros(2), Y)
         block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
-        assert projection_distance(unperturbed_projector(block), part.P0) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert projection_distance(block, part) == pytest.approx(1.0, abs=1e-12)
         if raises:
             with pytest.raises(GraphExtractionFailed):
                 extract_angular_operator(part, block)
@@ -348,42 +345,11 @@ class TestCosineSineRoute:
             ang = extract_angular_operator(part, block)
             assert ang.norm == pytest.approx(np.sqrt(1.0 - cosine**2) / cosine, rel=1e-6)
 
-    def test_leading_route(self):
-        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
-        E = RangeProjector(np.eye(6, 2))
-        V = RangeProjector(Q[:, :2])
-        assert E.leading and not V.leading
-        dense = dense_projection_distance(E, V)
-        assert projection_distance(E, V) == pytest.approx(dense, abs=1e-12)
-        assert projection_distance(V, E) == projection_distance(E, V)
-        assert projection_distance(E, E) == 0.0
-        # unequal ranks have no leading route; the dense oracle gives exactly 1
-        assert dense_projection_distance(E, RangeProjector(Q[:, :3])) == 1.0
-        # the other basis is checked before its SVD
-        with pytest.raises(NotAProjector):
-            projection_distance(E, RangeProjector(Q[:, :2] * (1.0 + 1e-6)))
-
-    def test_other_pairs_raise(self):
-        # Only the leading route is production code; every other pair of
-        # projectors goes to the dense oracle in the tests.
-        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
-        E, V = RangeProjector(np.eye(6, 2)), RangeProjector(Q[:, :2])
-        pairs = [
-            (V, V),
-            (E, RangeProjector(Q[:, :3])),
-            (SymMatrix(dense_projector(E)), SymMatrix(dense_projector(V))),
-            (dense_projector(E), V),
-        ]
-        for P, R in pairs:
-            with pytest.raises(NotAProjector):
-                projection_distance(P, R)
-
-    def test_lower_svd_is_cached(self):
+    def test_lower_svd_taken_at_construction(self):
         block, _ = generate_instance(GenConfig(dim0=5, dim1=3, D=4.0, d=1.0, ratio=0.6,
                                                conjugate=True, seed=4))
         part = Verification(block).partition
-        U, s, Wt = part.P0.lower_svd
-        assert part.P0.lower_svd[0] is U
+        U, s, Wt = part.lower_svd
         assert U.shape == (3, 3) and s.shape == (3,) and Wt.shape == (5, 5)
-        Y1 = part.P0.basis[5:]
+        Y1 = part.basis[5:]
         assert np.allclose((U * s) @ Wt[:3], Y1, atol=1e-14)

@@ -90,6 +90,10 @@ MUTANTS = (
      "non-finite eigenvalues not rejected before the residual"),
     ("src/tantheta/model.py", "unit = norm or 1.0", "unit = 1.0",
      "eigensystem residual summed unscaled, overflowing near the float range"),
+    ("src/tantheta/spectral.py", "if partition.basis.shape != (block.n, block.dim0):", "if False:",
+     "a partition of another block's shape measured against this block"),
+    ("src/tantheta/riccati.py", "if not (math.isfinite(step) and math.isfinite(x_norm)):",
+     "if False:", "a diverged fixed-point iteration counted as converged"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
