@@ -5,12 +5,8 @@ exact eigendecomposition ground truth."""
 from .bounds import (
     BoundEvaluation,
     apriori_bound,
-    kappa,
-    m1,
-    m2,
     m_total,
     phi_maximizer,
-    r_v,
     sin_arctan,
 )
 from .errors import (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RADICAND_GUARD, DomainError
-from .model import Region, classify_region, require_finite, unit_scaled
+from .model import Region, classify_region, require_finite, unit_exponent, unit_scaled
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,73 +25,48 @@ def sin_arctan(x: float) -> float:
     return x / math.hypot(1.0, x)
 
 
-def _guarded_sqrt(radicand: float, what: str) -> float:
-    if radicand < -RADICAND_GUARD:
-        raise DomainError(f"negative radicand for {what}: {radicand:g}")
-    return math.sqrt(max(radicand, 0.0))
+# The helpers below trust their point: m_total has checked it and, for
+# kappa, M1 and M2, scaled it to unit size with unit_scaled.
 
 
-def r_v(D: float, d: float, v: float) -> float:
+def _r_v(D: float, d: float, v: float) -> float:
     """Radius of the spectral shift: v tan(arctan(2v / (D - d)) / 2).
     Strictly below d whenever v < sqrt(d D)."""
-    require_finite("D, d, v", D, d, v)
-    if d <= 0.0 or d >= D:
-        raise DomainError(f"need 0 < d < D, got d={d}, D={D}")
-    if v < 0.0:
-        raise DomainError(f"v must be non-negative, got {v}")
     return v * half_arctan_tangent(2.0 * v / (D - d))
 
 
-def _in_omega1(D: float, d: float, v: float) -> bool:
-    return D > 0.0 and 0.0 < d <= D / 2.0 and 0.0 <= v < math.sqrt(d * (D - d))
-
-
-def kappa(D: float, d: float, v: float) -> float:
+def _kappa(D: float, d: float, v: float) -> float:
     """Two-branch estimating function, defined for 0 <= v < sqrt(d(D-d)).
 
     Branch 1 (2v/d) applies up to v = sqrt(d(D-2d))/2; the second, rational
     branch is continuous across that threshold and blows up as v approaches
     sqrt(d(D-d)).
     """
-    Ds, ds, vs = unit_scaled(D, d, v)
-    if not _in_omega1(Ds, ds, vs):
-        raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1")
-    if vs <= 0.5 * math.sqrt(ds * (Ds - 2.0 * ds)):
-        return 2.0 * vs / ds
-    num = vs * Ds + math.sqrt(ds * (Ds - ds)) * math.sqrt((Ds - 2.0 * ds) ** 2 + 4.0 * vs * vs)
-    return num / (2.0 * (ds * (Ds - ds) - vs * vs))
+    if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
+        return 2.0 * v / d
+    num = v * D + math.sqrt(d * (D - d)) * math.sqrt((D - 2.0 * d) ** 2 + 4.0 * v * v)
+    return num / (2.0 * (d * (D - d) - v * v))
 
 
-def m1(D: float, d: float, v: float) -> float:
+def _m1(D: float, d: float, v: float) -> float:
     """First bound branch, in [0, 1]; defined up to and including the
     boundary v = sqrt(d(D-d)) by continuous extension (value 1 there)."""
-    Ds, ds, vs = unit_scaled(D, d, v)
-    if Ds <= 0.0 or ds <= 0.0 or ds > Ds / 2.0 or vs < 0.0:
-        raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega_1 closure")
-    v_boundary = math.sqrt(ds * (Ds - ds))
-    if vs > v_boundary * (1.0 + RADICAND_GUARD):
-        raise DomainError(f"v = {v} exceeds the boundary sqrt(d(D-d)) = {v_boundary * (D / Ds)}")
-    if vs <= 0.5 * math.sqrt(ds * (Ds - 2.0 * ds)):
-        return 2.0 * vs / (ds + math.sqrt(ds * ds + 4.0 * vs * vs))
-    root = math.sqrt((Ds - 2.0 * ds) ** 2 + 4.0 * vs * vs)
-    num = vs * (2.0 * vs + root) + v_boundary * (Ds - 2.0 * v_boundary)
-    den = Ds * vs + v_boundary * root
+    if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
+        return 2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v))
+    v_boundary = math.sqrt(d * (D - d))
+    root = math.sqrt((D - 2.0 * d) ** 2 + 4.0 * v * v)
+    num = v * (2.0 * v + root) + v_boundary * (D - 2.0 * v_boundary)
+    den = D * v + v_boundary * root
     return num / den
 
 
-def m2(D: float, d: float, v: float) -> float:
+def _m2(D: float, d: float, v: float) -> float:
     """Second bound branch, in [1, sqrt(2)); defined for
-    sqrt(d(D-d)) <= v < sqrt(d D)."""
-    Ds, ds, vs = unit_scaled(D, d, v)
-    if Ds <= 0.0 or ds <= 0.0 or ds > Ds / 2.0:
-        raise DomainError(f"(D, d) = ({D}, {d}) is outside the bound domain")
-    v_boundary = math.sqrt(ds * (Ds - ds))
-    if vs < v_boundary * (1.0 - RADICAND_GUARD) or vs >= math.sqrt(ds * Ds):
-        raise DomainError(f"v = {v} is outside [sqrt(d(D-d)), sqrt(dD))")
-    t1 = _guarded_sqrt(ds * Ds - vs * vs, "M2 first factor")
-    t2 = _guarded_sqrt((Ds - ds) * Ds - vs * vs, "M2 second factor")
-    radicand = 1.0 + 2.0 * vs * vs / (Ds * Ds) - 2.0 * t1 * t2 / (Ds * Ds)
-    return _guarded_sqrt(radicand, "M2")
+    sqrt(d(D-d)) <= v < sqrt(d D). At a unit-scaled point of that range no
+    radicand falls more than a few ulps below 0; the clamps absorb that."""
+    t1 = math.sqrt(max(d * D - v * v, 0.0))
+    t2 = math.sqrt(max((D - d) * D - v * v, 0.0))
+    return math.sqrt(max(1.0 + 2.0 * v * v / (D * D) - 2.0 * t1 * t2 / (D * D), 0.0))
 
 
 @dataclass(frozen=True)
@@ -114,29 +89,29 @@ class BoundEvaluation:
 
 def m_total(D: float, d: float, v: float) -> BoundEvaluation:
     """Combined bound M (M1 below the inter-branch boundary, M2 at and
-    above it) together with every derived quantity."""
-    region = classify_region(D, d, v)
+    above it) together with every derived quantity. The point is classified
+    once, at its unit-scaled copy, where kappa, M1 and M2, homogeneous of
+    degree 0, are taken too; r_V is taken at the point itself."""
+    Ds, ds, vs = unit_scaled(D, d, v)
+    region = classify_region(Ds, ds, vs)
     if region is Region.OUTSIDE_OMEGA:
         raise DomainError(f"(D, d, v) = ({D}, {d}, {v}) is outside Omega")
-    Ds, ds, vs = unit_scaled(D, d, v)
     v_boundary = math.sqrt(ds * (Ds - ds))
-    kap = kappa(D, d, v) if region in (Region.OMEGA1_0, Region.OMEGA1_1) else None
-    M1_val = m1(D, d, v) if vs <= v_boundary else None
-    M2_val = m2(D, d, v) if vs >= v_boundary else None
-    M = M1_val if vs < v_boundary else M2_val
-    apriori = apriori_bound(d, v) if v < SQRT2 * d else None
+    M1 = _m1(Ds, ds, vs) if vs <= v_boundary else None
+    M2 = _m2(Ds, ds, vs) if vs >= v_boundary else None
+    M = M1 if vs < v_boundary else M2
     return BoundEvaluation(
         D=float(D),
         d=float(d),
         v=float(v),
         region=region,
-        r_V=r_v(D, d, v),
-        kappa=kap,
-        M1=M1_val,
-        M2=M2_val,
-        M=float(M),
-        projection_bound=sin_arctan(float(M)),
-        apriori_bound=apriori,
+        r_V=_r_v(D, d, v),
+        kappa=_kappa(Ds, ds, vs) if region in (Region.OMEGA1_0, Region.OMEGA1_1) else None,
+        M1=M1,
+        M2=M2,
+        M=M,
+        projection_bound=sin_arctan(M),
+        apriori_bound=sin_arctan(v / d) if v < SQRT2 * d else None,
     )
 
 
@@ -163,19 +138,26 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     over [0, gamma); the maximum equals M2(2 gamma, gamma - a, b)^2.
 
     Defined for 0 <= a < gamma and sqrt(gamma^2 - a^2) <= b <
-    sqrt(2 gamma (gamma - a)).
+    sqrt(2 gamma (gamma - a)). Computed at the point times the power of two
+    that puts gamma in [1, 2): z0 scales with it and the maximum does not,
+    and every value in an error message is given back in the caller's scale.
     """
     require_in_gap(gamma, a)
-    b_lo = math.sqrt(gamma * gamma - a * a)
-    b_hi = math.sqrt(2.0 * gamma * (gamma - a))
-    if not b_lo * (1.0 - RADICAND_GUARD) <= b < b_hi:
-        raise DomainError(f"b = {b} is outside [{b_lo}, {b_hi})")
-    if a == 0.0:
-        z0 = 0.0
-    else:
-        h = (2.0 * gamma * gamma - b * b) / (2.0 * a)
-        z0 = h - _guarded_sqrt(h * h - gamma * gamma, "z0")
-    if not 0.0 <= z0 < gamma:
-        raise DomainError(f"maximizer z0 = {z0} escaped [0, gamma)")
-    phi_max = (b * b + 2.0 * z0 * (a - z0)) / (gamma * gamma - z0 * z0)
-    return z0, phi_max
+    e = unit_exponent(gamma)
+    g, a_u, b_u = (math.ldexp(x, e) for x in (gamma, a, b))
+    back = 2.0 ** -e  # rounds like ldexp, but overflows to inf rather than raising
+    b_lo = math.sqrt(g * g - a_u * a_u)
+    b_hi = math.sqrt(2.0 * g * (g - a_u))
+    if not b_lo * (1.0 - RADICAND_GUARD) <= b_u < b_hi:
+        raise DomainError(f"b = {b} is outside [{b_lo * back}, {b_hi * back})")
+    z0 = 0.0
+    if a_u != 0.0:
+        h = (2.0 * g * g - b_u * b_u) / (2.0 * a_u)
+        radicand = h * h - g * g
+        if radicand < -RADICAND_GUARD:
+            raise DomainError(f"negative radicand for z0: {radicand * back * back:g}")
+        z0 = h - math.sqrt(max(radicand, 0.0))
+    if not 0.0 <= z0 < g:
+        raise DomainError(f"maximizer z0 = {z0 * back} escaped [0, gamma)")
+    phi_max = (b_u * b_u + 2.0 * z0 * (a_u - z0)) / (g * g - z0 * z0)
+    return z0 * back, phi_max

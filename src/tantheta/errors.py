@@ -16,7 +16,7 @@ RESIDUAL_REL_TOL = 1e-8  # Riccati residual, Lambda0 asymmetry; ||A0|| + ||A1|| 
 KERNEL_CUTOFF = 1e-12  # singular value of X counted as its kernel; ||X||
 DEGENERACY_TOL = 1e-8  # width of a degenerate singular-value cluster in the audit; 1 + s
 FIXED_POINT_TOL = 1e-13  # fixed-point step; 1 + ||X||_F / sqrt(min(dim0, dim1))
-RADICAND_GUARD = 1e-12  # round-off past a domain edge; absolute (radicand), relative (v, b)
+RADICAND_GUARD = 1e-12  # round-off past a domain edge; absolute (z0 radicand, t), relative (b)
 MARGIN_FAILURE_THRESHOLD = -1e-8  # lowest passing margin bound - distance; absolute (sines)
 
 

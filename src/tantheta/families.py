@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import phi_maximizer, require_in_gap, sin_arctan
 from .errors import RADICAND_GUARD, DomainError
-from .model import BlockOperator, make_block_operator, require_finite
+from .model import BlockOperator, make_block_operator, require_finite, unit_exponent
 
 
 def _require_weights(b1: float, b2: float) -> None:
@@ -55,9 +55,10 @@ def rank_one_outer_params(gamma: float, a: float, b: float) -> tuple:
     returned z0 is the single in-gap eigenvalue of the tuned instance.
     """
     z0 = phi_maximizer(gamma, a, b)[0]
-    t = (b * b * (gamma - z0) + (gamma * gamma - z0 * z0) * (a - z0)) / (
-        2.0 * gamma * b * b
-    )
+    # t is homogeneous of degree 0: take it where phi_maximizer took z0.
+    e = unit_exponent(gamma)
+    g, a_u, b_u, z = (math.ldexp(x, e) for x in (gamma, a, b, z0))
+    t = (b_u * b_u * (g - z) + (g * g - z * z) * (a_u - z)) / (2.0 * g * b_u * b_u)
     if not -RADICAND_GUARD <= t < 1.0:
         raise DomainError(f"weight t = {t} escaped [0, 1)")
     t = max(t, 0.0)

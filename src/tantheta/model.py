@@ -266,14 +266,20 @@ def require_finite(names: str, *values: float) -> None:
         raise DomainError(f"({names}) = ({', '.join(str(x) for x in values)}) must be finite")
 
 
+def unit_exponent(x: float) -> int:
+    """The exponent e that puts |x| 2^e in [1, 2); 1 for zero, inf and NaN."""
+    return 1 - math.frexp(x)[1]
+
+
 def unit_scaled(D: float, d: float, v: float) -> tuple:
     """The point (D, d, v), which must be finite (DomainError otherwise),
-    times the power of two that puts |D| in [1, 2). The scaling is exact
-    unless d or v falls below the normal range, so a function homogeneous
-    of degree 0 in (D, d, v) gives the same bits at the scaled point, where
-    products such as d D and v^2 neither overflow nor underflow."""
+    times the power of two 2^unit_exponent(D) that puts |D| in [1, 2). The
+    scaling is exact unless d or v falls below the normal range, so a
+    function homogeneous of degree 0 in (D, d, v) gives the same bits at the
+    scaled point, where products such as d D and v^2 neither overflow nor
+    underflow."""
     require_finite("D, d, v", D, d, v)
-    e = 1 - math.frexp(D)[1]
+    e = unit_exponent(D)
     return math.ldexp(D, e), math.ldexp(d, e), math.ldexp(v, e)
 
 

@@ -3,9 +3,9 @@ routes against: the projector distance from the full n x n projectors and
 the trigonometric form of the M1 bound branch."""
 import numpy as np
 
-from tantheta import NotAProjector
-from tantheta.bounds import half_arctan_tangent, kappa
-from tantheta.model import spectral_norm
+from tantheta import NotAProjector, m_total
+from tantheta.bounds import _kappa, half_arctan_tangent
+from tantheta.model import spectral_norm, unit_scaled
 from tantheta.spectral import PROJECTOR_TOL
 
 
@@ -41,5 +41,10 @@ def dense_projection_distance(P, Q) -> float:
 
 
 def m1_trig(D: float, d: float, v: float) -> float:
-    """Trigonometric form tan(arctan(kappa)/2) of the M1 branch."""
-    return half_arctan_tangent(kappa(D, d, v))
+    """Trigonometric form tan(arctan(kappa)/2) of the M1 branch, with kappa
+    read off m_total; in the boundary band, where m_total gives none, from
+    the bound module's helper at the unit-scaled point."""
+    kappa = m_total(D, d, v).kappa
+    if kappa is None:
+        kappa = _kappa(*unit_scaled(D, d, v))
+    return half_arctan_tangent(kappa)

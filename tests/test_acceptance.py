@@ -15,8 +15,6 @@ from tantheta import (
     rank_one_outer_params,
     extract_angular_operator,
     find_disposition,
-    m1,
-    m2,
     m_total,
     make_block_operator,
     circulant_build,
@@ -24,7 +22,6 @@ from tantheta import (
     perturbed_partition,
     phi_maximizer,
     projection_distance,
-    r_v,
     run_sweep,
     verify_lemma_identities,
     write_reports,
@@ -159,7 +156,7 @@ def test_5_formula_cross_oracles():
         D = 2.0 + 8.0 * rng.random()
         d = 1.0
         v = rng.random() * math.sqrt(d * (D - d)) * (1.0 - 1e-9)
-        ok = ok and abs(m1(D, d, v) - m1_trig(D, d, v)) <= 1e-12
+        ok = ok and abs(m_total(D, d, v).M1 - m1_trig(D, d, v)) <= 1e-12
 
     # maximizer of the rational profile vs the closed-form second branch
     for _ in range(100):
@@ -169,7 +166,7 @@ def test_5_formula_cross_oracles():
         hi = math.sqrt(2.0 * gamma * (gamma - a))
         b = lo + (hi - lo) * rng.random() * 0.999
         z0, phi_max = phi_maximizer(gamma, a, b)
-        ok = ok and abs(phi_max - m2(2.0 * gamma, gamma - a, b) ** 2) <= 1e-10
+        ok = ok and abs(phi_max - m_total(2.0 * gamma, gamma - a, b).M2 ** 2) <= 1e-10
         z = np.linspace(0.0, gamma, 1_000_001)[:-1]
         phi = (b * b + 2.0 * z * (a - z)) / (gamma * gamma - z * z)
         ok = ok and abs(z[int(np.argmax(phi))] - z0) <= 1e-5
@@ -194,8 +191,9 @@ def test_6_boundary_and_ranges():
         D = 2.0 + 8.0 * rng.random()
         d = D / 2.0 * (0.1 + 0.9 * rng.random())
         vb = math.sqrt(d * (D - d))
-        ok = ok and abs(m1(D, d, vb) - 1.0) <= 1e-10
-        ok = ok and abs(m2(D, d, vb) - 1.0) <= 1e-10
+        ev = m_total(D, d, vb)
+        ok = ok and abs(ev.M1 - 1.0) <= 1e-10
+        ok = ok and abs(ev.M2 - 1.0) <= 1e-10
 
     for _ in range(10_000):
         D = 2.0 + 10.0 * rng.random()
@@ -205,7 +203,7 @@ def test_6_boundary_and_ranges():
         if ev.M2 is not None:
             ok = ok and 1.0 <= ev.M2 < math.sqrt(2.0)
         ok = ok and ev.projection_bound < sqrt23
-        ok = ok and r_v(D, d, v) < d
+        ok = ok and ev.r_V < d
 
     _verdict(6, "interface values, branch ranges and r_V < d", ok)
     assert ok

@@ -10,14 +10,11 @@ from tantheta import (
     DomainError,
     apriori_bound,
     classify_region,
-    kappa,
-    m1,
-    m2,
     m_total,
     phi_maximizer,
-    r_v,
 )
-from tantheta.bounds import half_arctan_tangent, sin_arctan
+from tantheta.bounds import _kappa, half_arctan_tangent, sin_arctan
+from tantheta.model import unit_scaled
 
 from oracles import m1_trig
 
@@ -44,15 +41,15 @@ class TestHalfAngle:
 
 class TestRv:
     def test_zero(self):
-        assert r_v(4.0, 1.0, 0.0) == 0.0
+        assert m_total(4.0, 1.0, 0.0).r_V == 0.0
 
     def test_frozen_value(self):
         # v tan(arctan(2/3)/2) = 2/(3 + sqrt(13))
-        assert r_v(4.0, 1.0, 1.0) == pytest.approx(2.0 / (3.0 + math.sqrt(13.0)), rel=1e-15)
+        assert m_total(4.0, 1.0, 1.0).r_V == pytest.approx(2.0 / (3.0 + math.sqrt(13.0)), rel=1e-15)
 
     def test_golden_ratio_point(self):
         # D = 2d, v = d gives d (sqrt(5) - 1) / 2 < d
-        val = r_v(2.0, 1.0, 1.0)
+        val = m_total(2.0, 1.0, 1.0).r_V
         assert val == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
         assert val < 1.0
 
@@ -62,73 +59,58 @@ class TestRv:
             D = 2.0 + 10.0 * rng.random()
             d = D / 2.0 * rng.random() or 0.1
             v = rng.random() * math.sqrt(d * D)
-            assert r_v(D, d, v) < d
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            r_v(2.0, 2.0, 0.5)
-        with pytest.raises(DomainError):
-            r_v(2.0, 0.0, 0.5)
+            assert m_total(D, d, v).r_V < d
 
 
 class TestKappa:
     def test_linear_branch(self):
-        assert kappa(4.0, 1.0, 0.5) == pytest.approx(1.0, abs=0.0)
+        assert m_total(4.0, 1.0, 0.5).kappa == pytest.approx(1.0, abs=0.0)
 
     def test_branch_continuity(self):
         v_star = 0.5 * math.sqrt(1.0 * (4.0 - 2.0))
-        below = kappa(4.0, 1.0, v_star)
-        above = kappa(4.0, 1.0, v_star * (1.0 + 1e-13))
+        below = m_total(4.0, 1.0, v_star).kappa
+        above = m_total(4.0, 1.0, v_star * (1.0 + 1e-13)).kappa
         assert below == pytest.approx(SQRT2, rel=1e-12)
         assert above == pytest.approx(below, rel=1e-10)
 
     def test_pole_at_region_edge(self):
-        assert kappa(4.0, 1.0, math.sqrt(3.0) * (1.0 - 1e-12)) > 1e10
-        with pytest.raises(DomainError):
-            kappa(4.0, 1.0, math.sqrt(3.0))
+        # The point lies in the boundary band, where m_total gives no kappa.
+        point = (4.0, 1.0, math.sqrt(3.0) * (1.0 - 1e-12))
+        assert m_total(*point).kappa is None
+        assert _kappa(*unit_scaled(*point)) > 1e10
 
 
 class TestM1:
     def test_inner_value(self):
-        assert m1(4.0, 1.0, 0.5) == pytest.approx(SQRT2 - 1.0, rel=1e-14)
+        assert m_total(4.0, 1.0, 0.5).M1 == pytest.approx(SQRT2 - 1.0, rel=1e-14)
 
     def test_boundary_extension_is_one(self):
-        assert m1(4.0, 1.0, math.sqrt(3.0)) == pytest.approx(1.0, rel=1e-14)
+        assert m_total(4.0, 1.0, math.sqrt(3.0)).M1 == pytest.approx(1.0, rel=1e-14)
 
     def test_reduces_to_ratio_at_minimal_gap(self):
-        assert m1(2.0, 1.0, 0.7) == pytest.approx(0.7, rel=1e-13)
+        assert m_total(2.0, 1.0, 0.7).M1 == pytest.approx(0.7, rel=1e-13)
 
     def test_agrees_with_trig_form(self):
         for D, d, v in omega1_points(500, seed=21):
-            assert m1(D, d, v) == pytest.approx(m1_trig(D, d, v), rel=1e-12)
+            assert m_total(D, d, v).M1 == pytest.approx(m1_trig(D, d, v), rel=1e-12)
 
     def test_range(self):
         for D, d, v in omega1_points(500, seed=22):
-            assert 0.0 <= m1(D, d, v) < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            m1(4.0, 1.0, 1.8)
+            assert 0.0 <= m_total(D, d, v).M1 < 1.0
 
 
 class TestM2:
     def test_boundary_is_one(self):
-        assert m2(4.0, 1.0, math.sqrt(3.0)) == pytest.approx(1.0, rel=1e-14)
+        assert m_total(4.0, 1.0, math.sqrt(3.0)).M2 == pytest.approx(1.0, rel=1e-14)
 
     def test_reduces_to_ratio_at_minimal_gap(self):
-        assert m2(2.0, 1.0, 1.2) == pytest.approx(1.2, rel=1e-13)
+        assert m_total(2.0, 1.0, 1.2).M2 == pytest.approx(1.2, rel=1e-13)
 
     def test_supremum_approached(self):
-        vals = [m2(2.0, 1.0, SQRT2 * (1.0 - 10.0**-k)) for k in range(4, 9)]
+        vals = [m_total(2.0, 1.0, SQRT2 * (1.0 - 10.0**-k)).M2 for k in range(4, 9)]
         assert all(1.0 <= v < SQRT2 for v in vals)
         assert vals == sorted(vals)
         assert vals[-1] > SQRT2 - 1e-3
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            m2(4.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            m2(4.0, 1.0, 2.0)
 
 
 class TestMTotal:
@@ -147,7 +129,7 @@ class TestMTotal:
     def test_outer_region_dispatch(self):
         ev = m_total(4.0, 1.0, 1.9)
         assert ev.region.name == "OMEGA2"
-        assert ev.M == pytest.approx(m2(4.0, 1.0, 1.9), abs=0.0)
+        assert ev.M2 is not None and ev.M == ev.M2
         assert ev.M1 is None and ev.kappa is None
 
     def test_continuity_across_branch_boundary(self):
@@ -199,17 +181,25 @@ class TestMTotal:
             assert ev.r_V == math.ldexp(ref.r_V, k), k
 
     def test_domain_message_keeps_caller_scale(self):
-        D, d, v = (math.ldexp(x, 600) for x in (4.0, 1.0, 1.9))
-        with pytest.raises(DomainError, match=re.escape(f"= {math.ldexp(math.sqrt(3.0), 600)}")):
-            m1(D, d, v)
-        with pytest.raises(DomainError, match=re.escape(f"({D}, {d}, {v})")):
-            kappa(D, d, v)
+        D, d, v = (math.ldexp(x, 600) for x in (4.0, 1.0, 2.5))
+        with pytest.raises(DomainError, match=re.escape(f"({D}, {d}, {v}) is outside Omega")):
+            m_total(D, d, v)
+        gamma, a, b = (math.ldexp(x, 600) for x in (2.0, 1.0, 1.0))
+        edges = f"[{math.ldexp(math.sqrt(3.0), 600)}, {math.ldexp(2.0, 600)})"
+        with pytest.raises(DomainError, match=re.escape(f"b = {b} is outside {edges}")):
+            phi_maximizer(gamma, a, b)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             m_total(4.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             m_total(4.0, 3.0, 0.1)
+
+    def test_sign_errors(self):
+        with pytest.raises(DomainError, match="^v must be non-negative$"):
+            m_total(4.0, 1.0, -1.0)
+        with pytest.raises(DomainError, match="^D must be positive$"):
+            classify_region(-1.0, 1.0, 1.0)
 
 
 class TestAprioriBound:
@@ -224,6 +214,8 @@ class TestAprioriBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             apriori_bound(1.0, SQRT2)
+        with pytest.raises(DomainError, match="^d must be positive, got 0$"):
+            apriori_bound(0, 0)
 
 
 class TestPhiMaximizer:
@@ -231,11 +223,11 @@ class TestPhiMaximizer:
         z0, phi_max = phi_maximizer(1.0, 0.0, 1.2)
         assert z0 == 0.0
         assert phi_max == pytest.approx(1.44, rel=1e-14)
-        assert phi_max == pytest.approx(m2(2.0, 1.0, 1.2) ** 2, rel=1e-12)
+        assert phi_max == pytest.approx(m_total(2.0, 1.0, 1.2).M2 ** 2, rel=1e-12)
 
     def test_boundary_case(self):
         z0, phi_max = phi_maximizer(2.0, 1.0, math.sqrt(3.0))
-        assert phi_max == pytest.approx(m2(4.0, 1.0, math.sqrt(3.0)) ** 2, rel=1e-12)
+        assert phi_max == pytest.approx(m_total(4.0, 1.0, math.sqrt(3.0)).M2 ** 2, rel=1e-12)
         assert 0.0 <= z0 < 2.0
 
     def test_grid_search_oracle(self):
@@ -256,7 +248,7 @@ class TestPhiMaximizer:
             hi = math.sqrt(2.0 * gamma * (gamma - a))
             b = lo + (hi - lo) * rng.random() * 0.999
             _, phi_max = phi_maximizer(gamma, a, b)
-            assert phi_max == pytest.approx(m2(2.0 * gamma, gamma - a, b) ** 2, rel=1e-10)
+            assert phi_max == pytest.approx(m_total(2.0 * gamma, gamma - a, b).M2 ** 2, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -264,20 +256,35 @@ class TestPhiMaximizer:
         with pytest.raises(DomainError):
             phi_maximizer(2.0, 1.0, 2.0)  # at sqrt(2 gamma (gamma - a))
 
+    @pytest.mark.parametrize(
+        "point", [(1.0, 0.0, 1.2), (2.0, 1.0, math.sqrt(3.0)), (2.0, 1.0, 1.9), (1.5, 0.3, 1.5)],
+        ids=["centered", "lower_edge", "outer", "off_center"],
+    )
+    def test_exact_at_every_binary_scale(self, point):
+        # z0 is homogeneous of degree 1 and the maximum of degree 0, and
+        # scaling by 2^k is exact: z0 moves by exactly 2^k, the maximum not.
+        z0_ref, phi_ref = phi_maximizer(*point)
+        for k in range(-1000, 1001, 50):
+            z0, phi_max = phi_maximizer(*(math.ldexp(x, k) for x in point))
+            assert (z0, phi_max) == (math.ldexp(z0_ref, k), phi_ref), k
+
     def test_maximizer_at_gamma_raises_before_dividing(self):
         # z0 rounds to gamma, where phi's denominator gamma^2 - z0^2 is 0.
         with pytest.raises(DomainError, match="escaped"):
             phi_maximizer(1.0, 0.99999998, 0.00019999999969756423)
+
+    def test_negative_z0_radicand_raises(self):
+        # b one ulp below its upper edge sqrt(2 gamma (gamma - a)) at a small
+        # a: h = (2 gamma^2 - b^2) / (2a) cancels to below gamma, and
+        # h^2 - gamma^2 to -1.5e-11.
+        with pytest.raises(DomainError, match="negative radicand for z0: -1.5254e-11"):
+            phi_maximizer(1.88090991564738, 4.300600004236315e-05, 2.659977902302469)
 
 
 # Each public function at a point of its domain, so that only the
 # non-finite slot can make it raise.
 VALID_POINTS = [
     (classify_region, (4.0, 1.0, 0.5)),
-    (r_v, (4.0, 1.0, 0.5)),
-    (kappa, (4.0, 1.0, 0.5)),
-    (m1, (4.0, 1.0, 0.5)),
-    (m2, (4.0, 1.0, 1.9)),
     (m_total, (4.0, 1.0, 0.5)),
     (apriori_bound, (1.0, 0.5)),
 ]

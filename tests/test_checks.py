@@ -219,12 +219,14 @@ class TestCapsHaveTeeth:
         assert ver.audit.max_residual <= 1e-10
 
     def test_radicand_guard(self):
-        # v a relative 1e-6 past the boundary sqrt(d (D - d)) is outside the
-        # closure of Omega_1; a relative 1e-14 past it is round-off.
-        v = math.sqrt(3.0)
-        assert bounds.m1(4.0, 1.0, v * (1.0 + 1e-14)) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(DomainError, match="exceeds the boundary"):
-            bounds.m1(4.0, 1.0, v * (1.0 + 1e-6))
+        # b a relative 1e-6 below its lower edge sqrt(gamma^2 - a^2) is
+        # outside the maximizer's domain; a relative 1e-14 below it is
+        # round-off.
+        b_lo = math.sqrt(3.0)
+        z0, phi_max = bounds.phi_maximizer(2.0, 1.0, b_lo * (1.0 - 1e-14))
+        assert z0 == pytest.approx(1.0, rel=1e-6) and phi_max == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(DomainError, match="is outside"):
+            bounds.phi_maximizer(2.0, 1.0, b_lo * (1.0 - 1e-6))
 
 
 class TestMarginFails:

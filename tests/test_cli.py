@@ -413,6 +413,14 @@ class TestCheckIdentities:
         assert captured.out == ""
         assert "is not finite" in captured.err
 
+    def test_one_dimensional_block_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"dim0": 1, "dim1": 2, "A0": [0.5], "A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}'
+        )
+        assert main(["check-identities", "--instance", str(path)]) == 2
+        assert "error: SymMatrix must be 2-dimensional, got shape (1,)" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["check-identities", "--instance", str(tmp_path / "nope.json")])
         assert rc == 2

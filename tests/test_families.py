@@ -17,9 +17,12 @@ from tantheta import (
     circulant_kappa_matrix,
     circulant_kappas,
     perturbed_partition,
+    phi_maximizer,
     projection_distance,
     riccati_residual,
 )
+from tantheta.cli import main
+from tantheta.errors import TanThetaError
 
 
 def measured_distance(block):
@@ -112,6 +115,41 @@ class TestRankOneOuter:
         with pytest.raises(DomainError):
             rank_one_outer_params(2.0, 1.0, 2.0)
 
+    def test_weight_escape_raises(self):
+        # a two ulps below gamma: z0 cancels to below a, and t to about 2.
+        with pytest.raises(DomainError, match="weight t = 1.99999"):
+            rank_one_outer_params(1.6190777453040845, 1.6190777453040843, 2.1073424255446997e-08)
+
+
+# (a, b) / gamma in the outer region [sqrt(1 - 0.25^2), sqrt(1.5)), scaled by
+# gamma = 2^k: every product with gamma is exact.
+OUTER_AT_SCALE = (0.25, 1.1)
+
+
+class TestRankOneOuterAtScale:
+    @pytest.mark.parametrize("k", [-500, -300, 0, 20, 400])
+    def test_params_are_exact_at_every_binary_scale(self, k):
+        gamma = math.ldexp(1.0, k)
+        a, b = (x * gamma for x in OUTER_AT_SCALE)
+        z0, t, b1, b2 = rank_one_outer_params(gamma, a, b)
+        reference = rank_one_outer_params(1.0, *OUTER_AT_SCALE)
+        assert (z0 / gamma, t, b1 / gamma, b2 / gamma) == reference
+
+    @pytest.mark.parametrize("k", [-500, -300, 0, 20, 400])
+    def test_example_gives_a_verdict_or_a_typed_error(self, k, capsys):
+        # Below about 2^-100 the pipeline loses the in-gap eigenvalue
+        # (GapEmptyOrRankMismatch), but nothing raises an untyped error.
+        gamma = math.ldexp(1.0, k)
+        a, b = (x * gamma for x in OUTER_AT_SCALE)
+        try:
+            Verification(rank_one_build(gamma, a, *rank_one_outer_params(gamma, a, b)[2:]))
+        except TanThetaError:
+            pass
+        argv = ["example", "rank1-outer", "--gamma", repr(gamma), "--a", repr(a), "--b", repr(b)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
+
 
 class TestCirculant:
     def test_coupling_norm_is_entry_sum(self):
@@ -197,6 +235,19 @@ def test_non_finite_argument_raises(fn, slot, point, bad):
     args[slot] = bad
     with pytest.raises(DomainError, match="must be finite"):
         fn(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["gamma", "a", "b"])
+@pytest.mark.parametrize("fn", [phi_maximizer, rank_one_outer_params])
+def test_non_finite_outer_argument_raises(fn, slot, bad):
+    # The maximizer takes no finiteness check of its own: its gap and range
+    # checks reject every non-finite slot.
+    point = [2.0, 1.0, 1.9]
+    fn(*point)
+    point[slot] = bad
+    with pytest.raises(DomainError):
+        fn(*point)
 
 
 # v = k sqrt(2) / 40, k = 1..39: the a priori domain 0 < v < sqrt(2) d at d = 1.

@@ -10,6 +10,7 @@ import pytest
 from tantheta import (
     ConfigInvalid,
     GraphExtractionFailed,
+    NoConvergence,
     ResidualTooLarge,
     GenConfig,
     SymMatrix,
@@ -146,6 +147,15 @@ class TestRunTrial:
         assert rep.lemma_max_residual <= 1e-8
         assert rep.cross_method_deviation is not None
         assert rep.cross_method_deviation <= 1e-8 * (1.0 + rep.x_norm)
+
+    def test_cross_check_without_convergence_is_null(self, monkeypatch):
+        def stalls(*args):
+            raise NoConvergence("stalled")
+
+        monkeypatch.setattr(harness, "solve_riccati_fixed_point", stalls)
+        rep = run_trial(base_cfg(seed=42))
+        assert rep.cross_method_deviation is None
+        assert json.loads(report_to_json_line(rep))["cross_method_deviation"] is None
 
     def test_large_ratio_skips_cross_check(self):
         rep = run_trial(base_cfg(ratio=1.2, seed=4))
@@ -462,6 +472,15 @@ class TestRunSweep:
         assert rows[1]["seed"] == "7"
         assert rows[1]["region"] == "failed:NoConvergence"
         assert all(rows[1][k] == "" for k in rows[1] if k not in ("seed", "region"))
+
+    def test_jsonl_failure_line(self, tmp_path):
+        records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])
+        records.append(FailureRecord(7, "NoConvergence", "stalled"))
+        p = tmp_path / "out.jsonl"
+        write_reports(records, summary, p, fmt="jsonl")
+        lines = p.read_text().splitlines()
+        assert len(lines) == 3  # report, failure, summary
+        assert json.loads(lines[1]) == {"seed": 7, "error": "NoConvergence", "message": "stalled"}
 
     def test_partition_gate_prints_the_compared_floats(self):
         # One ulp below sqrt(D/d) the measured ||B|| can reach sqrt(d D);

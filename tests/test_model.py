@@ -16,6 +16,7 @@ from tantheta import (
     DispositionViolated,
     DomainError,
     GenConfig,
+    NoConvergence,
     Region,
     ResidualTooLarge,
     SymMatrix,
@@ -73,6 +74,15 @@ class TestSymMatrix:
         monkeypatch.setattr(np.linalg, "eigh", None)
         assert vars(S)["eig"] is S.eig
         assert S.eig.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_eigensolver_failure_is_no_convergence(self, monkeypatch):
+        def fails(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NoConvergence,
+                           match="^symmetric eigensolver failed: Eigenvalues did not converge$"):
+            SymMatrix(np.eye(2))
 
     def test_immutable(self):
         S = SymMatrix(np.eye(2))

@@ -9,6 +9,7 @@ from tantheta import (
     ConfigInvalid,
     DimensionMismatch,
     GenConfig,
+    GraphExtractionFailed,
     NoConvergence,
     ResidualTooLarge,
     extract_angular_operator,
@@ -69,6 +70,13 @@ class TestExtraction:
         _, _, ang = pipeline(block)
         assert ang.norm == 0.0
         assert ang.riccati_residual == 0.0
+
+    def test_partition_of_another_block_rejected(self):
+        one = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.1, 0.2]])
+        two = circulant_build(2.0, 1.0, 0.3, 0.4)
+        part = perturbed_partition(two, find_disposition(two))
+        with pytest.raises(GraphExtractionFailed, match="^partition rank 2 != dim0 1$"):
+            extract_angular_operator(part, one)
 
     def test_circulant_matches_closed_form_solution(self):
         _, b1, b2 = circulant_case_params(2.0, 1.0, 1.0)

@@ -17,8 +17,8 @@ from tantheta import (
     find_disposition,
     make_block_operator,
     perturbed_partition,
+    m_total,
     projection_distance,
-    r_v,
     trial_seed,
     unperturbed_projector,
 )
@@ -110,7 +110,7 @@ class TestPerturbedPartition:
         disp = find_disposition(block)
         part = perturbed_partition(block, disp)
         assert len(part.omega0) == 1
-        rv = r_v(disp.D, disp.d, block.v_norm)
+        rv = m_total(disp.D, disp.d, block.v_norm).r_V
         assert min(part.omega0) >= disp.gamma_l + disp.d - rv - 1e-8
         assert max(part.omega0) <= disp.gamma_r - disp.d + rv + 1e-8
 
@@ -129,7 +129,7 @@ class TestPerturbedPartition:
                                 conjugate=conj, seed=trial_seed(1000 + g, index))
                 ver = Verification(generate_instance(cfg)[0])
                 disp, omega0 = ver.disposition, ver.partition.omega0
-                rv = r_v(disp.D, disp.d, ver.block.v_norm)
+                rv = ver.bound.r_V
                 assert min(omega0) >= disp.gamma_l + disp.d - rv - 1e-8
                 assert max(omega0) <= disp.gamma_r - disp.d + rv + 1e-8
                 count += 1

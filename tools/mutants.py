@@ -34,7 +34,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-e
 
 # (file, old text, new text, reason): the twenty mutants of the first
 # mutation analysis of the checks, then later ones, so that every tolerance
-# of the table in errors.py has at least one.
+# of the table in errors.py has at least one, and so has each raise that no
+# test reached before tools/linecov.py listed it.
 MUTANTS = (
     ("src/tantheta/spectral.py", "dist = float(s[0])", "dist = float(s[-1])",
      "the distance read from the smallest principal angle"),
@@ -94,6 +95,28 @@ MUTANTS = (
      "a partition of another block's shape measured against this block"),
     ("src/tantheta/riccati.py", "if not (math.isfinite(step) and math.isfinite(x_norm)):",
      "if False:", "a diverged fixed-point iteration counted as converged"),
+    ("src/tantheta/model.py", 'raise DomainError("D must be positive")', "pass",
+     "a non-positive gap length classified as outside Omega"),
+    ("src/tantheta/model.py", 'raise DomainError("v must be non-negative")', "pass",
+     "a negative coupling norm classified and bounded"),
+    ("src/tantheta/bounds.py", 'raise DomainError(f"d must be positive, got {d}")', "pass",
+     "the a priori estimate takes d = 0"),
+    ("src/tantheta/bounds.py", "if radicand < -RADICAND_GUARD:", "if False:",
+     "a negative radicand for the maximizer z0 clamped to 0"),
+    ("src/tantheta/families.py", "if not -RADICAND_GUARD <= t < 1.0:", "if False:",
+     "a coupling weight t outside [0, 1) accepted"),
+    ("src/tantheta/families.py", "e = unit_exponent(gamma)", "e = 0",
+     "the weight t taken at the caller's scale, where it underflows at gamma = 2^-500"),
+    ("src/tantheta/model.py", "if arr.ndim != 2:", "if False:",
+     "a one-dimensional block accepted as a matrix"),
+    ("src/tantheta/riccati.py", "if Y.shape[1] != dim0:", "if False:",
+     "another block's partition extracted"),
+    ("src/tantheta/model.py", "except np.linalg.LinAlgError as exc:",
+     "except ZeroDivisionError as exc:", "an eigensolver failure escapes untyped"),
+    ("src/tantheta/harness.py", "except NoConvergence:", "except ZeroDivisionError:",
+     "a cross-check without convergence fails the trial"),
+    ("src/tantheta/harness.py", 'fh.write(failure_to_json_line(rec) + "\\n")', "pass",
+     "failure records left out of a JSONL report"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
