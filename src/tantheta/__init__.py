@@ -54,7 +54,6 @@ from .model import (
     block_operator_to_dict,
     classify_region,
     load_instance,
-    make_block_operator,
     save_instance,
 )
 from .riccati import (

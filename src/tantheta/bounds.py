@@ -153,10 +153,12 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     z0 = 0.0
     if a_u != 0.0:
         h = (2.0 * g * g - b_u * b_u) / (2.0 * a_u)
-        radicand = h * h - g * g
+        radicand = h * h - g * g  # inf, not negative, where h * h overflows
         if radicand < -RADICAND_GUARD:
             raise DomainError(f"negative radicand for z0: {radicand * back * back:g}")
-        z0 = h - math.sqrt(max(radicand, 0.0))
+        # h - sqrt(h^2 - g^2), rationalized: no cancellation at large h
+        # (small a), and no h^2, which overflows for a below about 1e-154.
+        z0 = g * g / (h + math.sqrt(max(h - g, 0.0)) * math.sqrt(h + g))
     if not 0.0 <= z0 < g:
         raise DomainError(f"maximizer z0 = {z0 * back} escaped [0, gamma)")
     phi_max = (b_u * b_u + 2.0 * z0 * (a_u - z0)) / (g * g - z0 * z0)

@@ -71,8 +71,8 @@ _SWEEP_DEFAULTS = {f.name: f.default for f in fields(GenConfig) if f.default is 
 def _sweep_fields(raw) -> dict:
     """The fields of a sweep config, as given or defaulted; ConfigInvalid
     if it is not a JSON object, names an unknown field, lacks a required
-    one or has a `ratio_grid` that is not a JSON array. GenConfig.validate
-    and run_sweep decide the types and ranges of the rest."""
+    one or has a `ratio_grid` that is not a JSON array. GenConfig's
+    construction and run_sweep decide the types and ranges of the rest."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("a sweep config must be a JSON object")
     unknown = sorted(set(raw) - set(_SWEEP_FIELDS))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import phi_maximizer, require_in_gap, sin_arctan
 from .errors import RADICAND_GUARD, DomainError
-from .model import BlockOperator, make_block_operator, require_finite, unit_exponent
+from .model import BlockOperator, require_finite, unit_exponent
 
 
 def _require_weights(b1: float, b2: float) -> None:
@@ -27,9 +27,7 @@ def rank_one_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperato
     """
     require_in_gap(gamma, a)
     _require_weights(b1, b2)
-    return make_block_operator(
-        np.array([[a]]), np.diag([-gamma, gamma]), np.array([[b1, b2]])
-    )
+    return BlockOperator(np.array([[a]]), np.diag([-gamma, gamma]), np.array([[b1, b2]]))
 
 
 def rank_one_inner_expected(d: float, v: float) -> float:
@@ -75,7 +73,7 @@ def circulant_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperat
     """
     require_in_gap(gamma, a)
     _require_weights(b1, b2)
-    return make_block_operator(
+    return BlockOperator(
         np.diag([-a, a]), np.diag([-gamma, gamma]), np.array([[b1, b2], [b2, b1]])
     )
 

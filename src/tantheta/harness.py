@@ -52,7 +52,9 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Parameters of one random instance draw."""
+    """Parameters of one random instance draw, checked when built:
+    ConfigInvalid names the first field of a wrong type or out of range, so
+    every GenConfig, also one made by dataclasses.replace, is valid."""
 
     dim0: int
     dim1: int
@@ -63,7 +65,7 @@ class GenConfig:
     conjugate: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("dim0", "dim1", "seed"):
             if not is_json_number(getattr(self, name), numbers.Integral):
                 raise ConfigInvalid(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -92,17 +94,20 @@ class GenConfig:
 
 
 def generate_instance(cfg: GenConfig) -> tuple:
-    """Draw a block operator with gap exactly (-D/2, D/2), distance exactly
-    d and ||B|| = ratio * d.
+    """Draw a block operator with gap exactly (-D/2, D/2), distance d and
+    ||B|| = ratio * d, with the disposition find_disposition reads off it.
 
     One sigma0 value is pinned at an inner-interval endpoint and the gap
     edges +-D/2 carry sigma1 values, so the disposition parameters are
-    attained, not just bounded. With conjugate=True both diagonal blocks
-    and B undergo a random block-orthogonal change of basis, which leaves
-    every computed norm invariant. A0 and A1 are built with the spectra
-    they were made from (SymMatrix's `spectrum`), so of the three symmetric
-    matrices of a trial only L is handed to an eigensolver. Deterministic
-    for fixed seed.
+    attained, not just bounded; the rounded endpoint can put d below cfg.d.
+    Within a relative 2^-26 of the partition gate sqrt(d D), which rounding
+    can otherwise lift ||B|| onto, B is scaled down until its measured norm
+    is below the gate; no other draw reads ||B||. With conjugate=True both
+    diagonal blocks and B undergo a random block-orthogonal change of
+    basis, which leaves every computed norm invariant. A0 and A1 are built
+    with the spectra they were made from (SymMatrix's `spectrum`), so of the
+    three symmetric matrices of a trial only L is handed to an eigensolver.
+    Deterministic for fixed seed.
     """
     (A0, spectrum0), (A1, spectrum1), B = _draw_blocks(cfg)
     # The blocks are built, and copy their spectra, after the draw has
@@ -113,13 +118,22 @@ def generate_instance(cfg: GenConfig) -> tuple:
     block = BlockOperator(
         SymMatrix(A0, spectrum=spectrum0), SymMatrix(A1, spectrum=spectrum1), B
     )
-    return block, SpectralDisposition(-cfg.D / 2.0, cfg.D / 2.0, cfg.d, cfg.D)
+    # find_disposition's arithmetic on the same floats: sigma1 holds -half
+    # and half, and sigma0 ascends.
+    half = cfg.D / 2.0
+    lo0, hi0 = float(spectrum0[0][0]), float(spectrum0[0][-1])
+    disp = SpectralDisposition(-half, half, min(lo0 + half, half - hi0), half + half)
+    gate = math.sqrt(disp.d * disp.D)
+    if cfg.ratio * cfg.d >= (1.0 - 2.0**-26) * gate > 0.0:
+        while block.v_norm >= gate:
+            factor = math.nextafter(gate / block.v_norm, 0.0)
+            block = BlockOperator(block.A0, block.A1, block.B * factor)
+    return block, disp
 
 
 def _draw_blocks(cfg: GenConfig) -> tuple:
     """generate_instance's draw: ((A0, (sigma0, Q0)), (A1, (sigma1, Q1)), B),
     each diagonal block with the spectrum it was built from."""
-    cfg.validate()
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     half = cfg.D / 2.0
     lo, hi = -half + cfg.d, half - cfg.d
@@ -265,14 +279,12 @@ def run_sweep(base_cfg: GenConfig, trials: int, ratio_grid) -> tuple:
 
     Returns (records, summary); records holds TrialReport and FailureRecord
     entries in trial order. Individual failures are recorded in-stream.
+    Each grid ratio is checked, as the config it gives, before any trial
+    runs.
     """
     if not is_json_number(trials, numbers.Integral) or trials < 0:
         raise ConfigInvalid(f"trials must be a non-negative integer, got {trials!r}")
-    replace(base_cfg, ratio=0.0).validate()
-    grid = []
-    for r in ratio_grid:
-        replace(base_cfg, ratio=r).validate()
-        grid.append(float(r))
+    grid = [float(replace(base_cfg, ratio=r).ratio) for r in ratio_grid]
     records = []
     for index in range(trials * len(grid)):
         cfg = replace(

@@ -174,13 +174,21 @@ class SymMatrix:
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Block decomposition (A0, A1, B) of A = diag(A0, A1) and L = A + V,
-    where V has B as its only nonzero (off-diagonal) block."""
+    where V has B as its only nonzero (off-diagonal) block.
+
+    A0 and A1 may be given as SymMatrix instances or as array-likes, which
+    become SymMatrix (symmetrized and eigendecomposed) on construction.
+    Raises DimensionMismatch on inconsistent shapes.
+    """
 
     A0: SymMatrix
     A1: SymMatrix
     B: np.ndarray
 
     def __post_init__(self):
+        for name in ("A0", "A1"):
+            if not isinstance(getattr(self, name), SymMatrix):
+                object.__setattr__(self, name, SymMatrix(getattr(self, name)))
         B = _as_float_matrix(self.B, "B")
         if B.shape != (self.A0.n, self.A1.n):
             raise DimensionMismatch(
@@ -221,19 +229,6 @@ class BlockOperator:
         L[: self.dim0, self.dim0 :] = self.B
         L[self.dim0 :, : self.dim0] = self.B.T
         return L
-
-
-def make_block_operator(A0, A1, B) -> BlockOperator:
-    """Validate and assemble a block operator from its three blocks.
-
-    A0 and A1 may be SymMatrix instances or array-likes (symmetrized on
-    construction). Raises DimensionMismatch on inconsistent shapes.
-    """
-    if not isinstance(A0, SymMatrix):
-        A0 = SymMatrix(A0)
-    if not isinstance(A1, SymMatrix):
-        A1 = SymMatrix(A1)
-    return BlockOperator(A0, A1, B)
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,7 @@ def block_operator_from_dict(data: dict) -> BlockOperator:
         A0, A1, B = (_decode_block(data[key]) for key in ("A0", "A1", "B"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"malformed instance data: {exc}") from None
-    block = make_block_operator(A0, A1, B)
+    block = BlockOperator(A0, A1, B)
     if block.dim0 != dim0 or block.dim1 != dim1:
         raise DimensionMismatch(
             f"declared dims ({dim0}, {dim1}) disagree with blocks "

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from tantheta import (
+    BlockOperator,
     GenConfig,
     rank_one_build,
     rank_one_outer_params,
     extract_angular_operator,
     find_disposition,
     m_total,
-    make_block_operator,
     circulant_build,
     circulant_case_params,
     perturbed_partition,
@@ -106,7 +106,7 @@ def test_3_identity_audit(trial_records):
     _, b1, b2 = circulant_case_params(2.0, 1.0, 1.0)
     ok = ok and audit(circulant_build(2.0, 1.0, b1, b2)) <= 1e-8
     # repeated singular values: every rotated eigenbasis must pass
-    degenerate = make_block_operator(
+    degenerate = BlockOperator(
         np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2)
     )
     ok = ok and all(audit(degenerate, seed=s) <= 1e-8 for s in (0, 1, 2))

@@ -273,6 +273,19 @@ class TestPhiMaximizer:
         with pytest.raises(DomainError, match="escaped"):
             phi_maximizer(1.0, 0.99999998, 0.00019999999969756423)
 
+    @pytest.mark.parametrize("a", [1e-150, 1e-160, 1e-200, 1e-300])
+    def test_tiny_a_keeps_full_precision(self, a):
+        # At gamma = 1 and b = 1.2, z0 = a / 0.56 up to O(a^3); h = 0.28 / a,
+        # whose square overflows below a of about 1e-154.
+        z0, phi_max = phi_maximizer(1.0, a, 1.2)
+        assert abs(z0 / a - 25.0 / 14.0) <= 1e-14
+        assert abs(phi_max - phi_maximizer(1.0, 0.0, 1.2)[1]) <= 1e-15
+
+    def test_smallest_subnormal_a_returns(self):
+        z0, phi_max = phi_maximizer(1.0, 5e-324, 1.2)
+        assert 0.0 <= z0 <= 1e-323
+        assert phi_max == phi_maximizer(1.0, 0.0, 1.2)[1]
+
     def test_negative_z0_radicand_raises(self):
         # b one ulp below its upper edge sqrt(2 gamma (gamma - a)) at a small
         # a: h = (2 gamma^2 - b^2) / (2a) cancels to below gamma, and

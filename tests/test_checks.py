@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tantheta import (
+    BlockOperator,
     DimensionMismatch,
     DispositionViolated,
     DomainError,
@@ -29,7 +30,6 @@ from tantheta import (
     find_disposition,
     generate_instance,
     lambda0,
-    make_block_operator,
     projection_distance,
     run_trial,
     solve_riccati_fixed_point,
@@ -109,7 +109,7 @@ class TestCapsHaveTeeth:
 
     def test_extraction_condition_infinite(self):
         # An in-gap basis with a zero top block is no graph: cond(Y0) = inf.
-        block = make_block_operator([[0.5]], np.diag([-2.0, 2.0]), [[0.3, 0.4]])
+        block = BlockOperator([[0.5]], np.diag([-2.0, 2.0]), [[0.3, 0.4]])
         vertical = SpectrumPartition(np.array([0.5]), np.eye(3)[:, 1:2])
         with pytest.raises(GraphExtractionFailed, match="^top block condition number inf "):
             extract_angular_operator(vertical, block)
@@ -195,7 +195,7 @@ class TestCapsHaveTeeth:
     def test_kernel_cutoff(self):
         # X has singular values 0.30 and 3.3e-7: both are above the kernel
         # cutoff (1e-12 ||X||), so both polar images keep unit norm.
-        block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]),
+        block = BlockOperator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]),
                                     [[0.5, 0.0], [0.0, 5e-7]])
         ang = harness.Verification(block).angular
         assert ang.eigenvalues_abs[1] == pytest.approx(1e-6 / 3.0, rel=1e-6)
@@ -214,7 +214,7 @@ class TestCapsHaveTeeth:
         # rotated basis is audited beside the two base pairs; 1e-6 apart
         # they are two simple values.
         B = np.diag([0.4, 0.4 * (1.0 + split)])
-        ver = harness.Verification(make_block_operator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), B))
+        ver = harness.Verification(BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), B))
         assert ver.audit.lam.size == audited
         assert ver.audit.max_residual <= 1e-10
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tantheta import (
-    GenConfig, circulant_build, generate_instance, make_block_operator, run_sweep, save_instance,
+    BlockOperator, GenConfig, circulant_build, generate_instance, run_sweep, save_instance,
 )
 from tantheta.harness import REPORT_FIELDS
 from tantheta.cli import main
@@ -360,6 +360,14 @@ class TestExample:
     def test_missing_parameter_exits_2(self, capsys):
         assert main(["example", "circulant", "--gamma", "2", "--a", "1"]) == 2
 
+    def test_rank1_outer_at_tiny_a(self, capsys):
+        # h = (2 gamma^2 - b^2) / (2a) is 2.8e199 here: its square overflows.
+        rc = main(["example", "rank1-outer", "--gamma", "1", "--a", "1e-200", "--b", "1.2",
+                   "--json"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["distance"] == pytest.approx(obj["bound"], rel=1e-9)
+
     def test_maximizer_at_gamma_exits_2_without_traceback(self):
         # Its phi maximizer rounds to gamma, where phi's denominator is 0.
         src = Path(__file__).resolve().parents[1] / "src"
@@ -374,7 +382,7 @@ class TestExample:
 
 class TestCheckIdentities:
     def test_on_saved_instance(self, tmp_path, capsys):
-        block = make_block_operator(
+        block = BlockOperator(
             np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),
             np.array([[0.3, 0.4], [0.4, 0.3]]),
         )
@@ -393,7 +401,7 @@ class TestCheckIdentities:
             raise AssertionError("check-identities must not run this stage")
 
         monkeypatch.setattr(harness, "solve_riccati_fixed_point", forbidden)
-        block = make_block_operator(
+        block = BlockOperator(
             np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),
             np.array([[0.3, 0.4], [0.4, 0.3]]),
         )
@@ -407,7 +415,7 @@ class TestCheckIdentities:
         )
         A0, A1, B = (np.ldexp(M, 511) for M in (block.A0.entries, block.A1.entries, block.B))
         path = tmp_path / "instance.json"
-        save_instance(make_block_operator(A0, A1, B), path)
+        save_instance(BlockOperator(A0, A1, B), path)
         assert main(["check-identities", "--instance", str(path), "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -429,7 +437,7 @@ class TestCheckIdentities:
         "seed, code", [("-1", 2), ("18446744073709551616", 2), ("18446744073709551615", 0)]
     )
     def test_seed_range(self, tmp_path, capsys, seed, code):
-        block = make_block_operator(
+        block = BlockOperator(
             np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]),
             np.array([[0.3, 0.4], [0.4, 0.3]]),
         )
@@ -459,11 +467,11 @@ class TestCheckIdentities:
     @pytest.mark.parametrize(
         "block",
         [
-            make_block_operator(
+            BlockOperator(
                 np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.array([[0.3, 0.4], [0.4, 0.3]])
             ),
             # a doubly degenerate singular value of X: the audit draws from the seed
-            make_block_operator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2)),
+            BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2)),
             circulant_build(2.0, 1.0, 0.3, 0.4),
             generate_instance(
                 GenConfig(dim0=5, dim1=8, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=9)

@@ -116,8 +116,9 @@ class TestRankOneOuter:
             rank_one_outer_params(2.0, 1.0, 2.0)
 
     def test_weight_escape_raises(self):
-        # a two ulps below gamma: z0 cancels to below a, and t to about 2.
-        with pytest.raises(DomainError, match="weight t = 1.99999"):
+        # a two ulps below gamma: h = (2 gamma^2 - b^2) / (2a) cancels, z0
+        # lands below a, and t at about 1.6.
+        with pytest.raises(DomainError, match="weight t = 1.619077"):
             rank_one_outer_params(1.6190777453040845, 1.6190777453040843, 2.1073424255446997e-08)
 
 

@@ -3,12 +3,15 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tantheta import (
+    BlockOperator,
     ConfigInvalid,
+    GapEmptyOrRankMismatch,
     GraphExtractionFailed,
     NoConvergence,
     ResidualTooLarge,
@@ -18,13 +21,13 @@ from tantheta import (
     find_disposition,
     generate_instance,
     load_instance,
-    make_block_operator,
+    perturbed_partition,
     run_sweep,
     run_trial,
     save_instance,
     write_reports,
 )
-from tantheta import harness
+from tantheta import harness, model
 from tantheta.harness import (
     MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
@@ -44,8 +47,13 @@ def base_cfg(**overrides):
 
 
 class TestGenConfig:
-    def test_validate_accepts_default(self):
-        base_cfg().validate()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"ratio": 0.0}, {"d": 2.0, "ratio": math.nextafter(math.sqrt(2.0), 0.0)},
+         {"seed": 2**64 - 1}],
+    )
+    def test_accepts_default_and_edges(self, overrides):
+        assert replace(base_cfg(), **overrides) == base_cfg(**overrides)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -66,10 +74,12 @@ class TestGenConfig:
             {"span": 10**400},
         ],
     )
-    def test_validate_rejects(self, overrides):
+    def test_rejects_at_construction(self, overrides):
         with pytest.raises(ConfigInvalid):
-            base_cfg(**overrides).validate()
-
+            base_cfg(**overrides)
+        # dataclasses.replace builds a new config, which checks itself too.
+        with pytest.raises(ConfigInvalid):
+            replace(base_cfg(), **overrides)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -95,9 +105,8 @@ class TestGenerateInstance:
     def test_disposition_is_exact(self):
         for seed in range(20):
             block, disp = generate_instance(base_cfg(seed=seed))
-            measured = find_disposition(block)
-            assert measured.d == pytest.approx(disp.d, abs=1e-12)
-            assert measured.D == pytest.approx(disp.D, abs=1e-12)
+            assert find_disposition(block) == disp
+            assert (disp.d, disp.D) == (1.0, 4.0)
             assert block.v_norm == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_ratio_gives_zero_coupling(self):
@@ -120,6 +129,33 @@ class TestGenerateInstance:
         assert conj.v_norm == pytest.approx(plain.v_norm, abs=1e-9)
         # but the conjugated blocks are genuinely dense
         assert abs(conj.A1.entries[0, 1]) > 1e-6
+
+
+class TestEdgeRatio:
+    """At a ratio one ulp below sqrt(D/d) the rounding of the scaling and
+    of the conjugation can lift ||B|| onto the partition gate sqrt(d D);
+    the generator scales B back below it."""
+
+    @pytest.mark.parametrize("D, d", [(2.0, 1.0), (1e11, 0.1)])
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 6), (8, 12)])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_every_edge_draw_passes_the_partition_gate(self, D, d, dims, conjugate):
+        ratio = math.nextafter(math.sqrt(D / d), 0.0)
+        for i in range(10):
+            cfg = GenConfig(dim0=dims[0], dim1=dims[1], D=D, d=d, ratio=ratio,
+                            conjugate=conjugate, seed=trial_seed(1, i))
+            block, disp = generate_instance(cfg)
+            assert find_disposition(block) == disp
+            assert block.v_norm < math.sqrt(disp.d * disp.D)
+            assert perturbed_partition(block, disp).omega0.size == dims[0]
+
+    def test_other_draws_never_measure_B(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "spectral_norm", calls.append)
+        for ratio in (0.0, 0.5, 1.99):  # sqrt(D/d) = 2
+            for conjugate in (False, True):
+                generate_instance(base_cfg(ratio=ratio, conjugate=conjugate))
+        assert calls == []
 
 
 class TestSeedMixing:
@@ -233,7 +269,7 @@ def test_array_records_compare_by_identity():
     # Records holding arrays hash and compare by identity: two records of
     # one block's values are unequal, and each equals itself.
     block, _ = generate_instance(base_cfg(dim0=3, dim1=5))
-    twin = make_block_operator(block.A0.entries, block.A1.entries, block.B)
+    twin = BlockOperator(block.A0.entries, block.A1.entries, block.B)
     ver, other = Verification(block), Verification(twin)
     pairs = [
         (block, twin),
@@ -356,7 +392,7 @@ class TestGeneratedSpectra:
             block, disp = generate_instance(cfg)
             self.assert_values_match_eigvalsh(block.A0)
             self.assert_values_match_eigvalsh(block.A1)
-            rebuilt = make_block_operator(block.A0.entries, block.A1.entries, block.B)
+            rebuilt = BlockOperator(block.A0.entries, block.A1.entries, block.B)
             one, two = Verification(block, seed=seed), Verification(rebuilt, seed=seed)
             assert (one.disposition.D, one.disposition.d) == (disp.D, disp.d)
             for name in ("D", "d"):
@@ -409,13 +445,16 @@ class TestRunSweep:
         assert {(type(rec), rec.error) for rec in records} == {(FailureRecord, "ResidualTooLarge")}
 
     def test_empty_grid_still_validates_the_base(self):
-        base = GenConfig(dim0=3, dim1=4, D="4", d=1.0, ratio=0.0)
+        # The base is checked when it is built, before run_sweep sees it.
         with pytest.raises(ConfigInvalid, match="^D must be a real number"):
-            run_sweep(base, 1, [])
+            run_sweep(GenConfig(dim0=3, dim1=4, D="4", d=1.0, ratio=0.0), 1, [])
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ConfigInvalid):
-            run_sweep(base_cfg(), trials=1, ratio_grid=[0.5, 2.0])
+    def test_rejects_bad_grid_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", calls.append)
+        with pytest.raises(ConfigInvalid, match="^ratio must"):
+            run_sweep(base_cfg(), trials=3, ratio_grid=[0.5, 2.0])
+        assert calls == []
 
     def test_rejects_nan_grid(self):
         with pytest.raises(ConfigInvalid):
@@ -483,19 +522,18 @@ class TestRunSweep:
         assert json.loads(lines[1]) == {"seed": 7, "error": "NoConvergence", "message": "stalled"}
 
     def test_partition_gate_prints_the_compared_floats(self):
-        # One ulp below sqrt(D/d) the measured ||B|| can reach sqrt(d D);
-        # the message must show the two floats the gate compared.
-        edge = math.nextafter(math.sqrt(2.0), 0.0)
-        cfg = base_cfg(dim0=2, dim1=3, D=2.0, d=1.0, seed=1)
-        records, summary = run_sweep(cfg, 10, [edge])
-        pairs = [
-            re.fullmatch(r"\|\|B\|\| = (\S+) >= sqrt\(d\*D\) = (\S+)", rec.message).groups()
-            for rec in records
-            if isinstance(rec, FailureRecord)
-        ]
-        assert len(pairs) == summary.failures > 0
-        assert all(float(v) >= float(gate) for v, gate in pairs)
-        assert any(v != gate for v, gate in pairs)
+        # ||B|| one ulp above sqrt(d D) = sqrt(2): the message must show the
+        # two floats the gate compared, in full.
+        gate = math.sqrt(2.0)
+        B = np.array([[math.nextafter(gate, 3.0), 0.0]])
+        block = BlockOperator(np.zeros((1, 1)), np.diag([-1.0, 1.0]), B)
+        with pytest.raises(GapEmptyOrRankMismatch) as info:
+            Verification(block)
+        v, shown = re.fullmatch(
+            r"\|\|B\|\| = (\S+) >= sqrt\(d\*D\) = (\S+)", str(info.value)
+        ).groups()
+        assert (float(v), float(shown)) == (block.v_norm, gate)
+        assert float(v) > float(shown)
 
     def test_unknown_format(self, tmp_path):
         records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])

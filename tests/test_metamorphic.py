@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tantheta import GenConfig, Verification, generate_instance, make_block_operator
+from tantheta import BlockOperator, GenConfig, Verification, generate_instance
 
 # Deterministic examples, so that the suite gives the same verdict on
 # every run.
@@ -46,7 +46,7 @@ def test_affine_rescaling(shape, ratio, seed, log_c, shift):
     block = instance(shape, ratio, seed)
     c = 10.0**log_c
     s = c * shift
-    scaled = make_block_operator(
+    scaled = BlockOperator(
         c * block.A0.entries + s * np.eye(block.dim0),
         c * block.A1.entries + s * np.eye(block.dim1),
         c * block.B,
@@ -66,7 +66,7 @@ def test_block_orthogonal_conjugation(shape, ratio, seed, basis_seed):
     rng = np.random.default_rng(basis_seed)
     Q0, _ = np.linalg.qr(rng.standard_normal((block.dim0, block.dim0)))
     Q1, _ = np.linalg.qr(rng.standard_normal((block.dim1, block.dim1)))
-    rotated = make_block_operator(
+    rotated = BlockOperator(
         Q0 @ block.A0.entries @ Q0.T, Q1 @ block.A1.entries @ Q1.T, Q0 @ block.B @ Q1.T
     )
     assert_invariant(observed(block), observed(rotated))

@@ -22,11 +22,12 @@ from tantheta import (
     SymMatrix,
     block_operator_from_dict,
     block_operator_to_dict,
+    circulant_build,
     classify_region,
     find_disposition,
     generate_instance,
     load_instance,
-    make_block_operator,
+    rank_one_build,
     save_instance,
 )
 from tantheta.cli import main
@@ -145,9 +146,9 @@ class TestKnownSpectrum:
             SymMatrix(A, spectrum=(sigma, Q[:, :-1]))
 
 
-class TestMakeBlockOperator:
+class TestBlockOperatorFromArrays:
     def test_rank_one_family_shape(self):
-        block = make_block_operator(
+        block = BlockOperator(
             np.array([[1.0]]), np.diag([-2.0, 2.0]), np.array([[0.0, 0.5]])
         )
         assert (block.dim0, block.dim1, block.n) == (1, 2, 3)
@@ -156,12 +157,37 @@ class TestMakeBlockOperator:
         assert L[0, 2] == 0.5
 
     def test_zero_perturbation_accepted(self):
-        block = make_block_operator([[0.0]], [[1.0]], [[0.0]])
+        block = BlockOperator([[0.0]], [[1.0]], [[0.0]])
         assert block.v_norm == 0.0
 
     def test_shape_violation(self):
         with pytest.raises(DimensionMismatch):
-            make_block_operator(np.eye(2), np.eye(2), np.zeros((2, 3)))
+            BlockOperator(np.eye(2), np.eye(2), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("source", ["rank_one", "circulant", "generated", "loaded"])
+    def test_arrays_give_the_symmatrix_blocks(self, source, tmp_path):
+        if source == "loaded":
+            block, _ = generate_instance(
+                GenConfig(dim0=3, dim1=5, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=4)
+            )
+            save_instance(block, tmp_path / "instance.json")
+            ref = load_instance(tmp_path / "instance.json")
+        else:
+            ref = {
+                "rank_one": lambda: rank_one_build(2.0, 0.5, 0.3, 0.4),
+                "circulant": lambda: circulant_build(2.0, 1.0, 0.3, 0.4),
+                "generated": lambda: generate_instance(
+                    GenConfig(dim0=4, dim1=6, D=2.5, d=1.0, ratio=0.9, conjugate=True, seed=2)
+                )[0],
+            }[source]()
+        A0, A1 = ref.A0.entries, ref.A1.entries
+        from_arrays = BlockOperator(A0.tolist(), A1, ref.B)
+        from_sym = BlockOperator(SymMatrix(A0), SymMatrix(A1), ref.B)
+        for got, want in ((from_arrays.A0, from_sym.A0), (from_arrays.A1, from_sym.A1)):
+            assert isinstance(got, SymMatrix)
+            assert np.array_equal(got.entries, want.entries)
+            assert np.array_equal(got.eig.values, want.eig.values)
+        assert np.array_equal(from_arrays.B, from_sym.B)
 
 
 class TestClassifyRegion:
@@ -217,7 +243,7 @@ def disposition_of(s0, s1):
     """The disposition of the unperturbed block operator with A0 = diag(s0)
     and A1 = diag(s1)."""
     return find_disposition(
-        make_block_operator(np.diag(s0), np.diag(s1), np.zeros((len(s0), len(s1))))
+        BlockOperator(np.diag(s0), np.diag(s1), np.zeros((len(s0), len(s1))))
     )
 
 
@@ -272,7 +298,7 @@ class TestDisposition:
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
-        block = make_block_operator(
+        block = BlockOperator(
             np.array([[1.0]]), np.diag([-2.0, 2.0]), np.array([[0.0, 0.5]])
         )
         path = tmp_path / "instance.json"
@@ -285,7 +311,7 @@ class TestInstanceIO:
         # A1's eigenvectors off by 1e-6 fail the residual contract when the
         # file is loaded, before any stage runs.
         path = tmp_path / "instance.json"
-        save_instance(make_block_operator([[1.0]], np.diag([-2.0, 2.0]), [[0.0, 0.5]]), path)
+        save_instance(BlockOperator([[1.0]], np.diag([-2.0, 2.0]), [[0.0, 0.5]]), path)
         eigh = np.linalg.eigh
 
         def perturbed(M):
@@ -310,7 +336,7 @@ class TestInstanceIO:
             block_operator_from_dict(data)
 
     def test_dict_round_trip(self):
-        block = make_block_operator(np.eye(2), np.diag([-3.0, 3.0]), np.ones((2, 2)))
+        block = BlockOperator(np.eye(2), np.diag([-3.0, 3.0]), np.ones((2, 2)))
         again = block_operator_from_dict(json.loads(json.dumps(block_operator_to_dict(block))))
         assert np.array_equal(again.B, block.B)
 
@@ -357,7 +383,7 @@ class TestInstanceIO:
         ],
     )
     def test_exact_bits_round_trip(self, tmp_path, A0, A1, B):
-        assert_bit_identical_round_trip(make_block_operator(A0, A1, B), tmp_path)
+        assert_bit_identical_round_trip(BlockOperator(A0, A1, B), tmp_path)
 
     def test_exact_bits_round_trip_of_generated_instance(self, tmp_path):
         cfg = GenConfig(dim0=50, dim1=80, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=5)
@@ -366,7 +392,7 @@ class TestInstanceIO:
     def test_saved_file_holds_exact_bits_blocks(self, tmp_path):
         B = np.array([[0.0, 0.5]])
         path = tmp_path / "instance.json"
-        save_instance(make_block_operator(np.array([[1.0]]), np.diag([-2.0, 2.0]), B), path)
+        save_instance(BlockOperator(np.array([[1.0]]), np.diag([-2.0, 2.0]), B), path)
         saved = json.loads(path.read_text())
         assert list(saved) == ["dim0", "dim1", "A0", "A1", "B"]
         assert (saved["dim0"], saved["dim1"]) == (1, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tantheta import (
+    BlockOperator,
     ConfigInvalid,
     DimensionMismatch,
     GenConfig,
@@ -16,7 +17,6 @@ from tantheta import (
     find_disposition,
     generate_instance,
     lambda0,
-    make_block_operator,
     perturbed_partition,
     projection_distance,
     riccati_residual,
@@ -51,28 +51,28 @@ def random_blocks(count, seed=0):
 
 class TestRiccatiResidual:
     def test_zero_everything(self):
-        block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
         assert riccati_residual(np.zeros((2, 1)), block) == 0.0
 
     def test_zero_solution_nonzero_coupling(self):
-        block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
         assert riccati_residual(np.zeros((2, 1)), block) == pytest.approx(0.5)
 
     def test_shape_check(self):
-        block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
         with pytest.raises(DimensionMismatch):
             riccati_residual(np.zeros((1, 2)), block)
 
 
 class TestExtraction:
     def test_zero_coupling_gives_zero(self):
-        block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
         _, _, ang = pipeline(block)
         assert ang.norm == 0.0
         assert ang.riccati_residual == 0.0
 
     def test_partition_of_another_block_rejected(self):
-        one = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.1, 0.2]])
+        one = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.1, 0.2]])
         two = circulant_build(2.0, 1.0, 0.3, 0.4)
         part = perturbed_partition(two, find_disposition(two))
         with pytest.raises(GraphExtractionFailed, match="^partition rank 2 != dim0 1$"):
@@ -147,12 +147,12 @@ class TestPolarRecord:
 
 class TestFixedPoint:
     def test_zero_coupling_one_step(self):
-        block = make_block_operator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.0, 0.0]])
         ang = solve_riccati_fixed_point(block, find_disposition(block))
         assert np.linalg.norm(ang, 2) == 0.0
 
     def test_agrees_with_extraction(self):
-        block = make_block_operator(
+        block = BlockOperator(
             np.array([[1.0]]), np.diag([-2.0, 2.0]), np.array([[0.0, 0.5]])
         )
         disp, _, ang = pipeline(block)
@@ -225,7 +225,7 @@ class TestFixedPoint:
 
 class TestLambda0:
     def test_zero_coupling_reduces_to_block(self):
-        block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         _, _, ang = pipeline(block)
         lam = lambda0(ang, block)
         assert np.allclose(lam, block.A0.entries, atol=1e-12)
@@ -269,7 +269,7 @@ class TestLemmaIdentities:
         # equal-magnitude couplings on symmetric spectra force a doubly
         # degenerate singular value of X
         c = 0.4
-        block = make_block_operator(
+        block = BlockOperator(
             np.zeros((2, 2)), np.diag([-1.0, 1.0]), c * np.eye(2)
         )
         _, _, ang = pipeline(block)
@@ -283,7 +283,7 @@ class TestLemmaIdentities:
     @pytest.mark.parametrize("seed, raises", [(-1, True), (2**64, True), (2**64 - 1, False)])
     def test_seed_range(self, seed, raises):
         # the degenerate block draws a rotation from the seeded generator
-        block = make_block_operator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
+        block = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
         _, _, ang = pipeline(block)
         if raises:
             with pytest.raises(ConfigInvalid):
@@ -305,7 +305,7 @@ class TestLemmaIdentities:
         assert first.max_residual == last.max_residual
 
     def test_zero_solution_degenerate_case(self):
-        block = make_block_operator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         _, _, ang = pipeline(block)
         audit = verify_lemma_identities(ang, block)
         assert audit.max_residual <= 1e-12
@@ -320,7 +320,7 @@ class TestAuditOverflow:
         cfg = GenConfig(dim0=3, dim1=5, D=10.0, d=1.0, ratio=1.2, conjugate=True, seed=11)
         block, _ = generate_instance(cfg)
         A0, A1, B = (np.ldexp(M, k) for M in (block.A0.entries, block.A1.entries, block.B))
-        block = make_block_operator(A0, A1, B)
+        block = BlockOperator(A0, A1, B)
         return block, pipeline(block)[2]
 
     @pytest.mark.parametrize("k", [510, 511, 520, 600, 1000])

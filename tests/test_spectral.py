@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from tantheta import (
+    BlockOperator,
     DispositionViolated,
     GenConfig,
     Verification,
@@ -15,7 +16,6 @@ from tantheta import (
     SymMatrix,
     extract_angular_operator,
     find_disposition,
-    make_block_operator,
     perturbed_partition,
     m_total,
     projection_distance,
@@ -73,7 +73,7 @@ class TestSymEig:
 
 class TestFindDisposition:
     def test_symmetric_toy(self):
-        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         disp = find_disposition(block)
         assert (disp.gamma_l, disp.gamma_r, disp.d, disp.D) == (-2.0, 2.0, 1.0, 4.0)
 
@@ -85,14 +85,14 @@ class TestFindDisposition:
         assert (disp.d, disp.D) == (1.0, 4.0)
 
     def test_straddling_rejected(self):
-        block = make_block_operator(np.diag([0.0, 3.0]), np.diag([-1.0, 1.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([0.0, 3.0]), np.diag([-1.0, 1.0]), np.zeros((2, 2)))
         with pytest.raises(DispositionViolated):
             find_disposition(block)
 
 
 class TestPerturbedPartition:
     def test_unperturbed(self):
-        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
         assert part.omega0 == pytest.approx((-1.0, 1.0), abs=1e-12)
         assert np.allclose(dense_projector(part.basis), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
@@ -145,7 +145,7 @@ class TestPerturbedPartition:
 
     def test_rank_mismatch_raises(self):
         # A gap (-3, 3) wider than spec(A1) holds all of spec(L) = {-2, 0, 2}.
-        block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
+        block = BlockOperator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
         disp = SpectralDisposition(-3.0, 3.0, 1.0, 6.0)
         with pytest.raises(GapEmptyOrRankMismatch, match="in-gap rank 3 != dim0 1"):
             perturbed_partition(block, disp)
@@ -155,7 +155,7 @@ class TestPerturbedPartition:
         # spec(L) = {-2, 0, 2}; band = 1e-9 (1 + ||L||) = 3e-9 and the
         # collar 3e-12, so -2 is a boundary hit at 1e-9 inside the gap and
         # an endpoint eigenvalue at 1e-13.
-        block = make_block_operator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
+        block = BlockOperator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
         disp = SpectralDisposition(-2.0 - offset, 2.0, 2.0, 4.0)
         if raises:
             with pytest.raises(EigenvalueOnBoundary):
@@ -239,7 +239,7 @@ class TestBasisRoute:
         assert np.array_equal(dense_projector(P), np.diag([1.0, 0.0, 0.0]))
 
     def test_partition_projector_dense_form(self):
-        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         part = perturbed_partition(block, find_disposition(block))
         assert part.basis.shape[1] == 2
         assert np.allclose(dense_projector(part.basis), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
@@ -335,7 +335,7 @@ class TestCosineSineRoute:
         Y[0, 0], Y[2, 0], Y[1, 1] = cosine, np.sqrt(1.0 - cosine**2), 1.0
         Y[:2], Y[2:] = R0 @ Y[:2], R1 @ Y[2:]
         part = SpectrumPartition(np.zeros(2), Y)
-        block = make_block_operator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
+        block = BlockOperator(np.diag([-1.0, 1.0]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         assert projection_distance(block, part) == pytest.approx(1.0, abs=1e-12)
         if raises:
             with pytest.raises(GraphExtractionFailed):

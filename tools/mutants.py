@@ -117,6 +117,15 @@ MUTANTS = (
      "a cross-check without convergence fails the trial"),
     ("src/tantheta/harness.py", 'fh.write(failure_to_json_line(rec) + "\\n")', "pass",
      "failure records left out of a JSONL report"),
+    ("src/tantheta/harness.py", '    def __post_init__(self):\n        for name in ("dim0"',
+     '    def _unused_checks(self):\n        for name in ("dim0"',
+     "nothing checks a GenConfig when it is built"),
+    ("src/tantheta/bounds.py",
+     "z0 = g * g / (h + math.sqrt(max(h - g, 0.0)) * math.sqrt(h + g))",
+     "z0 = h - math.sqrt(max(radicand, 0.0))",
+     "z0 by the cancelling h - sqrt(h^2 - g^2), which overflows for a below 1e-154"),
+    ("src/tantheta/harness.py", "while block.v_norm >= gate:", "while False:",
+     "an edge-ratio draw keeps a ||B|| that reaches the partition gate"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
