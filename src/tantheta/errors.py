@@ -5,9 +5,8 @@ tolerance, and `require`, the one comparison of a value with its cap."""
 # what it scales with. The modules that run the checks import it from here.
 ASYMMETRY_TOL = 1e-12  # ||S - S^T||_F of an input block; max(1, max|s_ij|)
 EIG_RESIDUAL_TOL = 1e-10  # ||S V - V diag(w)||_F of an eigensystem; 1 + max|w|
-EIG_GRAM_TOL = 1e-8  # ||V^T V - I||_F of a supplied eigenbasis; absolute (unit columns)
+EIG_GRAM_TOL = 1e-8  # ||V^T V - I||_F of a supplied or in-gap eigenbasis; absolute (unit columns)
 BOUNDARY_CLASSIFY_TOL = 1e-9  # |v - sqrt(d (D - d))| read as the region boundary; sqrt(d D)
-PROJECTOR_TOL = 1e-8  # ||Y^T Y - I||_F of a projector's range basis; absolute (unit columns)
 PROJECTOR_DISTANCE_SLACK = 1e-9  # projector distance above 1 taken as round-off; absolute
 BOUNDARY_BAND = 1e-9  # in-gap distance to a gap edge that is a boundary hit; 1 + ||L||
 EDGE_COLLAR = 1e-12  # distance to a gap edge taken as an edge value's round-off; 1 + ||L||

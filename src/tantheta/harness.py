@@ -100,9 +100,8 @@ def generate_instance(cfg: GenConfig) -> tuple:
     One sigma0 value is pinned at an inner-interval endpoint and the gap
     edges +-D/2 carry sigma1 values, so the disposition parameters are
     attained, not just bounded; the rounded endpoint can put d below cfg.d.
-    Within a relative 2^-26 of the partition gate sqrt(d D), which rounding
-    can otherwise lift ||B|| onto, B is scaled down until its measured norm
-    is below the gate; no other draw reads ||B||. With conjugate=True both
+    Where rounding lifts ||B|| onto the partition gate sqrt(d D), B is scaled
+    down until its norm is below the gate. With conjugate=True both
     diagonal blocks and B undergo a random block-orthogonal change of
     basis, which leaves every computed norm invariant. A0 and A1 are built
     with the spectra they were made from (SymMatrix's `spectrum`), so of the
@@ -118,16 +117,12 @@ def generate_instance(cfg: GenConfig) -> tuple:
     block = BlockOperator(
         SymMatrix(A0, spectrum=spectrum0), SymMatrix(A1, spectrum=spectrum1), B
     )
-    # find_disposition's arithmetic on the same floats: sigma1 holds -half
-    # and half, and sigma0 ascends.
-    half = cfg.D / 2.0
-    lo0, hi0 = float(spectrum0[0][0]), float(spectrum0[0][-1])
-    disp = SpectralDisposition(-half, half, min(lo0 + half, half - hi0), half + half)
+    disp = find_disposition(block)
     gate = math.sqrt(disp.d * disp.D)
-    if cfg.ratio * cfg.d >= (1.0 - 2.0**-26) * gate > 0.0:
-        while block.v_norm >= gate:
-            factor = math.nextafter(gate / block.v_norm, 0.0)
-            block = BlockOperator(block.A0, block.A1, block.B * factor)
+    # A gate that underflows to 0 is left for the partition to reject.
+    while 0.0 < gate <= block.v_norm:
+        factor = math.nextafter(gate / block.v_norm, 0.0)
+        block = BlockOperator(block.A0, block.A1, block.B * factor)
     return block, disp
 
 

@@ -10,8 +10,8 @@ import numpy as np
 from .errors import (
     BOUNDARY_BAND,
     EDGE_COLLAR,
+    EIG_GRAM_TOL,
     PROJECTOR_DISTANCE_SLACK,
-    PROJECTOR_TOL,
     DispositionViolated,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
@@ -48,7 +48,7 @@ class SpectrumPartition:
     eigenvectors Y = [Y0; Y1] (n x k, columns), a basis of the spectral
     subspace, and lower_svd = (U1, s, Wt), the SVD of Y1 = Y[k:].
 
-    Construction checks ||Y^T Y - I||_F <= PROJECTOR_TOL (NotAProjector
+    Construction checks ||Y^T Y - I||_F <= EIG_GRAM_TOL (NotAProjector
     otherwise), then takes the SVD. Its singular values s (descending) are
     the sines of the principal angles between the subspace and the span of
     the first k coordinate vectors. U1 and s are thin and Wt is square
@@ -64,7 +64,7 @@ class SpectrumPartition:
         Y = self.basis
         k = Y.shape[1]
         gram_defect = frobenius(Y.T @ Y - np.eye(k))
-        require("range basis Gram defect", gram_defect, PROJECTOR_TOL, NotAProjector)
+        require("range basis Gram defect", gram_defect, EIG_GRAM_TOL, NotAProjector)
         Y1 = Y[k:]
         U1, s, Wt = np.linalg.svd(Y1, full_matrices=Y1.shape[0] < Y1.shape[1])
         s += 0.0  # turns the -0.0 LAPACK can return for a Y1 of signed zeros into 0.0

@@ -5,8 +5,8 @@ import numpy as np
 
 from tantheta import NotAProjector, m_total
 from tantheta.bounds import _kappa, half_arctan_tangent
+from tantheta.errors import EIG_GRAM_TOL
 from tantheta.model import spectral_norm, unit_scaled
-from tantheta.spectral import PROJECTOR_TOL
 
 
 def dense_projector(P) -> np.ndarray:
@@ -19,8 +19,8 @@ def dense_projector(P) -> np.ndarray:
 
 
 def check_projector(P: np.ndarray, name: str) -> None:
-    if spectral_norm(P @ P - P) > PROJECTOR_TOL or spectral_norm(P - P.T) > PROJECTOR_TOL:
-        raise NotAProjector(f"{name} is not idempotent-symmetric within {PROJECTOR_TOL:g}")
+    if spectral_norm(P @ P - P) > EIG_GRAM_TOL or spectral_norm(P - P.T) > EIG_GRAM_TOL:
+        raise NotAProjector(f"{name} is not idempotent-symmetric within {EIG_GRAM_TOL:g}")
 
 
 def dense_projection_distance(P, Q) -> float:

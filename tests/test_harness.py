@@ -27,7 +27,7 @@ from tantheta import (
     save_instance,
     write_reports,
 )
-from tantheta import harness, model
+from tantheta import harness
 from tantheta.harness import (
     MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
@@ -149,13 +149,14 @@ class TestEdgeRatio:
             assert block.v_norm < math.sqrt(disp.d * disp.D)
             assert perturbed_partition(block, disp).omega0.size == dims[0]
 
-    def test_other_draws_never_measure_B(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(model, "spectral_norm", calls.append)
-        for ratio in (0.0, 0.5, 1.99):  # sqrt(D/d) = 2
-            for conjugate in (False, True):
-                generate_instance(base_cfg(ratio=ratio, conjugate=conjugate))
-        assert calls == []
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_underflowed_gate_is_left_to_the_partition(self, conjugate):
+        # sqrt(d D) underflows to 0.0, so no rescale can bring ||B|| below it.
+        cfg = GenConfig(dim0=2, dim1=3, D=2e-300, d=1e-300, ratio=0.5, conjugate=conjugate)
+        block, disp = generate_instance(cfg)
+        assert math.sqrt(disp.d * disp.D) == 0.0 < block.v_norm
+        with pytest.raises(GapEmptyOrRankMismatch, match=re.escape("sqrt(d*D) = 0.0")):
+            run_trial(cfg)
 
 
 class TestSeedMixing:
@@ -234,14 +235,16 @@ class TestVerificationPipeline:
 
             return wrapper
 
+        block = generate_instance(base_cfg())[0]
         for name in self.STAGES:
             monkeypatch.setattr(harness, name, spied(name, getattr(harness, name)))
-        ver = Verification(generate_instance(base_cfg())[0])
+        ver = Verification(block)
         assert calls == list(self.STAGES)
         ver.disposition, ver.partition, ver.angular, ver.distance, ver.bound, ver.audit
         assert calls == list(self.STAGES)
+        # Generation reads its disposition off the drawn block first.
         run_trial(base_cfg())
-        assert calls == list(self.STAGES) * 2
+        assert calls == list(self.STAGES) + ["find_disposition"] + list(self.STAGES)
 
     def test_first_failing_stage_reports_its_error(self, monkeypatch):
         def failing(error):

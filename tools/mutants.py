@@ -77,8 +77,8 @@ MUTANTS = (
      "region boundary band widened a millionfold"),
     ("src/tantheta/errors.py", "PROJECTOR_DISTANCE_SLACK = 1e-9",
      "PROJECTOR_DISTANCE_SLACK = 1.0", "projector distances up to 2 pass"),
-    ("src/tantheta/errors.py", "PROJECTOR_TOL = 1e-8", "PROJECTOR_TOL = 1e-2",
-     "range basis Gram defect cap loosened a millionfold"),
+    ("src/tantheta/spectral.py", "gram_defect, EIG_GRAM_TOL, NotAProjector)",
+     "gram_defect, 1.0, NotAProjector)", "range basis Gram defect cap raised to 1"),
     ("src/tantheta/model.py", "if not (values[1:] >= values[:-1]).all():", "if False:",
      "a supplied spectrum need not ascend"),
     ("src/tantheta/model.py", "EigenSystem.of(sym, spectrum)", "EigenSystem.of(sym)",
@@ -124,8 +124,10 @@ MUTANTS = (
      "z0 = g * g / (h + math.sqrt(max(h - g, 0.0)) * math.sqrt(h + g))",
      "z0 = h - math.sqrt(max(radicand, 0.0))",
      "z0 by the cancelling h - sqrt(h^2 - g^2), which overflows for a below 1e-154"),
-    ("src/tantheta/harness.py", "while block.v_norm >= gate:", "while False:",
+    ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:", "while False:",
      "an edge-ratio draw keeps a ||B|| that reaches the partition gate"),
+    ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:",
+     "while gate <= block.v_norm:", "a gate that underflows to 0 rescaled until B is zero"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
