@@ -143,9 +143,8 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     and every value in an error message is given back in the caller's scale.
     """
     require_in_gap(gamma, a)
-    e = unit_exponent(gamma)
-    g, a_u, b_u = (math.ldexp(x, e) for x in (gamma, a, b))
-    back = 2.0 ** -e  # rounds like ldexp, but overflows to inf rather than raising
+    g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
+    back = 2.0 ** -unit_exponent(gamma)  # rounds like ldexp, but overflows to inf, not raising
     b_lo = math.sqrt(g * g - a_u * a_u)
     b_hi = math.sqrt(2.0 * g * (g - a_u))
     if not b_lo * (1.0 - RADICAND_GUARD) <= b_u < b_hi:

@@ -140,23 +140,18 @@ def cmd_example(args) -> int:
 def cmd_check_identities(args) -> int:
     ver = Verification(load_instance(args.instance), seed=args.seed)
     ang, audit = ver.angular, ver.audit
-    pairs = list(zip(*(a.tolist() for a in (audit.lam, audit.id1, audit.id2, audit.id3))))
+    rows = list(zip(*(a.tolist() for a in (audit.lam, audit.id1, audit.id2, audit.id3))))
+    keys = ("lambda", "id1_residual", "id2_residual", "id3_residual")
+    pairs = [("x_norm", ang.norm), ("riccati_residual", ang.riccati_residual),
+             ("max_residual", audit.max_residual),
+             ("per_pair", [dict(zip(keys, row)) for row in rows])]
     if args.json:
-        payload = {
-            "x_norm": ang.norm,
-            "riccati_residual": ang.riccati_residual,
-            "max_residual": audit.max_residual,
-            "per_pair": [
-                dict(zip(("lambda", "id1_residual", "id2_residual", "id3_residual"), pair))
-                for pair in pairs
-            ],
-        }
-        print(json.dumps(payload))
+        _emit(pairs, True)
     else:
-        _emit([("x_norm", ang.norm), ("riccati_residual", ang.riccati_residual)], False)
-        for lam, id1, id2, id3 in pairs:
+        _emit(pairs[:2], False)
+        for lam, id1, id2, id3 in rows:
             print(f"lambda {lam}: id1 {id1} id2 {id2} id3 {id3}")
-        _emit([("max_residual", audit.max_residual)], False)
+        _emit(pairs[2:3], False)
     return 0
 
 
@@ -214,9 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        TanThetaError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError
-    ) as exc:
+    except (TanThetaError, OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -266,16 +266,21 @@ def unit_exponent(x: float) -> int:
     return 1 - math.frexp(x)[1]
 
 
-def unit_scaled(D: float, d: float, v: float) -> tuple:
-    """The point (D, d, v), which must be finite (DomainError otherwise),
-    times the power of two 2^unit_exponent(D) that puts |D| in [1, 2). The
-    scaling is exact unless d or v falls below the normal range, so a
-    function homogeneous of degree 0 in (D, d, v) gives the same bits at the
-    scaled point, where products such as d D and v^2 neither overflow nor
-    underflow."""
-    require_finite("D, d, v", D, d, v)
-    e = unit_exponent(D)
-    return math.ldexp(D, e), math.ldexp(d, e), math.ldexp(v, e)
+def unit_scaled(*values: float, names: str = "D, d, v") -> tuple:
+    """The point, as (D, d, v) by default, which must be finite (DomainError
+    otherwise), times the power of two 2^unit_exponent(x) that puts the
+    first coordinate |x| in [1, 2). The scaling is exact unless a coordinate
+    falls below the normal range, so a function homogeneous of degree 0
+    gives the same bits at the scaled point, where products such as d D and
+    v^2 neither overflow nor underflow. A coordinate the scaling lifts past
+    the float range raises DomainError naming it."""
+    require_finite(names, *values)
+    e = unit_exponent(values[0])
+    try:
+        return tuple(math.ldexp(x, e) for x in values)
+    except OverflowError:
+        name, x = max(zip(names.split(", "), values), key=lambda pair: abs(pair[1]))
+        raise DomainError(f"{name} = {x!r} overflows at the scale 2^{e}") from None
 
 
 def classify_region(D: float, d: float, v: float) -> Region:

@@ -92,7 +92,9 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
     scale = 1.0 + es.norm  # ||L||
     band = BOUNDARY_BAND * scale
     collar = EDGE_COLLAR * scale
-    near = np.minimum(w - disp.gamma_l, disp.gamma_r - w)  # to the nearer edge
+    # A distance past the float range overflows to +inf, which still classifies.
+    with np.errstate(over="ignore"):
+        near = np.minimum(w - disp.gamma_l, disp.gamma_r - w)  # to the nearer edge
     # Endpoint eigenvalues (round-off absorbed by the collar) lie outside.
     inside = near > collar
     on_boundary = inside & (near <= band)

@@ -379,6 +379,18 @@ class TestExample:
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
+    def test_gap_past_the_float_range_exits_2_under_warnings_as_errors(self):
+        # D = 2e308 overflows: the partition's edge distances overflow too,
+        # without a warning, and the bound rejects D = inf.
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tantheta.cli", "example", "rank1-inner",
+             "--gamma", "1e308", "--a", "0", "--b", "1e307"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: (D, d, v) = (inf, ") and "Traceback" not in done.stderr
+
 
 class TestCheckIdentities:
     def test_on_saved_instance(self, tmp_path, capsys):

@@ -152,6 +152,64 @@ class TestRankOneOuterAtScale:
         assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
 
 
+# The closed forms at (1, 0.5) (rank one, inner) and (2, 1, 0.3, 0.4) and
+# (2, 1, 1) (circulant), scaled by 2^k. Taken at the caller's scale they
+# break beyond about 2^+-510, where d^2 or gamma^2 b^2 leaves the float
+# range: so the exactness test adds k = +-1000 to the five scales.
+SCALES = [-500, -300, 0, 20, 400]
+EXACT_SCALES = [-1000] + SCALES + [1000]
+
+
+class TestClosedFormsAtScale:
+    @pytest.mark.parametrize("k", EXACT_SCALES)
+    def test_inner_distance_is_exact_at_every_binary_scale(self, k):
+        d, v = math.ldexp(1.0, k), math.ldexp(0.5, k)
+        assert rank_one_inner_expected(d, v) == rank_one_inner_expected(1.0, 0.5)
+
+    @pytest.mark.parametrize("k", EXACT_SCALES)
+    def test_kappas_are_exact_at_every_binary_scale(self, k):
+        point = (2.0, 1.0, 0.3, 0.4)
+        kappas = circulant_kappas(*(math.ldexp(x, k) for x in point))
+        assert kappas == circulant_kappas(*point)
+
+    @pytest.mark.parametrize("k", EXACT_SCALES)
+    def test_case_params_are_exact_at_every_binary_scale(self, k):
+        gamma, a, b = (math.ldexp(x, k) for x in (2.0, 1.0, 1.0))
+        beta, b1, b2 = circulant_case_params(gamma, a, b)
+        reference = circulant_case_params(2.0, 1.0, 1.0)
+        assert tuple(math.ldexp(x, -k) for x in (beta, b1, b2)) == reference
+
+    @pytest.mark.parametrize(
+        "fn, point, name",
+        [
+            (phi_maximizer, (1e-300, 0.0, 1e308), "b"),
+            (rank_one_outer_params, (1e-310, 0.0, 1.0), "b"),
+            (circulant_case_params, (1e-300, 0.0, 1e308), "b"),
+            (circulant_kappas, (1e-300, 0.0, 1e308, 0.0), "b1"),
+            (rank_one_inner_expected, (1e-300, 1e300), "v"),
+            (m_total, (1e-300, 1e-301, 1e300), "v"),
+        ],
+    )
+    def test_coupling_that_overflows_at_unit_scale_is_named(self, fn, point, name):
+        with pytest.raises(DomainError, match=f"^{name} = .* overflows"):
+            fn(*point)
+
+    def test_overflowing_outer_example_exits_2(self, capsys):
+        argv = ["example", "rank1-outer", "--gamma", "1e-310", "--a", "0", "--b", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: b = 1.0 overflows")
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize(
+        "family, point", [("rank1-inner", (2.0, 1.0, 0.5)), ("circulant", (2.0, 1.0, 1.0))]
+    )
+    def test_example_gives_a_verdict_or_a_typed_error(self, family, point, k, capsys):
+        gamma, a, b = (repr(math.ldexp(x, k)) for x in point)
+        code = main(["example", family, "--gamma", gamma, "--a", a, "--b", b])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
+
+
 class TestCirculant:
     def test_coupling_norm_is_entry_sum(self):
         rng = np.random.default_rng(3)
@@ -242,8 +300,8 @@ def test_non_finite_argument_raises(fn, slot, point, bad):
 @pytest.mark.parametrize("slot", [0, 1, 2], ids=["gamma", "a", "b"])
 @pytest.mark.parametrize("fn", [phi_maximizer, rank_one_outer_params])
 def test_non_finite_outer_argument_raises(fn, slot, bad):
-    # The maximizer takes no finiteness check of its own: its gap and range
-    # checks reject every non-finite slot.
+    # A non-finite slot fails the maximizer's gap check or the finiteness
+    # check of its unit scaling.
     point = [2.0, 1.0, 1.9]
     fn(*point)
     point[slot] = bad

@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import json
 import math
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,14 @@ from tantheta.harness import (
     summary_to_json_line,
     trial_seed,
 )
+
+
+# tools/output_digest.py, for its sweep geometries and ratio grid.
+_spec = importlib.util.spec_from_file_location(
+    "output_digest", Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+)
+DIGEST_TOOL = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(DIGEST_TOOL)
 
 
 def base_cfg(**overrides):
@@ -108,6 +118,23 @@ class TestGenerateInstance:
             assert find_disposition(block) == disp
             assert (disp.d, disp.D) == (1.0, 4.0)
             assert block.v_norm == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "base_seed, geometry", list(enumerate(DIGEST_TOOL.SWEEP_GEOMETRIES, 1000))
+    )
+    def test_every_draw_below_the_gate_has_norm_ratio_d(self, base_seed, geometry):
+        # The draws of a 42-trial sweep over the digest's ratio grid.
+        D, d, dim0, dim1, conjugate = geometry
+        grid = DIGEST_TOOL.SWEEP_RATIOS
+        for index in range(42 * len(grid)):
+            ratio = grid[index % len(grid)]
+            if ratio == 0.0:
+                continue
+            cfg = GenConfig(dim0=dim0, dim1=dim1, D=D, d=d, ratio=ratio, conjugate=conjugate,
+                            seed=trial_seed(base_seed, index))
+            block, disp = generate_instance(cfg)
+            assert block.v_norm < math.sqrt(disp.d * disp.D)
+            assert abs(block.v_norm / (ratio * d) - 1.0) <= 8 * 2.0**-52, (index, ratio)
 
     def test_zero_ratio_gives_zero_coupling(self):
         block, _ = generate_instance(base_cfg(ratio=0.0))

@@ -1,10 +1,14 @@
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from tantheta import (
     BlockOperator,
     DispositionViolated,
+    DomainError,
     GenConfig,
     Verification,
     generate_instance,
@@ -162,6 +166,16 @@ class TestPerturbedPartition:
                 perturbed_partition(block, disp)
         else:
             assert perturbed_partition(block, disp).omega0 == (0.0,)
+
+    def test_edge_distance_past_the_float_range_raises_no_warning(self):
+        # sigma1 = {+-1e308}, sigma0 = {0}: w - gamma_l overflows to +inf for
+        # the top eigenvalue, which still lies outside the gap. The pipeline
+        # goes on to the bound, where D = 2e308 = inf is a DomainError.
+        block = rank_one_build(1e308, 0.0, 0.0, 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape("(D, d, v) = (inf, 1e+308")):
+                Verification(block)
 
     def test_omega0_read_only(self):
         ver = Verification(rank_one_build(2.0, 1.0, 0.0, 0.5))

@@ -105,7 +105,9 @@ MUTANTS = (
      "a negative radicand for the maximizer z0 clamped to 0"),
     ("src/tantheta/families.py", "if not -RADICAND_GUARD <= t < 1.0:", "if False:",
      "a coupling weight t outside [0, 1) accepted"),
-    ("src/tantheta/families.py", "e = unit_exponent(gamma)", "e = 0",
+    ("src/tantheta/families.py",
+     'g, a_u, b_u, z = unit_scaled(gamma, a, b, z0, names="gamma, a, b, z0")',
+     "g, a_u, b_u, z = gamma, a, b, z0",
      "the weight t taken at the caller's scale, where it underflows at gamma = 2^-500"),
     ("src/tantheta/model.py", "if arr.ndim != 2:", "if False:",
      "a one-dimensional block accepted as a matrix"),
@@ -128,6 +130,23 @@ MUTANTS = (
      "an edge-ratio draw keeps a ||B|| that reaches the partition gate"),
     ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:",
      "while gate <= block.v_norm:", "a gate that underflows to 0 rescaled until B is zero"),
+    ("src/tantheta/model.py", "    except OverflowError:\n", "    except ZeroDivisionError:\n",
+     "a coordinate that unit scaling lifts past the float range escapes untyped"),
+    ("src/tantheta/families.py",
+     "sin_arctan(2.0 * v_u / (d_u + math.sqrt(d_u * d_u + 4.0 * v_u * v_u)))",
+     "sin_arctan(2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v)))",
+     "the inner distance taken at the caller's scale, where d^2 overflows at d = 1e200"),
+    ("src/tantheta/families.py",
+     'g, a_u, b1_u, b2_u = unit_scaled(gamma, a, b1, b2, names="gamma, a, b1, b2")',
+     "g, a_u, b1_u, b2_u = gamma, a, b1, b2",
+     "the kappas taken at the caller's scale, where (gamma - a)^2 overflows at 2^1000"),
+    ("src/tantheta/families.py",
+     'g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")\n'
+     "    back = 2.0 ** -unit_exponent(gamma)\n",
+     "g, a_u, b_u = gamma, a, b\n    back = 1.0\n",
+     "the circulant weights taken at the caller's scale, where gamma^2 b^2 underflows at 2^-500"),
+    ("src/tantheta/spectral.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
+     "an edge distance past the float range warns of its overflow"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
