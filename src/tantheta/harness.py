@@ -144,8 +144,7 @@ def _draw_blocks(cfg: GenConfig) -> tuple:
     sigma1 = np.sort(np.concatenate(([-half, half], outer)))
 
     B = rng.standard_normal((cfg.dim0, cfg.dim1))
-    top = np.linalg.norm(B, 2)
-    B = B * (cfg.ratio * cfg.d / top) if cfg.ratio > 0.0 else np.zeros_like(B)
+    B = B * (cfg.ratio * cfg.d / spectral_norm(B)) if cfg.ratio > 0.0 else np.zeros_like(B)
 
     A0 = np.diag(sigma0)
     A1 = np.diag(sigma1)

@@ -40,7 +40,7 @@ def _as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(A: np.ndarray) -> float:
-    """Frobenius norm of a float array: exactly what np.linalg.norm(A)
+    """Frobenius norm of a float array: exactly what numpy's norm(A)
     computes (the square root of the dot product of the flattened entries),
     without its dispatch."""
     r = A.ravel(order="K")

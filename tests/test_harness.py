@@ -386,11 +386,11 @@ class TestDecompositionCount:
         assert times_gram_decomposed(block.B) == 1  # ||B||, from its Gram matrix
 
         # The only SVD of a trial is the one of Y1, the lower block of the
-        # in-gap eigenvectors, and the only SVD-based 2-norm is generation's.
+        # in-gap eigenvectors, and no 2-norm is SVD-based.
         Y1 = Verification(block, seed=cfg.seed).partition.basis[block.dim0 :]
         svds = [M for name, M in calls if name == "svd"]
         assert len(svds) == 1 and np.array_equal(svds[0], Y1)
-        assert sum(name == "norm" for name, _ in calls) <= 1
+        assert not any(name == "norm" for name, _ in calls)
 
     def test_loaded_instance_decomposes_each_diagonal_block_once(self, monkeypatch, tmp_path):
         block, _ = generate_instance(base_cfg(dim0=8, dim1=12, conjugate=True, seed=21))

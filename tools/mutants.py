@@ -135,11 +135,11 @@ MUTANTS = (
     ("src/tantheta/families.py",
      "sin_arctan(2.0 * v_u / (d_u + math.sqrt(d_u * d_u + 4.0 * v_u * v_u)))",
      "sin_arctan(2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v)))",
-     "the inner distance taken at the caller's scale, where d^2 overflows at d = 1e200"),
+     "the inner distance taken at the caller's scale, where d^2 leaves the float range"),
     ("src/tantheta/families.py",
      'g, a_u, b1_u, b2_u = unit_scaled(gamma, a, b1, b2, names="gamma, a, b1, b2")',
      "g, a_u, b1_u, b2_u = gamma, a, b1, b2",
-     "the kappas taken at the caller's scale, where (gamma - a)^2 overflows at 2^1000"),
+     "the kappas taken at the caller's scale, where (gamma - a)^2 leaves the float range"),
     ("src/tantheta/families.py",
      'g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")\n'
      "    back = 2.0 ** -unit_exponent(gamma)\n",
