@@ -154,8 +154,9 @@ class TestRankOneOuterAtScale:
 
 # The closed forms at (1, 0.5) (rank one, inner) and (2, 1, 0.3, 0.4) and
 # (2, 1, 1) (circulant), scaled by 2^k. Taken at the caller's scale they
-# break beyond about 2^+-510, where d^2 or gamma^2 b^2 leaves the float
-# range: so the exactness test adds k = +-1000 to the five scales.
+# break where a product such as d^2 or gamma^2 b^2 leaves the float range,
+# for the inner distance and the kappas only beyond about 2^+-511: so the
+# exactness test adds k = +-1000 to the five scales.
 SCALES = [-500, -300, 0, 20, 400]
 EXACT_SCALES = [-1000] + SCALES + [1000]
 
