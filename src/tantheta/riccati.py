@@ -63,15 +63,16 @@ class AngularOperator:
 
 
 def riccati_residual(X, block: BlockOperator) -> float:
-    """Operator norm of X A0 - A1 X + X B X - B^T."""
+    """Operator norm of X (A0 + B X) - (B^T + A1 X), the lower block of
+    L G - G (A0 + B X) for the graph basis G = [I; X], whose upper block is
+    zero: Ran G is invariant under L exactly when this vanishes."""
     X = np.asarray(X, dtype=float)
     if X.shape != (block.dim1, block.dim0):
         raise DimensionMismatch(
             f"X must be {block.dim1}x{block.dim0}, got {X.shape[0]}x{X.shape[1]}"
         )
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
-    R = X @ A0 - A1 @ X + X @ B @ X - B.T
-    return spectral_norm(R)
+    return spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))
 
 
 def extract_angular_operator(partition: SpectrumPartition, block: BlockOperator) -> AngularOperator:
@@ -206,30 +207,22 @@ class IdentityResiduals:
             arr.setflags(write=False)
 
 
-def _pair_residuals(lam, W, U, A0, A1, B, Lam0) -> np.ndarray:
+def _pair_residuals(lam, W, U, col0, col1, Lam0) -> np.ndarray:
     """Residuals of the identities for the eigenpairs (lam[c], W[:, c]) of
-    |X| with polar images U[:, c], all columns at once: a 3 x len(lam)
-    array whose rows are id1, id2 and id3."""
-    A0u = A0 @ W
-    Btu = B.T @ W
-    A1Uu = A1 @ U
-    BUu = B @ U
+    |X| with polar images U[:, c], all columns at once, through the block
+    columns col0 = [A0; B^T] and col1 = [B; A1] of L: a 3 x len(lam) array
+    whose rows are id1, id2 and id3."""
+    P = col0 @ W
+    Q = col1 @ U
     L0u = Lam0 @ W
 
-    def dots(P, Q):
-        return np.einsum("ij,ij->j", P, Q)
+    def dots(a, b):
+        return np.einsum("ij,ij->j", a, b)
 
-    cross = dots(A0u, BUu) + dots(Btu, A1Uu)
-    nA0u = dots(A0u, A0u)
-    nBtu = dots(Btu, Btu)
-    nA1Uu = dots(A1Uu, A1Uu)
-    nBUu = dots(BUu, BUu)
-    nL0u = dots(L0u, L0u)
+    cross, nP, nQ, nL0u = dots(P, Q), dots(P, P), dots(Q, Q), dots(L0u, L0u)
     # Row c holds the two sides of identity c + 1, normalized in one pass.
-    lhs = np.array([
-        lam * cross, lam * (nA0u + nBtu - nA1Uu - nBUu), lam * lam * (nA1Uu + nBUu - nL0u)
-    ])
-    rhs = np.array([nL0u - nA0u - nBtu, (1.0 - lam * lam) * cross, nA0u + nBtu - nL0u])
+    lhs = np.array([lam * cross, lam * (nP - nQ), lam * lam * (nQ - nL0u)])
+    rhs = np.array([nL0u - nP, (1.0 - lam * lam) * cross, nP - nL0u])
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
@@ -253,9 +246,10 @@ def verify_lemma_identities(
     W, U, s_full = X.right_basis, X.polar, X.eigenvalues_abs
     dim0 = s_full.size
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
+    col0, col1 = np.vstack((A0, B.T)), np.vstack((B, A1))
     Lam0 = lambda0(X, block)
     lams = [s_full]
-    residuals = [_pair_residuals(s_full, W, U, A0, A1, B, Lam0)]
+    residuals = [_pair_residuals(s_full, W, U, col0, col1, Lam0)]
 
     # Degenerate clusters: rotate the singular basis within each cluster and
     # re-audit, since any orthonormal eigenbasis of |X| must satisfy the
@@ -274,7 +268,7 @@ def verify_lemma_identities(
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
             lams.append(np.full(m, s_full[i]))
             residuals.append(
-                _pair_residuals(lams[-1], W[:, i:j] @ Q, U[:, i:j] @ Q, A0, A1, B, Lam0)
+                _pair_residuals(lams[-1], W[:, i:j] @ Q, U[:, i:j] @ Q, col0, col1, Lam0)
             )
         i = j
 

@@ -43,7 +43,7 @@ MUTANTS = (
      "d taken as the larger distance to the gap edges"),
     ("src/tantheta/riccati.py", "if j - i > 1:", "if False:",
      "no audit of rotated degenerate singular clusters"),
-    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, W, U, A0, A1, B, Lam0)]",
+    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, W, U, col0, col1, Lam0)]",
      "residuals = [np.zeros((3, dim0))]", "the audit skips its base eigenpairs"),
     ("src/tantheta/errors.py", "EDGE_COLLAR = 1e-12", "EDGE_COLLAR = 1e-6",
      "gap-edge collar widened a millionfold"),
@@ -147,6 +147,9 @@ MUTANTS = (
      "the circulant weights taken at the caller's scale, where gamma^2 b^2 underflows at 2^-500"),
     ("src/tantheta/spectral.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
      "an edge distance past the float range warns of its overflow"),
+    ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
+     "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
+     "the Riccati residual's lower block drops B^T"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
