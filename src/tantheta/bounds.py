@@ -133,32 +133,39 @@ def require_in_gap(gamma: float, a: float) -> None:
         raise DomainError(f"need 0 <= a < gamma, got a={a}, gamma={gamma}")
 
 
+def _phi_peak(gamma: float, a: float, b: float) -> tuple:
+    """(g, a, b, back, z0, g - z0, r1): phi_maximizer's point, checked and
+    scaled by unit_scaled (back undoes the scaling), phi's maximizer z0
+    there, g - z0 and r1 = 2g(g - a) - b^2. With n = 2g^2 - b^2 and
+    r2 = 2g(g + a) - b^2, n^2 - 4a^2 g^2 = r1 r2, so with s = sqrt(r1 r2),
+    z0 = 2ag^2 / (n + s) and g - z0 = g (r1 + s) / (n + s): no division by
+    a, and r1, clamped at 0 against round-off, is the one difference."""
+    require_in_gap(gamma, a)
+    g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
+    back = 2.0 ** -unit_exponent(gamma)  # rounds like ldexp, but overflows to inf, not raising
+    edge = 2.0 * g * (g - a_u)
+    b_lo = math.sqrt((g - a_u) * (g + a_u))
+    b_hi = math.sqrt(edge)
+    if not b_lo * (1.0 - RADICAND_GUARD) <= b_u < b_hi:
+        raise DomainError(f"b = {b} is outside [{b_lo * back}, {b_hi * back})")
+    r1 = max(edge - b_u * b_u, 0.0)
+    s = math.sqrt(r1 * (2.0 * g * (g + a_u) - b_u * b_u))
+    den = 2.0 * g * g - b_u * b_u + s
+    z0 = 2.0 * a_u * g * g / den
+    if not 0.0 <= z0 < g:
+        raise DomainError(f"maximizer z0 = {z0 * back} escaped [0, gamma)")
+    return g, a_u, b_u, back, z0, g * (r1 + s) / den, r1
+
+
 def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     """Maximizer z0 and maximum of phi(z) = (b^2 + 2z(a-z)) / (gamma^2 - z^2)
     over [0, gamma); the maximum equals M2(2 gamma, gamma - a, b)^2.
 
-    Defined for 0 <= a < gamma and sqrt(gamma^2 - a^2) <= b <
-    sqrt(2 gamma (gamma - a)). Computed at the point times the power of two
-    that puts gamma in [1, 2): z0 scales with it and the maximum does not,
-    and every value in an error message is given back in the caller's scale.
+    Defined for 0 <= a < gamma and sqrt((gamma - a)(gamma + a)) <= b <
+    sqrt(2 gamma (gamma - a)). Taken by _phi_peak at the point times the
+    power of two that puts gamma in [1, 2): z0 scales with it and the
+    maximum, (2 (g - z0)(g + z0 - a) - r1) / ((g - z0)(g + z0)), does not.
+    Values in error messages are given back in the caller's scale.
     """
-    require_in_gap(gamma, a)
-    g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
-    back = 2.0 ** -unit_exponent(gamma)  # rounds like ldexp, but overflows to inf, not raising
-    b_lo = math.sqrt(g * g - a_u * a_u)
-    b_hi = math.sqrt(2.0 * g * (g - a_u))
-    if not b_lo * (1.0 - RADICAND_GUARD) <= b_u < b_hi:
-        raise DomainError(f"b = {b} is outside [{b_lo * back}, {b_hi * back})")
-    z0 = 0.0
-    if a_u != 0.0:
-        h = (2.0 * g * g - b_u * b_u) / (2.0 * a_u)
-        radicand = h * h - g * g  # inf, not negative, where h * h overflows
-        if radicand < -RADICAND_GUARD:
-            raise DomainError(f"negative radicand for z0: {radicand * back * back:g}")
-        # h - sqrt(h^2 - g^2), rationalized: no cancellation at large h
-        # (small a), and no h^2, which overflows for a below about 1e-154.
-        z0 = g * g / (h + math.sqrt(max(h - g, 0.0)) * math.sqrt(h + g))
-    if not 0.0 <= z0 < g:
-        raise DomainError(f"maximizer z0 = {z0 * back} escaped [0, gamma)")
-    phi_max = (b_u * b_u + 2.0 * z0 * (a_u - z0)) / (g * g - z0 * z0)
-    return z0 * back, phi_max
+    g, a_u, _, back, z0, gz, r1 = _phi_peak(gamma, a, b)
+    return z0 * back, (2.0 * gz * (g - a_u + z0) - r1) / (gz * (g + z0))

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from .bounds import phi_maximizer, require_in_gap, sin_arctan
-from .errors import RADICAND_GUARD, DomainError
+from .bounds import _phi_peak, require_in_gap, sin_arctan
+from .errors import DomainError
 from .model import BlockOperator, unit_exponent, unit_scaled
 
 
@@ -36,10 +36,11 @@ def rank_one_inner_expected(d: float, v: float) -> float:
 
     The inner expression is the norm of the angular operator; it coincides
     with the bound branch M1 on the inner region, which is what makes this
-    family a sharpness witness there. Taken at the unit-scaled (d, v);
-    unit_scaled's DomainErrors (non-finite, or v overflowing) pass through.
+    family a sharpness witness there. Taken at (d, v) scaled by the power of
+    two that puts the larger in [1, 2), where nothing overflows; a
+    non-finite d or v raises DomainError.
     """
-    d_u, v_u = unit_scaled(d, v, names="d, v")
+    _, d_u, v_u = unit_scaled(max(d, v), d, v, names="max(d, v), d, v")
     if d <= 0.0 or v < 0.0:
         raise DomainError(f"need d > 0 and v >= 0, got d={d}, v={v}")
     return sin_arctan(2.0 * v_u / (d_u + math.sqrt(d_u * d_u + 4.0 * v_u * v_u)))
@@ -47,21 +48,14 @@ def rank_one_inner_expected(d: float, v: float) -> float:
 
 def rank_one_outer_params(gamma: float, a: float, b: float) -> tuple:
     """Weights (z0, t, b1, b2) making the 3x3 family attain equality on the
-    outer bound region for total perturbation norm b.
-
-    Requires sqrt(gamma^2 - a^2) <= b < sqrt(2 gamma (gamma - a)). The
-    returned z0 is the single in-gap eigenvalue of the tuned instance.
-    """
-    z0 = phi_maximizer(gamma, a, b)[0]
-    # t is homogeneous of degree 0: take it where phi_maximizer took z0.
-    g, a_u, b_u, z = unit_scaled(gamma, a, b, z0, names="gamma, a, b, z0")
-    t = (b_u * b_u * (g - z) + (g * g - z * z) * (a_u - z)) / (2.0 * g * b_u * b_u)
-    if not -RADICAND_GUARD <= t < 1.0:
-        raise DomainError(f"weight t = {t} escaped [0, 1)")
-    t = max(t, 0.0)
-    b1 = math.sqrt(1.0 - t) * b
-    b2 = math.sqrt(t) * b
-    return z0, t, b1, b2
+    outer bound region for total perturbation norm b, where
+    sqrt((gamma - a)(gamma + a)) <= b < sqrt(2 gamma (gamma - a)). z0 is the
+    single in-gap eigenvalue of the tuned instance. t, of degree 0, is taken
+    where phi_maximizer takes z0, as (g - z0)((g - z0)(2g + z0 - a) - r1) /
+    (2g b^2), clamped at 0 against round-off."""
+    g, a_u, b_u, back, z0, gz, r1 = _phi_peak(gamma, a, b)
+    t = max(gz * (gz * (2.0 * g + z0 - a_u) - r1) / (2.0 * g * b_u * b_u), 0.0)
+    return z0 * back, t, math.sqrt(1.0 - t) * b, math.sqrt(t) * b
 
 
 def circulant_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperator:
@@ -105,22 +99,21 @@ def circulant_case_params(gamma: float, a: float, b: float) -> tuple:
     """Weights (beta, b1, b2) making the 4x4 family attain equality on the
     intermediate bound region for total perturbation norm b.
 
-    Requires sqrt(2 (gamma - a) a) / 2 < b < sqrt(gamma^2 - a^2); both
-    returned weights are positive (b2 > 0 by the lower inequality). Taken
-    at unit scale as phi_maximizer is, and given back in the caller's scale.
+    Requires sqrt(2 (gamma - a) a) / 2 < b < sqrt((gamma - a)(gamma + a));
+    both returned weights are positive (b2 > 0 by the lower inequality).
+    beta = a c / (hypot(gamma b, a sqrt(c)) + gamma b), c = (gamma - a)
+    (gamma + a) - b^2, is the caller's a times a ratio of degree 0 taken at
+    unit scale as phi_maximizer is: it never divides by a.
     """
     require_in_gap(gamma, a)
     g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
     back = 2.0 ** -unit_exponent(gamma)
     b_lo = 0.5 * math.sqrt(2.0 * (g - a_u) * a_u)
-    b_hi = math.sqrt(g * g - a_u * a_u)
+    c = (g - a_u) * (g + a_u)
+    b_hi = math.sqrt(c)
     if not b_lo < b_u < b_hi:
         raise DomainError(f"b = {b} is outside ({b_lo * back}, {b_hi * back})")
-    if a == 0.0:
-        beta = 0.0
-    else:
-        beta = (
-            math.sqrt(g * g * b_u * b_u + a_u * a_u * (g * g - a_u * a_u - b_u * b_u))
-            - g * b_u
-        ) / a_u * back
+    c -= b_u * b_u
+    gb = g * b_u
+    beta = a * (c / (math.hypot(gb, a_u * math.sqrt(c)) + gb))
     return beta, (b + beta) / 2.0, (b - beta) / 2.0

@@ -268,10 +268,22 @@ class TestPhiMaximizer:
             z0, phi_max = phi_maximizer(*(math.ldexp(x, k) for x in point))
             assert (z0, phi_max) == (math.ldexp(z0_ref, k), phi_ref), k
 
-    def test_maximizer_at_gamma_raises_before_dividing(self):
-        # z0 rounds to gamma, where phi's denominator gamma^2 - z0^2 is 0.
+    def test_maximizer_near_gamma_matches_mpmath(self):
+        # gamma - z0 = 1e-8 is taken in product form, not by cancelling
+        # z0 against gamma: z0 is mpmath's value rounded.
+        pytest.importorskip("mpmath")
+        import mp_reference
+
+        point = (1.0, 0.99999998, 0.00019999999969756423)
+        z0, _ = phi_maximizer(*point)
+        assert z0 == float(mp_reference.outer(*point)[0]) == 0.999999990003997
+
+    def test_maximizer_rounding_onto_gamma_raises(self):
+        # a one ulp below gamma and b one ulp below b_hi, within the round-off
+        # slack below the lower edge: the true z0 lies 1.8 ulps below gamma,
+        # and the computed one rounds onto it.
         with pytest.raises(DomainError, match="escaped"):
-            phi_maximizer(1.0, 0.99999998, 0.00019999999969756423)
+            phi_maximizer(1.7, 1.6999999999999997, 2.7476383618393202e-08)
 
     @pytest.mark.parametrize("a", [1e-150, 1e-160, 1e-200, 1e-300])
     def test_tiny_a_keeps_full_precision(self, a):
@@ -286,12 +298,19 @@ class TestPhiMaximizer:
         assert 0.0 <= z0 <= 1e-323
         assert phi_max == phi_maximizer(1.0, 0.0, 1.2)[1]
 
-    def test_negative_z0_radicand_raises(self):
+    def test_point_one_ulp_below_the_upper_edge_returns(self):
         # b one ulp below its upper edge sqrt(2 gamma (gamma - a)) at a small
-        # a: h = (2 gamma^2 - b^2) / (2a) cancels to below gamma, and
-        # h^2 - gamma^2 to -1.5e-11.
-        with pytest.raises(DomainError, match="negative radicand for z0: -1.5254e-11"):
-            phi_maximizer(1.88090991564738, 4.300600004236315e-05, 2.659977902302469)
+        # a, where h^2 - gamma^2 would cancel to -1.5e-11: z0 and the
+        # maximum lie between mpmath's values at b -+ 4 ulps (the upper one
+        # past the edge, where mpmath gives the limits there).
+        pytest.importorskip("mpmath")
+        import mp_reference
+
+        gamma, a, b = 1.88090991564738, 4.300600004236315e-05, 2.659977902302469
+        z0, phi_max = phi_maximizer(gamma, a, b)
+        z_lo, phi_lo, _ = mp_reference.outer(gamma, a, b - 4 * math.ulp(b))
+        z_hi, phi_hi, _ = mp_reference.outer(gamma, a, b + 4 * math.ulp(b))
+        assert z_lo <= z0 <= z_hi and phi_lo <= phi_max <= phi_hi
 
 
 # Each public function at a point of its domain, so that only the

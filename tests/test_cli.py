@@ -368,16 +368,17 @@ class TestExample:
         obj = json.loads(capsys.readouterr().out)
         assert obj["distance"] == pytest.approx(obj["bound"], rel=1e-9)
 
-    def test_maximizer_at_gamma_exits_2_without_traceback(self):
-        # Its phi maximizer rounds to gamma, where phi's denominator is 0.
+    def test_maximizer_near_gamma_exits_0(self):
+        # D/d = 1e8: its phi maximizer lies 1e-8 below gamma, and the
+        # margin is -3.2e-9, above the failure threshold.
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "tantheta.cli", "example", "rank1-outer", "--gamma", "1",
              "--a", "0.99999998", "--b", "0.00019999999969756423"],
             capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
         )
-        assert done.returncode == 2
-        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        assert "margin: -3.2" in done.stdout
 
     def test_gap_past_the_float_range_exits_2_under_warnings_as_errors(self):
         # D = 2e308 overflows: the partition's edge distances overflow too,

@@ -115,10 +115,11 @@ class TestRankOneOuter:
         with pytest.raises(DomainError):
             rank_one_outer_params(2.0, 1.0, 2.0)
 
-    def test_weight_escape_raises(self):
-        # a two ulps below gamma: h = (2 gamma^2 - b^2) / (2a) cancels, z0
-        # lands below a, and t at about 1.6.
-        with pytest.raises(DomainError, match="weight t = 1.619077"):
+    def test_point_below_the_product_form_edge_is_outside(self):
+        # a two ulps below gamma: b lies below the lower edge
+        # sqrt((gamma - a)(gamma + a)) = 2.68e-8, which gamma^2 - a^2 taken
+        # by subtraction cancels into accepting, with a weight t near 1.6.
+        with pytest.raises(DomainError, match="is outside"):
             rank_one_outer_params(1.6190777453040845, 1.6190777453040843, 2.1073424255446997e-08)
 
 
@@ -187,13 +188,18 @@ class TestClosedFormsAtScale:
             (rank_one_outer_params, (1e-310, 0.0, 1.0), "b"),
             (circulant_case_params, (1e-300, 0.0, 1e308), "b"),
             (circulant_kappas, (1e-300, 0.0, 1e308, 0.0), "b1"),
-            (rank_one_inner_expected, (1e-300, 1e300), "v"),
             (m_total, (1e-300, 1e-301, 1e300), "v"),
         ],
     )
     def test_coupling_that_overflows_at_unit_scale_is_named(self, fn, point, name):
         with pytest.raises(DomainError, match=f"^{name} = .* overflows"):
             fn(*point)
+
+    @pytest.mark.parametrize("point", [(1e-300, 1e7), (2.2e-308, 1.0), (1e-300, 1e300)])
+    def test_inner_distance_at_the_degree_0_limit(self, point):
+        # v / d past the float range: scaled by the larger coordinate, d
+        # vanishes against v and the distance is sin(arctan 1).
+        assert rank_one_inner_expected(*point) == 0.7071067811865475
 
     def test_overflowing_outer_example_exits_2(self, capsys):
         argv = ["example", "rank1-outer", "--gamma", "1e-310", "--a", "0", "--b", "1"]

@@ -101,14 +101,12 @@ MUTANTS = (
      "a negative coupling norm classified and bounded"),
     ("src/tantheta/bounds.py", 'raise DomainError(f"d must be positive, got {d}")', "pass",
      "the a priori estimate takes d = 0"),
-    ("src/tantheta/bounds.py", "if radicand < -RADICAND_GUARD:", "if False:",
-     "a negative radicand for the maximizer z0 clamped to 0"),
-    ("src/tantheta/families.py", "if not -RADICAND_GUARD <= t < 1.0:", "if False:",
-     "a coupling weight t outside [0, 1) accepted"),
-    ("src/tantheta/families.py",
-     'g, a_u, b_u, z = unit_scaled(gamma, a, b, z0, names="gamma, a, b, z0")',
-     "g, a_u, b_u, z = gamma, a, b, z0",
-     "the weight t taken at the caller's scale, where it underflows at gamma = 2^-500"),
+    ("src/tantheta/bounds.py",
+     'g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")\n'
+     "    back = 2.0 ** -unit_exponent(gamma)  #",
+     "g, a_u, b_u = gamma, a, b\n    back = 1.0  #",
+     "the maximizer and the weight t taken at the caller's scale, where they underflow "
+     "at gamma = 2^-500"),
     ("src/tantheta/model.py", "if arr.ndim != 2:", "if False:",
      "a one-dimensional block accepted as a matrix"),
     ("src/tantheta/riccati.py", "if Y.shape[1] != dim0:", "if False:",
@@ -122,10 +120,11 @@ MUTANTS = (
     ("src/tantheta/harness.py", '    def __post_init__(self):\n        for name in ("dim0"',
      '    def _unused_checks(self):\n        for name in ("dim0"',
      "nothing checks a GenConfig when it is built"),
-    ("src/tantheta/bounds.py",
-     "z0 = g * g / (h + math.sqrt(max(h - g, 0.0)) * math.sqrt(h + g))",
-     "z0 = h - math.sqrt(max(radicand, 0.0))",
-     "z0 by the cancelling h - sqrt(h^2 - g^2), which overflows for a below 1e-154"),
+    ("src/tantheta/bounds.py", "return g, a_u, b_u, back, z0, g * (r1 + s) / den, r1",
+     "return g, a_u, b_u, back, z0, g - z0, r1",
+     "gamma - z0 by cancelling z0 against gamma, off by far more than 16 eps at D/d >= 1e8"),
+    ("src/tantheta/bounds.py", "if not 0.0 <= z0 < g:", "if False:",
+     "a maximizer z0 rounded onto gamma returned"),
     ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:", "while False:",
      "an edge-ratio draw keeps a ||B|| that reaches the partition gate"),
     ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:",
@@ -147,6 +146,12 @@ MUTANTS = (
      "the circulant weights taken at the caller's scale, where gamma^2 b^2 underflows at 2^-500"),
     ("src/tantheta/spectral.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
      "an edge distance past the float range warns of its overflow"),
+    ("src/tantheta/families.py",
+     "beta = a * (c / (math.hypot(gb, a_u * math.sqrt(c)) + gb))",
+     "beta = (math.hypot(gb, a_u * math.sqrt(c)) - gb) / a_u * back",
+     "beta by its cancelling numerator, which divides by a and loses a far below gamma"),
+    ("src/tantheta/families.py", "unit_scaled(max(d, v), d, v,", "unit_scaled(d, d, v,",
+     "the inner distance scaled by d alone, where v / d past the float range overflows"),
     ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
      "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
      "the Riccati residual's lower block drops B^T"),
