@@ -174,20 +174,20 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
 
 
 def lambda0(X: AngularOperator, block: BlockOperator) -> np.ndarray:
-    """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2},
-    computed in the eigenbasis of |X| that X already holds.
-    Self-adjoint with spectrum equal to the in-gap component of spec(L);
-    returned as the exactly symmetric part of the computed matrix, after
-    a check that its asymmetry is round-off (ResidualTooLarge otherwise,
-    also when it is not finite)."""
+    """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2} in the
+    eigenbasis W = X.right_basis of |X|: D W^T (A0 + B X) W D^{-1}, with
+    D = diag sqrt(1 + eigenvalues_abs^2). Self-adjoint with spectrum equal
+    to the in-gap component of spec(L); returned as the exactly symmetric
+    part of the computed matrix, after a check that its asymmetry is
+    round-off (ResidualTooLarge otherwise, also when it is not finite)."""
     W = X.right_basis
     sqrt_fac = np.sqrt(1.0 + X.eigenvalues_abs**2)
     core = block.A0.entries + block.B @ X.X
-    M = W @ (sqrt_fac[:, None] * (W.T @ core @ W) / sqrt_fac[None, :]) @ W.T
+    M = sqrt_fac[:, None] * (W.T @ core @ W) / sqrt_fac[None, :]
     scale = 1.0 + block.A0.eig.norm + block.v_norm * (1.0 + X.norm)
     # The Frobenius norm bounds the operator norm of the asymmetry.
     require("Lambda0 asymmetry", frobenius(M - M.T), RESIDUAL_REL_TOL * scale, ResidualTooLarge)
-    return (M + M.T) / 2.0
+    return M / 2.0 + M.T / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +207,14 @@ class IdentityResiduals:
             arr.setflags(write=False)
 
 
-def _pair_residuals(lam, W, U, col0, col1, Lam0) -> np.ndarray:
+def _pair_residuals(lam, W, U, col0, col1, L0u) -> np.ndarray:
     """Residuals of the identities for the eigenpairs (lam[c], W[:, c]) of
-    |X| with polar images U[:, c], all columns at once, through the block
-    columns col0 = [A0; B^T] and col1 = [B; A1] of L: a 3 x len(lam) array
-    whose rows are id1, id2 and id3."""
+    |X| with polar images U[:, c] and Lambda0 images L0u[:, c] (in the
+    eigenbasis of |X|), all columns at once, through the block columns
+    col0 = [A0; B^T] and col1 = [B; A1] of L: a 3 x len(lam) array whose
+    rows are id1, id2 and id3."""
     P = col0 @ W
     Q = col1 @ U
-    L0u = Lam0 @ W
 
     def dots(a, b):
         return np.einsum("ij,ij->j", a, b)
@@ -267,9 +267,8 @@ def verify_lemma_identities(
                 rng = np.random.default_rng(seed)
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
             lams.append(np.full(m, s_full[i]))
-            residuals.append(
-                _pair_residuals(lams[-1], W[:, i:j] @ Q, U[:, i:j] @ Q, col0, col1, Lam0)
-            )
+            Wq, Uq, L0q = W[:, i:j] @ Q, U[:, i:j] @ Q, Lam0[:, i:j] @ Q
+            residuals.append(_pair_residuals(lams[-1], Wq, Uq, col0, col1, L0q))
         i = j
 
     R = np.concatenate(residuals, axis=1)

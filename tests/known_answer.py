@@ -45,10 +45,10 @@ def known_answer_block(U, s, V, omega0, omega1):
 
 
 def draw_known_answer(rng, dim0, dim1, x_norm, shape=None):
-    """(block, X) with ||X|| = x_norm, a random singular basis on each side
-    and omega0, omega1 drawn as the module constants say. `shape` gives the
-    singular values relative to x_norm (descending, the first 1); by default
-    the others are uniform in (0, 1]."""
+    """(block, X, omega0) with ||X|| = x_norm, a random singular basis on
+    each side and omega0, omega1 drawn as the module constants say. `shape`
+    gives the singular values relative to x_norm (descending, the first 1);
+    by default the others are uniform in (0, 1]."""
     k = min(dim0, dim1)
     if shape is None:
         shape = np.concatenate(([1.0], np.sort(1.0 - rng.random(k - 1))[::-1]))
@@ -57,4 +57,5 @@ def draw_known_answer(rng, dim0, dim1, x_norm, shape=None):
     omega0 = rng.uniform(-OMEGA0_HALF_WIDTH, OMEGA0_HALF_WIDTH, dim0)
     sides = np.where(np.arange(dim1) < dim1 // 2, -1.0, 1.0)
     omega1 = sides * rng.uniform(OMEGA1_LOW, OMEGA1_HIGH, dim1)
-    return known_answer_block(U, x_norm * np.asarray(shape, dtype=float), V, omega0, omega1)
+    block, X = known_answer_block(U, x_norm * np.asarray(shape, dtype=float), V, omega0, omega1)
+    return block, X, omega0

@@ -378,8 +378,8 @@ class TestAgainstReferences:
         for block in random_blocks(10, seed=600):
             _, _, ang = pipeline(block)
             audit = verify_lemma_identities(ang, block)
-            Lam0 = lambda0(ang, block)
             W = ang.right_basis
+            Lam0 = W @ lambda0(ang, block) @ W.T
             assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
             cutoff = KERNEL_CUTOFF * ang.norm
             for c in range(block.dim0):

@@ -155,6 +155,8 @@ MUTANTS = (
     ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
      "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
      "the Riccati residual's lower block drops B^T"),
+    ("src/tantheta/riccati.py", "Lam0[:, i:j] @ Q", "Lam0[:, i:j]",
+     "the cluster re-audit reads Lambda0's columns unrotated"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
