@@ -60,7 +60,6 @@ from .riccati import (
     AngularOperator,
     IdentityResiduals,
     extract_angular_operator,
-    lambda0,
     riccati_residual,
     solve_riccati_fixed_point,
     verify_lemma_identities,

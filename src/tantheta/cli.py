@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TanThetaError, OSError, KeyError, ValueError, OverflowError) as exc:
+    except (TanThetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

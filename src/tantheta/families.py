@@ -103,17 +103,23 @@ def circulant_case_params(gamma: float, a: float, b: float) -> tuple:
     both returned weights are positive (b2 > 0 by the lower inequality).
     beta = a c / (hypot(gamma b, a sqrt(c)) + gamma b), c = (gamma - a)
     (gamma + a) - b^2, is the caller's a times a ratio of degree 0 taken at
-    unit scale as phi_maximizer is: it never divides by a.
+    unit scale as phi_maximizer is: it never divides by a. The lower edge is
+    taken at the caller's scale, where a cannot underflow; a b too small at
+    unit scale for beta to be formed raises DomainError.
     """
     require_in_gap(gamma, a)
     g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
     back = 2.0 ** -unit_exponent(gamma)
-    b_lo = 0.5 * math.sqrt(2.0 * (g - a_u) * a_u)
+    b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)
     c = (g - a_u) * (g + a_u)
     b_hi = math.sqrt(c)
-    if not b_lo < b_u < b_hi:
-        raise DomainError(f"b = {b} is outside ({b_lo * back}, {b_hi * back})")
+    if not (b_lo < b and b_u < b_hi):
+        raise DomainError(f"b = {b} is outside ({b_lo}, {b_hi * back})")
     c -= b_u * b_u
     gb = g * b_u
-    beta = a * (c / (math.hypot(gb, a_u * math.sqrt(c)) + gb))
+    den = math.hypot(gb, a_u * math.sqrt(c)) + gb
+    ratio = c / den if den > 0.0 else math.inf
+    if ratio == math.inf:
+        raise DomainError(f"b = {b} underflows at the unit scale of gamma = {gamma}")
+    beta = a * ratio
     return beta, (b + beta) / 2.0, (b - beta) / 2.0

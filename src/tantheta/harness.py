@@ -81,6 +81,8 @@ class GenConfig:
             raise ConfigInvalid(f"conjugate must be a bool, got {self.conjugate!r}")
         if self.dim0 < 1 or self.dim1 < 2:
             raise ConfigInvalid("need dim0 >= 1 and dim1 >= 2")
+        if (self.dim0 + self.dim1) ** 2 > np.iinfo(np.intp).max // 8:
+            raise ConfigInvalid(f"dim0 + dim1 = {self.dim0 + self.dim1} is past numpy's array size")
         if not (0.0 < self.D < math.inf and 0.0 < self.d <= self.D / 2.0):
             raise ConfigInvalid(f"need 0 < d <= D/2 < inf, got d={self.d}, D={self.D}")
         if not 0.0 <= self.ratio < math.sqrt(self.D / self.d):

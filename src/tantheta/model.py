@@ -379,15 +379,15 @@ def _reject_constant(token: str):
 
 
 def read_json(path):
-    """Parse a UTF-8 JSON file, rejecting NaN, Infinity and undecodable bytes
-    with ConfigInvalid."""
+    """Parse a UTF-8 JSON file; ConfigInvalid for NaN, Infinity, undecodable
+    bytes and input past the parser's digit or nesting limits."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigInvalid(f"not a UTF-8 file: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ConfigInvalid(f"invalid JSON: {exc}") from None
 
 
 def load_instance(path) -> BlockOperator:

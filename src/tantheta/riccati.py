@@ -173,48 +173,34 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
     )
 
 
-def lambda0(X: AngularOperator, block: BlockOperator) -> np.ndarray:
-    """The operator (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2} in the
-    eigenbasis W = X.right_basis of |X|: D W^T (A0 + B X) W D^{-1}, with
-    D = diag sqrt(1 + eigenvalues_abs^2). Self-adjoint with spectrum equal
-    to the in-gap component of spec(L); returned as the exactly symmetric
-    part of the computed matrix, after a check that its asymmetry is
-    round-off (ResidualTooLarge otherwise, also when it is not finite)."""
-    W = X.right_basis
-    sqrt_fac = np.sqrt(1.0 + X.eigenvalues_abs**2)
-    core = block.A0.entries + block.B @ X.X
-    M = sqrt_fac[:, None] * (W.T @ core @ W) / sqrt_fac[None, :]
-    scale = 1.0 + block.A0.eig.norm + block.v_norm * (1.0 + X.norm)
-    # The Frobenius norm bounds the operator norm of the asymmetry.
-    require("Lambda0 asymmetry", frobenius(M - M.T), RESIDUAL_REL_TOL * scale, ResidualTooLarge)
-    return M / 2.0 + M.T / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class IdentityResiduals:
     """Normalized residuals of the three eigenpair identities: entry c of
     the read-only arrays id1, id2 and id3 belongs to the c-th audited
-    eigenpair of |X|, whose eigenvalue is lam[c]."""
+    eigenpair of |X|, whose eigenvalue is lam[c]. The read-only lambda0 is
+    the matrix they read, (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2} in
+    the eigenbasis W = X.right_basis of |X|, D W^T (A0 + B X) W D^{-1} with
+    D = diag sqrt(1 + eigenvalues_abs^2), held as the exactly symmetric part
+    of the computed matrix; its spectrum is the in-gap component of spec(L)."""
 
     lam: np.ndarray
     id1: np.ndarray
     id2: np.ndarray
     id3: np.ndarray
+    lambda0: np.ndarray
     max_residual: float
 
     def __post_init__(self):
-        for arr in (self.lam, self.id1, self.id2, self.id3):
+        for arr in (self.lam, self.id1, self.id2, self.id3, self.lambda0):
             arr.setflags(write=False)
 
 
-def _pair_residuals(lam, W, U, col0, col1, L0u) -> np.ndarray:
-    """Residuals of the identities for the eigenpairs (lam[c], W[:, c]) of
-    |X| with polar images U[:, c] and Lambda0 images L0u[:, c] (in the
-    eigenbasis of |X|), all columns at once, through the block columns
-    col0 = [A0; B^T] and col1 = [B; A1] of L: a 3 x len(lam) array whose
-    rows are id1, id2 and id3."""
-    P = col0 @ W
-    Q = col1 @ U
+def _pair_residuals(lam, P, Q, L0u) -> np.ndarray:
+    """Residuals of the identities for the eigenpairs (lam[c], w_c) of |X|,
+    all columns at once, from the block columns of L applied to w_c and to
+    its polar image u_c, P[:, c] = [A0; B^T] w_c and Q[:, c] = [B; A1] u_c,
+    and from L0u[:, c] = Lambda0 w_c (in the eigenbasis of |X|): a
+    3 x len(lam) array whose rows are id1, id2 and id3."""
 
     def dots(a, b):
         return np.einsum("ij,ij->j", a, b)
@@ -237,7 +223,9 @@ def verify_lemma_identities(
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
     explicit for reproducibility and must lie in [0, 2^64); ConfigInvalid
-    otherwise. Uses the polar decomposition held by X. Squared norms
+    otherwise. Uses the polar decomposition held by X, and Lambda0 (lambda0
+    on the record) formed from X.X, not from it: ResidualTooLarge if its
+    asymmetry is not round-off, also when it is not finite. Squared norms
     overflow once entries near 2^510; a residual that is not finite then
     raises ResidualTooLarge, without a floating-point warning.
     """
@@ -246,15 +234,21 @@ def verify_lemma_identities(
     W, U, s_full = X.right_basis, X.polar, X.eigenvalues_abs
     dim0 = s_full.size
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
-    col0, col1 = np.vstack((A0, B.T)), np.vstack((B, A1))
-    Lam0 = lambda0(X, block)
+    sqrt_fac = np.sqrt(1.0 + s_full**2)
+    M = sqrt_fac[:, None] * (W.T @ (A0 + B @ X.X) @ W) / sqrt_fac[None, :]
+    scale = 1.0 + block.A0.eig.norm + block.v_norm * (1.0 + X.norm)
+    # The Frobenius norm bounds the operator norm of the asymmetry.
+    require("Lambda0 asymmetry", frobenius(M - M.T), RESIDUAL_REL_TOL * scale, ResidualTooLarge)
+    Lam0 = M / 2.0 + M.T / 2.0
+    P, Q = np.vstack((A0, B.T)) @ W, np.vstack((B, A1)) @ U
     lams = [s_full]
-    residuals = [_pair_residuals(s_full, W, U, col0, col1, Lam0)]
+    residuals = [_pair_residuals(s_full, P, Q, Lam0)]
 
     # Degenerate clusters: rotate the singular basis within each cluster and
     # re-audit, since any orthonormal eigenbasis of |X| must satisfy the
-    # identities. The generator is built at the first cluster; each call
-    # starts a fresh stream, so the rotations do not depend on when.
+    # identities; the operands' columns turn with it. The generator is built
+    # at the first cluster; each call starts a fresh stream, so the
+    # rotations do not depend on when.
     rng = None
     i = 0
     while i < dim0:
@@ -262,17 +256,16 @@ def verify_lemma_identities(
         while j < dim0 and abs(s_full[j] - s_full[i]) <= DEGENERACY_TOL * (1.0 + s_full[i]):
             j += 1
         if j - i > 1:
-            m = j - i
             if rng is None:
                 rng = np.random.default_rng(seed)
-            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            lams.append(np.full(m, s_full[i]))
-            Wq, Uq, L0q = W[:, i:j] @ Q, U[:, i:j] @ Q, Lam0[:, i:j] @ Q
-            residuals.append(_pair_residuals(lams[-1], Wq, Uq, col0, col1, L0q))
+            R, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
+            lams.append(np.full(j - i, s_full[i]))
+            Pr, Qr, L0r = P[:, i:j] @ R, Q[:, i:j] @ R, Lam0[:, i:j] @ R
+            residuals.append(_pair_residuals(lams[-1], Pr, Qr, L0r))
         i = j
 
-    R = np.concatenate(residuals, axis=1)
-    max_residual = float(R.max())
+    table = np.concatenate(residuals, axis=1)
+    max_residual = float(table.max())
     if not math.isfinite(max_residual):
         raise ResidualTooLarge(f"identity residual {max_residual:g} is not finite")
-    return IdentityResiduals(np.concatenate(lams), *R, max_residual)
+    return IdentityResiduals(np.concatenate(lams), *table, Lam0, max_residual)

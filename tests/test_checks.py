@@ -29,7 +29,6 @@ from tantheta import (
     extract_angular_operator,
     find_disposition,
     generate_instance,
-    lambda0,
     projection_distance,
     run_trial,
     solve_riccati_fixed_point,
@@ -127,10 +126,10 @@ class TestCapsHaveTeeth:
         # An X off by a relative 1e-5 makes Lambda0 about ten times more
         # asymmetric than its cap allows; the extracted X passes.
         block, ver = reference_instance()
-        lambda0(ver.angular, block)
+        verify_lemma_identities(ver.angular, block)
         scaled = dataclasses.replace(ver.angular, X=ver.angular.X * (1.0 + 1e-5))
         with pytest.raises(ResidualTooLarge, match="^Lambda0 asymmetry "):
-            lambda0(scaled, block)
+            verify_lemma_identities(scaled, block)
 
     def test_projector_distance(self):
         # A singular value 1 + 3e-9 passes the Gram check (defect 6e-9) but

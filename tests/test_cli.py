@@ -100,6 +100,15 @@ class TestTrial:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--dim0", "--dim1"])
+    def test_dims_past_the_array_size_exit_2(self, capsys, flag):
+        # numpy refuses such an array with ValueError, which main does not map.
+        argv = ["trial", "--seed", "5", "--dim0", "2", "--dim1", "3",
+                "--D", "4", "--d", "1", "--ratio", "0.5"]
+        argv[argv.index(flag) + 1] = str(2**70)
+        assert main(argv) == 2
+        assert "past numpy's array size" in capsys.readouterr().err
+
     def test_overflowing_audit_exits_2(self, capsys):
         rc = main(
             ["trial", "--seed", "11", "--dim0", "3", "--dim1", "5", "--D", "4e154",
@@ -508,3 +517,40 @@ class TestCheckIdentities:
                     assert main(argv + extra) == 0
                     outputs.append(capsys.readouterr().out)
                 assert outputs[0] == outputs[1]
+
+
+# Files past the JSON parser's limits: an integer of more than 4,300 digits
+# (ValueError) and 100,000 nested arrays (RecursionError).
+PAST_PARSER_LIMITS = {
+    "long-integer": '{"dim0": 1, "dim1": 2, "A0": [[1' + "0" * 5000 + ']], '
+                    '"A1": [[-2, 0], [0, 2]], "B": [[0, 0.5]]}',
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", PAST_PARSER_LIMITS)
+@pytest.mark.parametrize("command", ["check-identities", "sweep"])
+def test_file_past_the_parser_limits_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / "file.json"
+    path.write_text(PAST_PARSER_LIMITS[name])
+    if command == "sweep":
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "report.jsonl")]
+    else:
+        argv = ["check-identities", "--instance", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
+def test_untyped_error_propagates_out_of_main(tmp_path, monkeypatch):
+    # main maps only TanThetaError and OSError to exit 2: any other error is
+    # a defect, and must show as one.
+    from tantheta import harness
+
+    def broken(*args, **kwargs):
+        raise ValueError("an untyped defect")
+
+    monkeypatch.setattr(harness, "verify_lemma_identities", broken)
+    path = tmp_path / "instance.json"
+    save_instance(circulant_build(2.0, 1.0, 0.3, 0.4), path)
+    with pytest.raises(ValueError, match="an untyped defect"):
+        main(["check-identities", "--instance", str(path)])

@@ -201,6 +201,30 @@ class TestClosedFormsAtScale:
         # vanishes against v and the distance is sin(arctan 1).
         assert rank_one_inner_expected(*point) == 0.7071067811865475
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (1.7e308, 2.1642438295532542e-233, 0.22119306071466038),
+            (1e160, 5e-324, 3.9615939921911e-154),
+            (118606286841047.72, 5.2263845577e-313, 2.2e-308),
+        ],
+    )
+    def test_circulant_b_below_the_edge_where_a_underflows_at_unit_scale(self, point):
+        # a underflows to 0 at the scale that puts gamma in [1, 2), so a lower
+        # edge taken there reads 0; these points returned (inf, inf, -inf).
+        with pytest.raises(DomainError, match=r"^b = .* is outside \("):
+            circulant_case_params(*point)
+
+    def test_circulant_b_that_underflows_at_unit_scale_is_named(self, capsys):
+        # b = 1e-5 lies in (2.1e-8, 1.7e308), but underflows to 0 at the
+        # scale of gamma, where beta would divide by it.
+        with pytest.raises(DomainError, match="^b = 1e-05 underflows"):
+            circulant_case_params(1.7e308, 5e-324, 1e-5)
+        argv = ["example", "circulant", "--gamma", "1.7e308", "--a", "2.1642438295532542e-233",
+                "--b", "0.22119306071466038"]
+        assert main(argv) == 2
+        assert "is outside" in capsys.readouterr().err
+
     def test_overflowing_outer_example_exits_2(self, capsys):
         argv = ["example", "rank1-outer", "--gamma", "1e-310", "--a", "0", "--b", "1"]
         assert main(argv) == 2

@@ -81,6 +81,8 @@ class TestGenConfig:
             {"D": float("inf")},
             {"span": float("inf")},
             {"D": 10**400},  # no finite float value
+            {"dim0": 2**70},  # past numpy's array size
+            {"dim1": 2**70},
             {"span": 10**400},
         ],
     )

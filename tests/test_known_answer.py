@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tantheta import TanThetaError, Verification, lambda0, riccati_residual
+from tantheta import TanThetaError, Verification, riccati_residual
 from known_answer import draw_known_answer
 
 EPS = np.finfo(float).eps
@@ -63,7 +63,7 @@ def test_pipeline_recovers_the_prescribed_angular_operator(index):
         assert ver.audit.max_residual <= cap["audit"]
         omega0 = np.sort(omega0)
         assert np.max(np.abs(ver.partition.omega0 - omega0)) <= cap["omega0"]
-        lambda0_spectrum = np.linalg.eigvalsh(lambda0(ver.angular, block))
+        lambda0_spectrum = np.linalg.eigvalsh(ver.audit.lambda0)
         assert np.max(np.abs(lambda0_spectrum - omega0)) <= cap["lambda0"]
         if shape is RANK_DEFICIENT:
             # the kernel of X: its polar columns are zeroed
@@ -76,3 +76,24 @@ def test_pipeline_recovers_the_prescribed_angular_operator(index):
             assert ver.audit.lam.size == dim0 + 3
             assert not ver.angular.polar[:, 1:].any()
     assert accepted >= MIN_ACCEPTED
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("x_norm", [0.1, 0.5])
+def test_full_size_cell(x_norm):
+    # 300x500, the largest trial_large size, where the CI's other full-size
+    # checks compare against eigh(L), the pipeline's own eigensolver: three
+    # draws per norm under the caps measured on the small cells.
+    cap = {name: CAP_FACTOR * c * EPS for name, c in MEASURED.items()}
+    rng = np.random.default_rng([SEED, 300, 500, int(10 * x_norm)])
+    for _ in range(3):
+        block, X, omega0 = draw_known_answer(rng, 300, 500, x_norm)
+        ver = Verification(block)
+        assert abs(ver.distance - x_norm / math.sqrt(1.0 + x_norm**2)) <= cap["distance"]
+        assert np.linalg.norm(ver.angular.X - X, 2) <= cap["x"] * (1.0 + x_norm) ** 2
+        assert riccati_residual(X, block) <= cap["riccati"]
+        assert ver.audit.max_residual <= cap["audit"]
+        omega0 = np.sort(omega0)
+        assert np.max(np.abs(ver.partition.omega0 - omega0)) <= cap["omega0"]
+        lambda0_spectrum = np.linalg.eigvalsh(ver.audit.lambda0)
+        assert np.max(np.abs(lambda0_spectrum - omega0)) <= cap["lambda0"]

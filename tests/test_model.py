@@ -346,6 +346,18 @@ class TestInstanceIO:
         with pytest.raises(ConfigInvalid, match="UTF-8"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim0": 1' + "0" * 5000 + ', "dim1": 2}', "[" * 100_000 + "]" * 100_000],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_past_the_parser_limits_raises_config_invalid(self, tmp_path, text):
+        # Python's int-digit limit raises ValueError, deep nesting RecursionError.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigInvalid, match="^invalid JSON: "):
+            load_instance(path)
+
     def test_overflowing_numbers_raise_config_invalid(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim0": 1e400, "dim1": 2, "A0": [[1.0]], "A1": [[-2,0],[0,2]], "B": [[0,0.5]]}')

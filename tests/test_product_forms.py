@@ -1,20 +1,24 @@
 """The sharpness witnesses' closed forms against 80-digit mpmath
 (tests/mp_reference.py): the outer rank-one maximizer z0, maximum phi_max
 and weight t over a D/d grid and near the upper edge b_hi, and the
-circulant weight beta with a down to 1e-300 gamma. Tier-1 runs a seeded
-prefix of the near-edge and beta sets; the full sets are marked slow:
+circulant weight beta with a down to 1e-300 gamma and at seeded boundary
+points over the whole float range. Tier-1 runs a seeded prefix of the
+near-edge, beta and boundary sets; the full sets are marked slow:
 
     python3 -m pytest -q -m slow
 """
 import math
 import random
+import sys
 
 import pytest
 
 pytest.importorskip("mpmath")
 
 import mp_reference  # noqa: E402
-from tantheta import circulant_case_params, phi_maximizer, rank_one_outer_params  # noqa: E402
+from tantheta import (  # noqa: E402
+    DomainError, circulant_case_params, phi_maximizer, rank_one_outer_params,
+)
 
 EPS = 2.0 ** -52
 
@@ -103,3 +107,51 @@ def test_beta_where_a_underflows_at_unit_scale():
     assert mp_reference.rel_err(beta, mp_reference.beta(1.7e308, 4e-45, 4e144)) <= 1e-15
     assert abs(beta / 8.5e118 - 1.0) <= 1e-15
     assert b1 == b2 == 2e144
+
+
+EDGE_VALUES = (0.0, 5e-324, sys.float_info.min, 1e-300, 1.0, 2.0, 1e300, sys.float_info.max)
+
+
+def boundary_coordinate(rng):
+    """Uniform in [0, 4], log-uniform over the float range, or an edge value."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.uniform(0.0, 4.0)
+    if kind == 1:
+        return math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023))
+    return rng.choice(EDGE_VALUES)
+
+
+def check_circulant_boundary(count):
+    # Half the points with 0 <= a < gamma take b inside (b_lo, b_hi) or
+    # just below b_lo. Each point raises DomainError or gives finite
+    # weights b1, b2 >= 0 and a beta within 1e-12 of mpmath, or within one
+    # subnormal step where beta is below the normal range.
+    rng = random.Random(13)
+    returned = 0
+    for _ in range(count):
+        gamma, a, b = (boundary_coordinate(rng) for _ in range(3))
+        if rng.random() < 0.5 and 0.0 <= a < gamma:
+            lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)
+            hi = math.sqrt(gamma - a) * math.sqrt(gamma + a)
+            inside = rng.random() < 0.8
+            b = lo + (hi - lo) * rng.random() if inside else lo * (1.0 - 1e-3 * rng.random())
+        try:
+            beta, b1, b2 = circulant_case_params(gamma, a, b)
+        except DomainError:
+            continue
+        returned += 1
+        point = (gamma, a, b)
+        assert all(math.isfinite(x) for x in (beta, b1, b2)) and b1 >= 0.0 and b2 >= 0.0, point
+        ref = float(mp_reference.beta(gamma, a, b))
+        assert abs(beta - ref) <= max(1e-12 * abs(ref), 5e-324), point
+    assert returned >= count // 5
+
+
+def test_circulant_weights_at_boundary_points():
+    check_circulant_boundary(2000)
+
+
+@pytest.mark.slow
+def test_circulant_weights_at_boundary_points_full():
+    check_circulant_boundary(20000)

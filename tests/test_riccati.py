@@ -16,7 +16,6 @@ from tantheta import (
     extract_angular_operator,
     find_disposition,
     generate_instance,
-    lambda0,
     perturbed_partition,
     projection_distance,
     riccati_residual,
@@ -227,7 +226,7 @@ class TestLambda0:
     def test_zero_coupling_reduces_to_block(self):
         block = BlockOperator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
         _, _, ang = pipeline(block)
-        lam = lambda0(ang, block)
+        lam = verify_lemma_identities(ang, block).lambda0
         assert np.allclose(lam, block.A0.entries, atol=1e-12)
 
     def test_midgap_scalar_case(self):
@@ -236,16 +235,26 @@ class TestLambda0:
         _, _, b1, b2 = rank_one_outer_params(1.0, 0.0, 1.2)
         block = rank_one_build(1.0, 0.0, b1, b2)
         _, _, ang = pipeline(block)
-        lam = lambda0(ang, block)
+        lam = verify_lemma_identities(ang, block).lambda0
         assert lam.shape == (1, 1)
         assert lam[0, 0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_held_read_only_on_the_audit_record(self):
+        block = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
+        _, _, ang = pipeline(block)
+        audit = verify_lemma_identities(ang, block)
+        assert audit.lambda0.shape == (2, 2)
+        for arr in (audit.lam, audit.id1, audit.id2, audit.id3, audit.lambda0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_spectrum_matches_ingap_component(self):
         for block in random_blocks(8, seed=400):
             disp = find_disposition(block)
             part = perturbed_partition(block, disp)
             ang = extract_angular_operator(part, block)
-            lam_values = np.linalg.eigvalsh(lambda0(ang, block))
+            lam_values = np.linalg.eigvalsh(verify_lemma_identities(ang, block).lambda0)
             scale = 1.0 + max(abs(v) for v in part.omega0)
             assert np.max(np.abs(lam_values - np.array(part.omega0))) <= 1e-8 * scale
 
@@ -379,7 +388,7 @@ class TestAgainstReferences:
             _, _, ang = pipeline(block)
             audit = verify_lemma_identities(ang, block)
             W = ang.right_basis
-            Lam0 = W @ lambda0(ang, block) @ W.T
+            Lam0 = W @ audit.lambda0 @ W.T
             assert np.allclose(W.T @ W, np.eye(block.dim0), atol=1e-12)
             cutoff = KERNEL_CUTOFF * ang.norm
             for c in range(block.dim0):
@@ -390,6 +399,43 @@ class TestAgainstReferences:
                 expected = reference_pair_residuals(audit.lam[c], W[:, c], Uu, block, Lam0)
                 got = (audit.id1[c], audit.id2[c], audit.id3[c])
                 assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+        # Rotated degenerate clusters too: a kernel of dimension 3, X = 0,
+        # and a plain draw. The entries past the base eigenpairs belong to
+        # the columns of W[:, i:j] R, one cluster i:j after another, with R
+        # rebuilt from the audit's seeded generator in cluster order.
+        cluster_configs = (
+            GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9),
+            GenConfig(dim0=4, dim1=6, D=2.5, d=1.0, ratio=0.0, conjugate=True, seed=3),
+            GenConfig(dim0=5, dim1=2, D=4.0, d=1.0, ratio=0.5, seed=4),
+        )
+        rotated = 0
+        for cfg in cluster_configs:
+            block, _ = generate_instance(cfg)
+            _, _, ang = pipeline(block)
+            audit = verify_lemma_identities(ang, block, seed=17)
+            W, s = ang.right_basis, ang.eigenvalues_abs
+            Lam0 = W @ audit.lambda0 @ W.T
+            cutoff = KERNEL_CUTOFF * ang.norm
+            pairs = [(s[c], W[:, c]) for c in range(block.dim0)]
+            rng = np.random.default_rng(17)
+            i = 0
+            while i < block.dim0:
+                j = i + 1
+                while j < block.dim0 and abs(s[j] - s[i]) <= riccati.DEGENERACY_TOL * (1.0 + s[i]):
+                    j += 1
+                if j - i > 1:
+                    R, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
+                    pairs += [(s[i], w) for w in (W[:, i:j] @ R).T]
+                i = j
+            assert audit.lam.size == len(pairs) > block.dim0
+            rotated += len(pairs) - block.dim0
+            for c, (lam, w) in enumerate(pairs):
+                Uu = ang.X @ w / lam if lam > cutoff else np.zeros(block.dim1)
+                assert audit.lam[c] == lam
+                expected = reference_pair_residuals(lam, w, Uu, block, Lam0)
+                got = (audit.id1[c], audit.id2[c], audit.id3[c])
+                assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+        assert rotated == 10
 
     def test_eigenbasis_fixed_point_matches_original_basis_iteration(self):
         for block in random_blocks(10, seed=700):

@@ -43,7 +43,7 @@ MUTANTS = (
      "d taken as the larger distance to the gap edges"),
     ("src/tantheta/riccati.py", "if j - i > 1:", "if False:",
      "no audit of rotated degenerate singular clusters"),
-    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, W, U, col0, col1, Lam0)]",
+    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, P, Q, Lam0)]",
      "residuals = [np.zeros((3, dim0))]", "the audit skips its base eigenpairs"),
     ("src/tantheta/errors.py", "EDGE_COLLAR = 1e-12", "EDGE_COLLAR = 1e-6",
      "gap-edge collar widened a millionfold"),
@@ -146,8 +146,7 @@ MUTANTS = (
      "the circulant weights taken at the caller's scale, where gamma^2 b^2 underflows at 2^-500"),
     ("src/tantheta/spectral.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
      "an edge distance past the float range warns of its overflow"),
-    ("src/tantheta/families.py",
-     "beta = a * (c / (math.hypot(gb, a_u * math.sqrt(c)) + gb))",
+    ("src/tantheta/families.py", "beta = a * ratio",
      "beta = (math.hypot(gb, a_u * math.sqrt(c)) - gb) / a_u * back",
      "beta by its cancelling numerator, which divides by a and loses a far below gamma"),
     ("src/tantheta/families.py", "unit_scaled(max(d, v), d, v,", "unit_scaled(d, d, v,",
@@ -155,8 +154,25 @@ MUTANTS = (
     ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
      "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
      "the Riccati residual's lower block drops B^T"),
-    ("src/tantheta/riccati.py", "Lam0[:, i:j] @ Q", "Lam0[:, i:j]",
+    ("src/tantheta/riccati.py", "Lam0[:, i:j] @ R", "Lam0[:, i:j]",
      "the cluster re-audit reads Lambda0's columns unrotated"),
+    ("src/tantheta/riccati.py", "Q[:, i:j] @ R,", "Q[:, i:j],",
+     "the cluster re-audit rotates P but not Q"),
+    ("src/tantheta/riccati.py", "P[:, i:j] @ R,", "P[:, i:j],",
+     "the cluster re-audit rotates Q but not P"),
+    ("src/tantheta/model.py", "except (ValueError, RecursionError) as exc:",
+     "except ValueError as exc:", "a JSON file nested past the recursion limit escapes untyped"),
+    ("src/tantheta/families.py", "b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)",
+     "b_lo = 0.5 * math.sqrt(2.0 * (g - a_u) * a_u) * back",
+     "the circulant lower edge taken at unit scale, where a underflows and the edge reads 0"),
+    ("src/tantheta/families.py", "if ratio == math.inf:", "if False:",
+     "a circulant b that underflows at unit scale gives non-finite weights"),
+    ("src/tantheta/cli.py", "except (TanThetaError, OSError) as exc:",
+     "except (TanThetaError, OSError, ValueError) as exc:",
+     "main maps an untyped ValueError to exit 2, hiding the defect"),
+    ("src/tantheta/harness.py", "if (self.dim0 + self.dim1) ** 2 > np.iinfo(np.intp).max // 8:",
+     "if False:",
+     "dims past numpy's array size reach numpy, whose ValueError escapes untyped"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
