@@ -4,10 +4,19 @@ exact eigendecomposition ground truth."""
 
 from .bounds import (
     BoundEvaluation,
+    Region,
     apriori_bound,
+    classify_region,
     m_total,
     phi_maximizer,
     sin_arctan,
+    rank_one_build,
+    rank_one_inner_expected,
+    rank_one_outer_params,
+    circulant_build,
+    circulant_case_params,
+    circulant_kappa_matrix,
+    circulant_kappas,
 )
 from .errors import (
     ConfigInvalid,
@@ -21,15 +30,6 @@ from .errors import (
     NotAProjector,
     ResidualTooLarge,
     TanThetaError,
-)
-from .families import (
-    rank_one_build,
-    rank_one_inner_expected,
-    rank_one_outer_params,
-    circulant_build,
-    circulant_case_params,
-    circulant_kappa_matrix,
-    circulant_kappas,
 )
 from .harness import (
     FailureRecord,
@@ -47,12 +47,10 @@ from .harness import (
 from .model import (
     BlockOperator,
     EigenSystem,
-    Region,
     SpectralDisposition,
     SymMatrix,
     block_operator_from_dict,
     block_operator_to_dict,
-    classify_region,
     load_instance,
     save_instance,
 )

@@ -1,17 +1,85 @@
-"""Closed-form estimating functions: the spectral-shift radius r_V, the
-kappa function, the two bound branches M1 and M2, the combined bound M, the
-projection bound sin(arctan M), and the maximizer of the auxiliary rational
-function behind the M2 branch."""
+"""The bound domain Omega and everything scalar on it: the regions and the
+unit scaling, the closed forms r_V, kappa, M1, M2, M and sin(arctan M), the
+maximizer of the auxiliary rational function behind M2, and the 3x3
+rank-one and 4x4 circulant sharpness families that attain the bound."""
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RADICAND_GUARD, DomainError
-from .model import Region, classify_region, require_finite, unit_exponent, unit_scaled
+import numpy as np
+
+from .errors import BOUNDARY_CLASSIFY_TOL, RADICAND_GUARD, DomainError
+from .model import BlockOperator
 
 SQRT2 = math.sqrt(2.0)
+
+
+class Region(enum.Enum):
+    """Subregions of the admissible set of (D, d, v) triples, ordered by
+    increasing v for fixed (D, d)."""
+
+    OMEGA1_0 = 0
+    OMEGA1_1 = 1
+    BOUNDARY_OMEGA12 = 2
+    OMEGA2 = 3
+    OUTSIDE_OMEGA = 4
+
+
+def require_finite(names: str, *values: float) -> None:
+    """Raise DomainError unless every value is finite; `names` lists the
+    values' names, as in "D, d, v"."""
+    if not all(math.isfinite(x) for x in values):
+        raise DomainError(f"({names}) = ({', '.join(str(x) for x in values)}) must be finite")
+
+
+def unit_exponent(x: float) -> int:
+    """The exponent e that puts |x| 2^e in [1, 2); 1 for zero, inf and NaN."""
+    return 1 - math.frexp(x)[1]
+
+
+def unit_scaled(*values: float, names: str = "D, d, v") -> tuple:
+    """The point, as (D, d, v) by default, which must be finite (DomainError
+    otherwise), times the power of two 2^unit_exponent(x) that puts the
+    first coordinate |x| in [1, 2). The scaling is exact unless a coordinate
+    falls below the normal range, so a function homogeneous of degree 0
+    gives the same bits at the scaled point, where products such as d D and
+    v^2 neither overflow nor underflow. A coordinate the scaling lifts past
+    the float range raises DomainError naming it."""
+    require_finite(names, *values)
+    e = unit_exponent(values[0])
+    try:
+        return tuple(math.ldexp(x, e) for x in values)
+    except OverflowError:
+        name, x = max(zip(names.split(", "), values), key=lambda pair: abs(pair[1]))
+        raise DomainError(f"{name} = {x!r} overflows at the scale 2^{e}") from None
+
+
+def classify_region(D: float, d: float, v: float) -> Region:
+    """Classify the point (D, d, v) into the region partition.
+
+    Points within BOUNDARY_CLASSIFY_TOL * sqrt(d*D) of v = sqrt(d*(D-d))
+    are labelled as lying on the inter-region boundary. OUTSIDE_OMEGA is a
+    valid label, not an error; it covers v >= sqrt(d*D) as well as
+    degenerate d. Non-finite D, d or v raise DomainError.
+    """
+    D, d, v = unit_scaled(D, d, v)
+    if D <= 0.0:
+        raise DomainError("D must be positive")
+    if v < 0.0:
+        raise DomainError("v must be non-negative")
+    if d <= 0.0 or d > D / 2.0 or v >= math.sqrt(d * D):
+        return Region.OUTSIDE_OMEGA
+    v_boundary = math.sqrt(d * (D - d))
+    if abs(v - v_boundary) <= BOUNDARY_CLASSIFY_TOL * math.sqrt(d * D):
+        return Region.BOUNDARY_OMEGA12
+    if v < v_boundary:
+        if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
+            return Region.OMEGA1_0
+        return Region.OMEGA1_1
+    return Region.OMEGA2
 
 
 def half_arctan_tangent(x: float) -> float:
@@ -169,3 +237,118 @@ def phi_maximizer(gamma: float, a: float, b: float) -> tuple:
     """
     g, a_u, _, back, z0, gz, r1 = _phi_peak(gamma, a, b)
     return z0 * back, (2.0 * gz * (g - a_u + z0) - r1) / (gz * (g + z0))
+
+
+def _require_weights(b1: float, b2: float) -> None:
+    """Raise DomainError if a coupling weight is negative."""
+    if b1 < 0.0 or b2 < 0.0:
+        raise DomainError("b1 and b2 must be non-negative")
+
+
+def rank_one_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperator:
+    """3x3 family: A0 = [a], A1 = diag(-gamma, gamma), B = [b1 b2].
+
+    The single unperturbed eigenvalue a sits in the gap (-gamma, gamma),
+    so d = gamma - a and D = 2 gamma.
+    """
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
+    return BlockOperator(np.array([[a]]), np.diag([-gamma, gamma]), np.array([[b1, b2]]))
+
+
+def rank_one_inner_expected(d: float, v: float) -> float:
+    """Exact projection distance for the b1 = 0 configuration:
+    sin(arctan(2v / (d + sqrt(d^2 + 4v^2)))).
+
+    The inner expression is the norm of the angular operator; it coincides
+    with the bound branch M1 on the inner region, which is what makes this
+    family a sharpness witness there. Taken at (d, v) scaled by the power of
+    two that puts the larger in [1, 2), where nothing overflows; a
+    non-finite d or v raises DomainError.
+    """
+    _, d_u, v_u = unit_scaled(max(d, v), d, v, names="max(d, v), d, v")
+    if d <= 0.0 or v < 0.0:
+        raise DomainError(f"need d > 0 and v >= 0, got d={d}, v={v}")
+    return sin_arctan(2.0 * v_u / (d_u + math.sqrt(d_u * d_u + 4.0 * v_u * v_u)))
+
+
+def rank_one_outer_params(gamma: float, a: float, b: float) -> tuple:
+    """Weights (z0, t, b1, b2) making the 3x3 family attain equality on the
+    outer bound region for total perturbation norm b, where
+    sqrt((gamma - a)(gamma + a)) <= b < sqrt(2 gamma (gamma - a)). z0 is the
+    single in-gap eigenvalue of the tuned instance. t, of degree 0, is taken
+    where phi_maximizer takes z0, as (g - z0)((g - z0)(2g + z0 - a) - r1) /
+    (2g b^2), clamped at 0 against round-off."""
+    g, a_u, b_u, back, z0, gz, r1 = _phi_peak(gamma, a, b)
+    t = max(gz * (gz * (2.0 * g + z0 - a_u) - r1) / (2.0 * g * b_u * b_u), 0.0)
+    return z0 * back, t, math.sqrt(1.0 - t) * b, math.sqrt(t) * b
+
+
+def circulant_build(gamma: float, a: float, b1: float, b2: float) -> BlockOperator:
+    """4x4 family: A0 = diag(-a, a), A1 = diag(-gamma, gamma) and a
+    symmetric circulant coupling B = [[b1, b2], [b2, b1]].
+
+    Here d = gamma - a, D = 2 gamma and ||B|| = b1 + b2.
+    """
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
+    return BlockOperator(
+        np.diag([-a, a]), np.diag([-gamma, gamma]), np.array([[b1, b2], [b2, b1]])
+    )
+
+
+def circulant_kappas(gamma: float, a: float, b1: float, b2: float) -> tuple:
+    """Closed-form entries (kappa1, kappa2) of the explicit Riccati solution
+    X = [[k1, k2], [-k2, -k1]] of the 4x4 family; ||X|| = k1 + k2. Taken at
+    the unit-scaled point, whose DomainErrors (non-finite, or a weight
+    overflowing) pass through."""
+    g, a_u, b1_u, b2_u = unit_scaled(gamma, a, b1, b2, names="gamma, a, b1, b2")
+    require_in_gap(gamma, a)
+    _require_weights(b1, b2)
+    if b1_u + b2_u >= math.sqrt(2.0 * g * (g - a_u)):
+        raise DomainError(
+            f"||B|| = {b1 + b2} is not below sqrt(2 gamma (gamma - a))"
+        )
+    r_minus = math.sqrt((g - a_u) ** 2 + 4.0 * b1_u * b1_u)
+    r_plus = math.sqrt((g + a_u) ** 2 + 4.0 * b2_u * b2_u)
+    den = (g + a_u) * r_minus + (g - a_u) * r_plus
+    return 2.0 * b1_u * r_plus / den, 2.0 * b2_u * r_minus / den
+
+
+def circulant_kappa_matrix(gamma: float, a: float, b1: float, b2: float) -> np.ndarray:
+    """The explicit solution matrix built from circulant_kappas."""
+    k1, k2 = circulant_kappas(gamma, a, b1, b2)
+    return np.array([[k1, k2], [-k2, -k1]])
+
+
+def circulant_case_params(gamma: float, a: float, b: float) -> tuple:
+    """Weights (beta, b1, b2) making the 4x4 family attain equality on the
+    intermediate bound region for total perturbation norm b.
+
+    Requires sqrt(2 (gamma - a) a) / 2 < b < sqrt((gamma - a)(gamma + a));
+    both returned weights are positive (b2 > 0 by the lower inequality).
+    beta = a c / (hypot(gamma b, a sqrt(c)) + gamma b), c = (gamma - a)
+    (gamma + a) - b^2, is the caller's a times a ratio of degree 0 taken at
+    unit scale as phi_maximizer is: it never divides by a. The lower edge is
+    taken at the caller's scale, where a cannot underflow; a b too small at
+    unit scale for beta, or for a positive weight, raises DomainError.
+    """
+    require_in_gap(gamma, a)
+    g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")
+    back = 2.0 ** -unit_exponent(gamma)
+    b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)
+    c = (g - a_u) * (g + a_u)
+    b_hi = math.sqrt(c)
+    if not (b_lo < b and b_u < b_hi):
+        raise DomainError(f"b = {b} is outside ({b_lo}, {b_hi * back})")
+    c -= b_u * b_u
+    gb = g * b_u
+    den = math.hypot(gb, a_u * math.sqrt(c)) + gb
+    ratio = c / den if den > 0.0 else math.inf
+    if ratio == math.inf:
+        raise DomainError(f"b = {b} underflows at the unit scale of gamma = {gamma}")
+    beta = a * ratio
+    b1, b2 = (b + beta) / 2.0, (b - beta) / 2.0
+    if not (b1 > 0.0 and b2 > 0.0):
+        raise DomainError(f"b = {b} leaves a weight of (b1, b2) = ({b1}, {b2}) at 0")
+    return beta, b1, b2

@@ -11,15 +11,15 @@ import json
 import sys
 from dataclasses import MISSING, fields
 
-from .bounds import m_total
-from .errors import ConfigInvalid, TanThetaError
-from .families import (
+from .bounds import (
+    m_total,
     rank_one_build,
     rank_one_inner_expected,
     rank_one_outer_params,
     circulant_build,
     circulant_case_params,
 )
+from .errors import ConfigInvalid, TanThetaError
 from .harness import (
     GenConfig,
     REPORT_FIELDS,

@@ -1,5 +1,5 @@
-"""Core domain types: symmetric matrices, block operators, spectral
-dispositions and the regions of the bound domain.
+"""Core domain types: symmetric matrices, block operators and spectral
+dispositions, with their norms and instance files.
 
 All types are immutable after construction and all functions are pure. A
 symmetric matrix is built with its checked eigensystem, so a block operator
@@ -8,7 +8,6 @@ exists only once both diagonal blocks' spectra are certified.
 from __future__ import annotations
 
 import base64
-import enum
 import json
 import math
 from dataclasses import InitVar, dataclass, field
@@ -18,12 +17,10 @@ import numpy as np
 
 from .errors import (
     ASYMMETRY_TOL,
-    BOUNDARY_CLASSIFY_TOL,
     EIG_GRAM_TOL,
     EIG_RESIDUAL_TOL,
     ConfigInvalid,
     DimensionMismatch,
-    DomainError,
     NoConvergence,
     ResidualTooLarge,
     require,
@@ -241,71 +238,6 @@ class SpectralDisposition:
     gamma_r: float
     d: float
     D: float
-
-
-class Region(enum.Enum):
-    """Subregions of the admissible set of (D, d, v) triples, ordered by
-    increasing v for fixed (D, d)."""
-
-    OMEGA1_0 = 0
-    OMEGA1_1 = 1
-    BOUNDARY_OMEGA12 = 2
-    OMEGA2 = 3
-    OUTSIDE_OMEGA = 4
-
-
-def require_finite(names: str, *values: float) -> None:
-    """Raise DomainError unless every value is finite; `names` lists the
-    values' names, as in "D, d, v"."""
-    if not all(math.isfinite(x) for x in values):
-        raise DomainError(f"({names}) = ({', '.join(str(x) for x in values)}) must be finite")
-
-
-def unit_exponent(x: float) -> int:
-    """The exponent e that puts |x| 2^e in [1, 2); 1 for zero, inf and NaN."""
-    return 1 - math.frexp(x)[1]
-
-
-def unit_scaled(*values: float, names: str = "D, d, v") -> tuple:
-    """The point, as (D, d, v) by default, which must be finite (DomainError
-    otherwise), times the power of two 2^unit_exponent(x) that puts the
-    first coordinate |x| in [1, 2). The scaling is exact unless a coordinate
-    falls below the normal range, so a function homogeneous of degree 0
-    gives the same bits at the scaled point, where products such as d D and
-    v^2 neither overflow nor underflow. A coordinate the scaling lifts past
-    the float range raises DomainError naming it."""
-    require_finite(names, *values)
-    e = unit_exponent(values[0])
-    try:
-        return tuple(math.ldexp(x, e) for x in values)
-    except OverflowError:
-        name, x = max(zip(names.split(", "), values), key=lambda pair: abs(pair[1]))
-        raise DomainError(f"{name} = {x!r} overflows at the scale 2^{e}") from None
-
-
-def classify_region(D: float, d: float, v: float) -> Region:
-    """Classify the point (D, d, v) into the region partition.
-
-    Points within BOUNDARY_CLASSIFY_TOL * sqrt(d*D) of v = sqrt(d*(D-d))
-    are labelled as lying on the inter-region boundary. OUTSIDE_OMEGA is a
-    valid label, not an error; it covers v >= sqrt(d*D) as well as
-    degenerate d. Non-finite D, d or v raise DomainError.
-    """
-    D, d, v = unit_scaled(D, d, v)
-    if D <= 0.0:
-        raise DomainError("D must be positive")
-    if v < 0.0:
-        raise DomainError("v must be non-negative")
-    if d <= 0.0 or d > D / 2.0 or v >= math.sqrt(d * D):
-        return Region.OUTSIDE_OMEGA
-    v_boundary = math.sqrt(d * (D - d))
-    if abs(v - v_boundary) <= BOUNDARY_CLASSIFY_TOL * math.sqrt(d * D):
-        return Region.BOUNDARY_OMEGA12
-    if v < v_boundary:
-        if v <= 0.5 * math.sqrt(d * (D - 2.0 * d)):
-            return Region.OMEGA1_0
-        return Region.OMEGA1_1
-    return Region.OMEGA2
 
 
 def _encode_block(entries: np.ndarray) -> dict:

@@ -22,8 +22,8 @@ import numpy as np
 
 from tantheta import BlockOperator
 
-# omega0 is drawn in [-OMEGA0_HALF_WIDTH, OMEGA0_HALF_WIDTH] and omega1 in
-# +-[OMEGA1_LOW, OMEGA1_HIGH], half of it on each side.
+# omega0 is drawn in [-h, h], h = OMEGA0_HALF_WIDTH unless a call gives
+# its own, and omega1 in +-[OMEGA1_LOW, OMEGA1_HIGH], half of it on each side.
 OMEGA0_HALF_WIDTH = 0.6
 OMEGA1_LOW, OMEGA1_HIGH = 1.0, 2.0
 
@@ -44,17 +44,18 @@ def known_answer_block(U, s, V, omega0, omega1):
     return block, U @ S @ V.T
 
 
-def draw_known_answer(rng, dim0, dim1, x_norm, shape=None):
+def draw_known_answer(rng, dim0, dim1, x_norm, shape=None, half_width=OMEGA0_HALF_WIDTH):
     """(block, X, omega0) with ||X|| = x_norm, a random singular basis on
-    each side and omega0, omega1 drawn as the module constants say. `shape`
-    gives the singular values relative to x_norm (descending, the first 1);
-    by default the others are uniform in (0, 1]."""
+    each side, omega0 drawn in [-half_width, half_width] and omega1 as the
+    module constants say. `shape` gives the singular values relative to
+    x_norm (descending, the first 1); by default the others are uniform in
+    (0, 1]."""
     k = min(dim0, dim1)
     if shape is None:
         shape = np.concatenate(([1.0], np.sort(1.0 - rng.random(k - 1))[::-1]))
     U, _ = np.linalg.qr(rng.standard_normal((dim1, dim1)))
     V, _ = np.linalg.qr(rng.standard_normal((dim0, dim0)))
-    omega0 = rng.uniform(-OMEGA0_HALF_WIDTH, OMEGA0_HALF_WIDTH, dim0)
+    omega0 = rng.uniform(-half_width, half_width, dim0)
     sides = np.where(np.arange(dim1) < dim1 // 2, -1.0, 1.0)
     omega1 = sides * rng.uniform(OMEGA1_LOW, OMEGA1_HIGH, dim1)
     block, X = known_answer_block(U, x_norm * np.asarray(shape, dtype=float), V, omega0, omega1)

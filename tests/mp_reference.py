@@ -1,9 +1,37 @@
-"""80-digit mpmath references for the sharpness witnesses' closed forms,
-each taken from its defining formula at the exact value of every float
-argument. Import this module after pytest.importorskip("mpmath")."""
+"""80-digit mpmath references for the bound's scalars and the sharpness
+witnesses' closed forms, each taken from its defining formula at the exact
+value of every float argument. Import this module after
+pytest.importorskip("mpmath")."""
 import mpmath
 
 DIGITS = 80
+
+
+def bound_scalars(D, d, v):
+    """(r_V, kappa, M1, M2) at a point (D, d, v) of Omega, None where a
+    quantity is not defined. r_V = v tan(arctan(2v / (D - d)) / 2). Below
+    v_b = sqrt(d (D - d)), kappa = 2v / d up to v = sqrt(d (D - 2d)) / 2 and
+    (v D + v_b sqrt((D - 2d)^2 + 4v^2)) / (2 (v_b^2 - v^2)) above it, and
+    M1 = tan(arctan(kappa) / 2); at v_b, M1 = 1. From v_b on, M2 =
+    sqrt(1 + 2 (v^2 - sqrt((d D - v^2)((D - d) D - v^2))) / D^2)."""
+    with mpmath.workdps(DIGITS):
+        D, d, v = (mpmath.mpf(x) for x in (D, d, v))
+        r_v = v * mpmath.tan(mpmath.atan(2 * v / (D - d)) / 2)
+        vb2 = d * (D - d)
+        kappa = m1 = m2 = None
+        if v * v < vb2:
+            if 4 * v * v <= d * (D - 2 * d):
+                kappa = 2 * v / d
+            else:
+                root = mpmath.sqrt((D - 2 * d) ** 2 + 4 * v * v)
+                kappa = (v * D + mpmath.sqrt(vb2) * root) / (2 * (vb2 - v * v))
+            m1 = mpmath.tan(mpmath.atan(kappa) / 2)
+        elif v * v == vb2:
+            m1 = mpmath.mpf(1)
+        if v * v >= vb2:
+            root = mpmath.sqrt((d * D - v * v) * ((D - d) * D - v * v))
+            m2 = mpmath.sqrt(1 + 2 * (v * v - root) / (D * D))
+        return r_v, kappa, m1, m2
 
 
 def outer(gamma, a, b):

@@ -4,9 +4,9 @@ the trigonometric form of the M1 bound branch."""
 import numpy as np
 
 from tantheta import NotAProjector, m_total
-from tantheta.bounds import _kappa, half_arctan_tangent
+from tantheta.bounds import _kappa, half_arctan_tangent, unit_scaled
 from tantheta.errors import EIG_GRAM_TOL
-from tantheta.model import spectral_norm, unit_scaled
+from tantheta.model import spectral_norm
 
 
 def dense_projector(P) -> np.ndarray:

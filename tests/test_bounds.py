@@ -13,8 +13,7 @@ from tantheta import (
     m_total,
     phi_maximizer,
 )
-from tantheta.bounds import _kappa, half_arctan_tangent, sin_arctan
-from tantheta.model import unit_scaled
+from tantheta.bounds import _kappa, half_arctan_tangent, sin_arctan, unit_scaled
 
 from oracles import m1_trig
 

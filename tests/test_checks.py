@@ -37,7 +37,7 @@ from tantheta import (
 from tantheta import bounds, errors, harness
 from tantheta.cli import main
 from tantheta.errors import TanThetaError, require
-from tantheta.families import rank_one_build
+from tantheta.bounds import rank_one_build
 from tantheta.harness import margin_fails
 from tantheta.model import EigenSystem
 from tantheta.spectral import SpectrumPartition

@@ -225,6 +225,12 @@ class TestClosedFormsAtScale:
         assert main(argv) == 2
         assert "is outside" in capsys.readouterr().err
 
+    def test_circulant_weight_that_rounds_to_0_is_refused(self):
+        # With a = 0, beta = 0 and b1 = b2 = b / 2, which rounds the smallest
+        # subnormal to 0: the example would measure an uncoupled block.
+        with pytest.raises(DomainError, match=r"^b = 5e-324 leaves a weight"):
+            circulant_case_params(1e-300, 0.0, 5e-324)
+
     def test_overflowing_outer_example_exits_2(self, capsys):
         argv = ["example", "rank1-outer", "--gamma", "1e-310", "--a", "0", "--b", "1"]
         assert main(argv) == 2

@@ -125,7 +125,7 @@ def boundary_coordinate(rng):
 def check_circulant_boundary(count):
     # Half the points with 0 <= a < gamma take b inside (b_lo, b_hi) or
     # just below b_lo. Each point raises DomainError or gives finite
-    # weights b1, b2 >= 0 and a beta within 1e-12 of mpmath, or within one
+    # weights b1, b2 > 0 and a beta within 1e-12 of mpmath, or within one
     # subnormal step where beta is below the normal range.
     rng = random.Random(13)
     returned = 0
@@ -142,7 +142,7 @@ def check_circulant_boundary(count):
             continue
         returned += 1
         point = (gamma, a, b)
-        assert all(math.isfinite(x) for x in (beta, b1, b2)) and b1 >= 0.0 and b2 >= 0.0, point
+        assert all(math.isfinite(x) for x in (beta, b1, b2)) and b1 > 0.0 and b2 > 0.0, point
         ref = float(mp_reference.beta(gamma, a, b))
         assert abs(beta - ref) <= max(1e-12 * abs(ref), 5e-324), point
     assert returned >= count // 5

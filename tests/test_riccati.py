@@ -25,7 +25,7 @@ from tantheta import (
 from tantheta import riccati
 from tantheta.model import frobenius
 from tantheta.riccati import FIXED_POINT_TOL, KERNEL_CUTOFF
-from tantheta.families import circulant_build, circulant_case_params, circulant_kappa_matrix
+from tantheta.bounds import circulant_build, circulant_case_params, circulant_kappa_matrix
 
 
 def pipeline(block):
@@ -230,7 +230,7 @@ class TestLambda0:
         assert np.allclose(lam, block.A0.entries, atol=1e-12)
 
     def test_midgap_scalar_case(self):
-        from tantheta.families import rank_one_build, rank_one_outer_params
+        from tantheta.bounds import rank_one_build, rank_one_outer_params
 
         _, _, b1, b2 = rank_one_outer_params(1.0, 0.0, 1.2)
         block = rank_one_build(1.0, 0.0, b1, b2)

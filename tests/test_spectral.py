@@ -27,7 +27,7 @@ from tantheta import (
 )
 from tantheta.model import SpectralDisposition
 from tantheta.spectral import SpectrumPartition
-from tantheta.families import rank_one_build, rank_one_outer_params
+from tantheta.bounds import rank_one_build, rank_one_outer_params
 
 from oracles import dense_projection_distance, dense_projector
 

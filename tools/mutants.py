@@ -95,9 +95,9 @@ MUTANTS = (
      "a partition of another block's shape measured against this block"),
     ("src/tantheta/riccati.py", "if not (math.isfinite(step) and math.isfinite(x_norm)):",
      "if False:", "a diverged fixed-point iteration counted as converged"),
-    ("src/tantheta/model.py", 'raise DomainError("D must be positive")', "pass",
+    ("src/tantheta/bounds.py", 'raise DomainError("D must be positive")', "pass",
      "a non-positive gap length classified as outside Omega"),
-    ("src/tantheta/model.py", 'raise DomainError("v must be non-negative")', "pass",
+    ("src/tantheta/bounds.py", 'raise DomainError("v must be non-negative")', "pass",
      "a negative coupling norm classified and bounded"),
     ("src/tantheta/bounds.py", 'raise DomainError(f"d must be positive, got {d}")', "pass",
      "the a priori estimate takes d = 0"),
@@ -129,27 +129,27 @@ MUTANTS = (
      "an edge-ratio draw keeps a ||B|| that reaches the partition gate"),
     ("src/tantheta/harness.py", "while 0.0 < gate <= block.v_norm:",
      "while gate <= block.v_norm:", "a gate that underflows to 0 rescaled until B is zero"),
-    ("src/tantheta/model.py", "    except OverflowError:\n", "    except ZeroDivisionError:\n",
+    ("src/tantheta/bounds.py", "    except OverflowError:\n", "    except ZeroDivisionError:\n",
      "a coordinate that unit scaling lifts past the float range escapes untyped"),
-    ("src/tantheta/families.py",
+    ("src/tantheta/bounds.py",
      "sin_arctan(2.0 * v_u / (d_u + math.sqrt(d_u * d_u + 4.0 * v_u * v_u)))",
      "sin_arctan(2.0 * v / (d + math.sqrt(d * d + 4.0 * v * v)))",
      "the inner distance taken at the caller's scale, where d^2 leaves the float range"),
-    ("src/tantheta/families.py",
+    ("src/tantheta/bounds.py",
      'g, a_u, b1_u, b2_u = unit_scaled(gamma, a, b1, b2, names="gamma, a, b1, b2")',
      "g, a_u, b1_u, b2_u = gamma, a, b1, b2",
      "the kappas taken at the caller's scale, where (gamma - a)^2 leaves the float range"),
-    ("src/tantheta/families.py",
+    ("src/tantheta/bounds.py",
      'g, a_u, b_u = unit_scaled(gamma, a, b, names="gamma, a, b")\n'
      "    back = 2.0 ** -unit_exponent(gamma)\n",
      "g, a_u, b_u = gamma, a, b\n    back = 1.0\n",
      "the circulant weights taken at the caller's scale, where gamma^2 b^2 underflows at 2^-500"),
     ("src/tantheta/spectral.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
      "an edge distance past the float range warns of its overflow"),
-    ("src/tantheta/families.py", "beta = a * ratio",
+    ("src/tantheta/bounds.py", "beta = a * ratio",
      "beta = (math.hypot(gb, a_u * math.sqrt(c)) - gb) / a_u * back",
      "beta by its cancelling numerator, which divides by a and loses a far below gamma"),
-    ("src/tantheta/families.py", "unit_scaled(max(d, v), d, v,", "unit_scaled(d, d, v,",
+    ("src/tantheta/bounds.py", "unit_scaled(max(d, v), d, v,", "unit_scaled(d, d, v,",
      "the inner distance scaled by d alone, where v / d past the float range overflows"),
     ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
      "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
@@ -162,11 +162,13 @@ MUTANTS = (
      "the cluster re-audit rotates Q but not P"),
     ("src/tantheta/model.py", "except (ValueError, RecursionError) as exc:",
      "except ValueError as exc:", "a JSON file nested past the recursion limit escapes untyped"),
-    ("src/tantheta/families.py", "b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)",
+    ("src/tantheta/bounds.py", "b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)",
      "b_lo = 0.5 * math.sqrt(2.0 * (g - a_u) * a_u) * back",
      "the circulant lower edge taken at unit scale, where a underflows and the edge reads 0"),
-    ("src/tantheta/families.py", "if ratio == math.inf:", "if False:",
+    ("src/tantheta/bounds.py", "if ratio == math.inf:", "if False:",
      "a circulant b that underflows at unit scale gives non-finite weights"),
+    ("src/tantheta/bounds.py", "if not (b1 > 0.0 and b2 > 0.0):", "if False:",
+     "a circulant weight that rounds to 0 returned, coupling nothing"),
     ("src/tantheta/cli.py", "except (TanThetaError, OSError) as exc:",
      "except (TanThetaError, OSError, ValueError) as exc:",
      "main maps an untyped ValueError to exit 2, hiding the defect"),
