@@ -9,7 +9,6 @@ EIG_GRAM_TOL = 1e-8  # ||V^T V - I||_F of a supplied or in-gap eigenbasis; absol
 BOUNDARY_CLASSIFY_TOL = 1e-9  # |v - sqrt(d (D - d))| read as the region boundary; sqrt(d D)
 PROJECTOR_DISTANCE_SLACK = 1e-9  # projector distance above 1 taken as round-off; absolute
 BOUNDARY_BAND = 1e-9  # in-gap distance to a gap edge that is a boundary hit; 1 + ||L||
-EDGE_COLLAR = 1e-12  # distance to a gap edge taken as an edge value's round-off; 1 + ||L||
 EXTRACTION_COND_CAP = 1e12  # cond(Y0) of the in-gap basis' top block; dimensionless
 RESIDUAL_REL_TOL = 1e-8  # Riccati residual, Lambda0 asymmetry; ||A0|| + ||A1|| + ||B||, ||X||
 KERNEL_CUTOFF = 1e-12  # singular value of X counted as its kernel; ||X||

@@ -207,7 +207,8 @@ class Verification:
 
     Construction runs the six stages once, in that order; the first stage
     that raises ends it with its own error. `seed` drives the audit's
-    rotation of degenerate singular bases.
+    rotation of degenerate singular bases; one that is not an integer
+    raises ConfigInvalid before any stage runs.
     """
 
     block: BlockOperator
@@ -220,6 +221,8 @@ class Verification:
     audit: IdentityResiduals = field(init=False)
 
     def __post_init__(self):
+        if not is_json_number(self.seed, numbers.Integral):
+            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
         block, put = self.block, object.__setattr__
         put(self, "disposition", find_disposition(block))
         put(self, "partition", perturbed_partition(block, self.disposition))

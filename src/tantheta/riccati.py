@@ -4,6 +4,7 @@ and the eigenvalue/eigenvector identity audit for the modulus of X."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     ResidualTooLarge,
     require,
 )
-from .model import BlockOperator, SpectralDisposition, frobenius, spectral_norm
+from .model import BlockOperator, SpectralDisposition, frobenius, is_json_number, spectral_norm
 from .spectral import SpectrumPartition
 
 # Iteration cap of the fixed-point cross-check.
@@ -68,9 +69,7 @@ def riccati_residual(X, block: BlockOperator) -> float:
     zero: Ran G is invariant under L exactly when this vanishes."""
     X = np.asarray(X, dtype=float)
     if X.shape != (block.dim1, block.dim0):
-        raise DimensionMismatch(
-            f"X must be {block.dim1}x{block.dim0}, got {X.shape[0]}x{X.shape[1]}"
-        )
+        raise DimensionMismatch(f"X must be {block.dim1}x{block.dim0}, got shape {X.shape}")
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
     return spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))
 
@@ -222,15 +221,18 @@ def verify_lemma_identities(
     isometry is zero) is checked. Within clusters of degenerate singular
     values a random orthogonal rotation of the basis is audited as well, so
     the identities are verified basis-independently; the rotation seed is
-    explicit for reproducibility and must lie in [0, 2^64); ConfigInvalid
-    otherwise. Uses the polar decomposition held by X, and Lambda0 (lambda0
-    on the record) formed from X.X, not from it: ResidualTooLarge if its
-    asymmetry is not round-off, also when it is not finite. Squared norms
-    overflow once entries near 2^510; a residual that is not finite then
-    raises ResidualTooLarge, without a floating-point warning.
+    explicit for reproducibility and must be an integer in [0, 2^64);
+    ConfigInvalid otherwise. An X of another block's shape raises
+    DimensionMismatch. Uses the polar decomposition held by X, and Lambda0
+    (lambda0 on the record) formed from X.X, not from it: ResidualTooLarge
+    if its asymmetry is not round-off, also when it is not finite. Squared
+    norms overflow once entries near 2^510; a residual that is not finite
+    then raises ResidualTooLarge, without a floating-point warning.
     """
-    if not 0 <= seed < 1 << 64:
-        raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed}")
+    if not (is_json_number(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed!r}")
+    if X.X.shape != (block.dim1, block.dim0):
+        raise DimensionMismatch(f"X must be {block.dim1}x{block.dim0}, got shape {X.X.shape}")
     W, U, s_full = X.right_basis, X.polar, X.eigenvalues_abs
     dim0 = s_full.size
     A0, A1, B = block.A0.entries, block.A1.entries, block.B

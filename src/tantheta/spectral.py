@@ -9,9 +9,9 @@ import numpy as np
 
 from .errors import (
     BOUNDARY_BAND,
-    EDGE_COLLAR,
     EIG_GRAM_TOL,
     PROJECTOR_DISTANCE_SLACK,
+    DimensionMismatch,
     DispositionViolated,
     EigenvalueOnBoundary,
     GapEmptyOrRankMismatch,
@@ -48,12 +48,13 @@ class SpectrumPartition:
     eigenvectors Y = [Y0; Y1] (n x k, columns), a basis of the spectral
     subspace, and lower_svd = (U1, s, Wt), the SVD of Y1 = Y[k:].
 
-    Construction checks ||Y^T Y - I||_F <= EIG_GRAM_TOL (NotAProjector
-    otherwise), then takes the SVD. Its singular values s (descending) are
-    the sines of the principal angles between the subspace and the span of
-    the first k coordinate vectors. U1 and s are thin and Wt is square
-    (k x k), so that its rows span the whole domain also when Y1 has fewer
-    rows than k. Every array is read-only.
+    Construction checks that Y is 2-dimensional (DimensionMismatch) and
+    ||Y^T Y - I||_F <= EIG_GRAM_TOL (NotAProjector), then takes the SVD.
+    Its singular values s (descending) are the sines of the principal
+    angles between the subspace and the span of the first k coordinate
+    vectors. U1 and s are thin and Wt is square (k x k), so that its rows
+    span the whole domain also when Y1 has fewer rows than k. Every array
+    is read-only.
     """
 
     omega0: np.ndarray
@@ -62,6 +63,8 @@ class SpectrumPartition:
 
     def __post_init__(self):
         Y = self.basis
+        if Y.ndim != 2:
+            raise DimensionMismatch(f"range basis must be 2-dimensional, got shape {Y.shape}")
         k = Y.shape[1]
         gram_defect = frobenius(Y.T @ Y - np.eye(k))
         require("range basis Gram defect", gram_defect, EIG_GRAM_TOL, NotAProjector)
@@ -75,7 +78,9 @@ class SpectrumPartition:
 
 def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> SpectrumPartition:
     """Assemble L = A + V, eigendecompose and split the spectrum by
-    membership in the open gap (gamma_l, gamma_r).
+    membership in the open gap (gamma_l, gamma_r). An eigenvalue within the
+    certified error of L's and A1's eigenvalues (their eigensystems'
+    residuals) of an edge is an edge value, outside the gap.
 
     The guarantee that dim0 eigenvalues lie in the gap requires
     ||B|| < sqrt(d D); GapEmptyOrRankMismatch is raised beyond that regime,
@@ -89,13 +94,12 @@ def perturbed_partition(block: BlockOperator, disp: SpectralDisposition) -> Spec
     # L is exactly symmetric by construction, so it needs no SymMatrix.
     es = EigenSystem.of(block.assemble_perturbed())
     w = es.values
-    scale = 1.0 + es.norm  # ||L||
-    band = BOUNDARY_BAND * scale
-    collar = EDGE_COLLAR * scale
+    band = BOUNDARY_BAND * (1.0 + es.norm)  # 1 + ||L||
+    # Each residual bounds its eigenvalues' errors (Kahan); the edges are A1's.
+    collar = es.residual + block.A1.eig.residual
     # A distance past the float range overflows to +inf, which still classifies.
     with np.errstate(over="ignore"):
         near = np.minimum(w - disp.gamma_l, disp.gamma_r - w)  # to the nearer edge
-    # Endpoint eigenvalues (round-off absorbed by the collar) lie outside.
     inside = near > collar
     on_boundary = inside & (near <= band)
     if on_boundary.any():

@@ -275,6 +275,17 @@ class TestVerificationPipeline:
         run_trial(base_cfg())
         assert calls == list(self.STAGES) + ["find_disposition"] + list(self.STAGES)
 
+    @pytest.mark.parametrize("seed", [1.5, -0.0, "3", None])
+    def test_seed_that_is_not_an_integer_raises_before_any_stage(self, seed):
+        # The degenerate block draws the audit's rotation from the seed; the
+        # other has no finite gap, so its first stage raises. Both refuse the
+        # seed first.
+        cluster = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
+        no_gap = BlockOperator([[0.0]], np.diag([1.0, 2.0]), [[0.0, 0.0]])
+        for block in (cluster, no_gap):
+            with pytest.raises(ConfigInvalid, match="seed must be an integer"):
+                Verification(block, seed=seed)
+
     def test_first_failing_stage_reports_its_error(self, monkeypatch):
         def failing(error):
             def stage(*args, **kwargs):

@@ -1,5 +1,6 @@
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -61,6 +62,11 @@ class TestRiccatiResidual:
         block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
         with pytest.raises(DimensionMismatch):
             riccati_residual(np.zeros((1, 2)), block)
+
+    def test_one_dimensional_X_is_a_dimension_mismatch(self):
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
+        with pytest.raises(DimensionMismatch, match=re.escape("X must be 2x1, got shape (2,)")):
+            riccati_residual(np.zeros(2), block)
 
 
 class TestExtraction:
@@ -289,7 +295,15 @@ class TestLemmaIdentities:
             assert audit.lam.size > 2
             assert audit.max_residual <= 1e-8
 
-    @pytest.mark.parametrize("seed, raises", [(-1, True), (2**64, True), (2**64 - 1, False)])
+    def test_angular_operator_of_another_block_is_a_dimension_mismatch(self):
+        _, _, ang = pipeline(BlockOperator([[0.0]], np.diag([-2.0, 2.0]), [[0.5, 0.0]]))
+        other = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
+        with pytest.raises(DimensionMismatch, match=re.escape("X must be 2x2, got shape (2, 1)")):
+            verify_lemma_identities(ang, other)
+
+    @pytest.mark.parametrize("seed, raises", [
+        (-1, True), (2**64, True), (2**64 - 1, False), (1.5, True), (-0.0, True), (True, True),
+    ])
     def test_seed_range(self, seed, raises):
         # the degenerate block draws a rotation from the seeded generator
         block = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))

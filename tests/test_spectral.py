@@ -6,6 +6,7 @@ import pytest
 
 from tantheta import (
     BlockOperator,
+    DimensionMismatch,
     DispositionViolated,
     DomainError,
     GenConfig,
@@ -153,11 +154,12 @@ class TestPerturbedPartition:
         with pytest.raises(GapEmptyOrRankMismatch, match="in-gap rank 3 != dim0 1"):
             perturbed_partition(block, disp)
 
-    @pytest.mark.parametrize("offset, raises", [(1e-9, True), (1e-13, False)])
+    @pytest.mark.parametrize("offset, raises", [(1e-9, True), (1e-13, True), (0.0, False)])
     def test_eigenvalue_near_gap_edge(self, offset, raises):
-        # spec(L) = {-2, 0, 2}; band = 1e-9 (1 + ||L||) = 3e-9 and the
-        # collar 3e-12, so -2 is a boundary hit at 1e-9 inside the gap and
-        # an endpoint eigenvalue at 1e-13.
+        # spec(L) = {-2, 0, 2} and A1's -2 are computed exactly, so the
+        # collar, their certified error, is 0, and the band is
+        # 1e-9 (1 + ||L||) = 3e-9: -2 is a boundary hit at 1e-9 and at 1e-13
+        # inside the stated gap, and an edge value on its edge.
         block = BlockOperator([[0.0]], np.diag([-2.0, 2.0]), np.zeros((1, 2)))
         disp = SpectralDisposition(-2.0 - offset, 2.0, 2.0, 4.0)
         if raises:
@@ -165,6 +167,19 @@ class TestPerturbedPartition:
                 perturbed_partition(block, disp)
         else:
             assert perturbed_partition(block, disp).omega0 == (0.0,)
+
+    def test_edge_error_of_A1_counts_in_the_collar(self):
+        # A1's supplied edge value -2 - 1e-13 carries a certified error of
+        # 9.99e-14 (its residual); L's eigenvalue -2 - 5e-15 lies 9.5e-14
+        # inside that edge, within A1's error, so it is an edge value.
+        A1 = SymMatrix(np.diag([-2.0, 2.0]), spectrum=([-2.0 - 1e-13, 2.0], np.eye(2)))
+        block = BlockOperator([[0.0]], A1, [[1e-7, 0.0]])
+        disp = find_disposition(block)
+        assert 9e-14 < A1.eig.residual < 1e-13
+        assert disp.gamma_l == -2.0 - 1e-13
+        part = perturbed_partition(block, disp)
+        assert part.omega0.size == 1 and abs(part.omega0[0]) < 1e-14
+        assert Verification(block).distance < 1e-7
 
     def test_edge_distance_past_the_float_range_raises_no_warning(self):
         # sigma1 = {+-1e308}, sigma0 = {0}: w - gamma_l overflows to +inf for
@@ -278,6 +293,10 @@ class TestBasisRoute:
         ) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_one_dimensional_basis_rejected(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("got shape (3,)")):
+            SpectrumPartition(np.zeros(1), np.zeros(3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(NotAProjector):

@@ -45,14 +45,16 @@ MUTANTS = (
      "no audit of rotated degenerate singular clusters"),
     ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, P, Q, Lam0)]",
      "residuals = [np.zeros((3, dim0))]", "the audit skips its base eigenpairs"),
-    ("src/tantheta/errors.py", "EDGE_COLLAR = 1e-12", "EDGE_COLLAR = 1e-6",
-     "gap-edge collar widened a millionfold"),
+    ("src/tantheta/spectral.py", "collar = es.residual + block.A1.eig.residual",
+     "collar = 1e-6 * (1.0 + es.norm)", "gap-edge collar widened past the certified errors"),
+    ("src/tantheta/spectral.py", "collar = es.residual + block.A1.eig.residual",
+     "collar = es.residual", "the gap edges' own certified error left out of the collar"),
     ("src/tantheta/errors.py", "EIG_RESIDUAL_TOL = 1e-10", "EIG_RESIDUAL_TOL = 1e-4",
      "eigensystem residual cap loosened a millionfold"),
     ("src/tantheta/errors.py", "EIG_GRAM_TOL = 1e-8", "EIG_GRAM_TOL = 1e-2",
      "supplied eigenbasis Gram defect cap loosened a millionfold"),
     ("src/tantheta/errors.py", "BOUNDARY_BAND = 1e-9", "BOUNDARY_BAND = 1e-15",
-     "boundary band below the edge collar: no eigenvalue is on the boundary"),
+     "boundary band at round-off: an eigenvalue just inside a gap edge is no boundary hit"),
     ("src/tantheta/errors.py", "EXTRACTION_COND_CAP = 1e12", "EXTRACTION_COND_CAP = 1e300",
      "top block condition cap loosened to any finite condition number"),
     ("src/tantheta/spectral.py", "if v >= math.sqrt(disp.d * disp.D):", "if False:",
@@ -175,6 +177,14 @@ MUTANTS = (
     ("src/tantheta/harness.py", "if (self.dim0 + self.dim1) ** 2 > np.iinfo(np.intp).max // 8:",
      "if False:",
      "dims past numpy's array size reach numpy, whose ValueError escapes untyped"),
+    ("src/tantheta/spectral.py", "if Y.ndim != 2:", "if False:",
+     "a one-dimensional partition basis escapes as an untyped IndexError"),
+    ("src/tantheta/riccati.py", "if X.X.shape != (block.dim1, block.dim0):", "if False:",
+     "another block's angular operator audited, escaping as numpy's ValueError"),
+    ("src/tantheta/riccati.py", "(is_json_number(seed, numbers.Integral) and 0 <= seed < 1 << 64)",
+     "(0 <= seed < 1 << 64)", "a float audit seed reaches default_rng, whose TypeError escapes"),
+    ("src/tantheta/harness.py", "if not is_json_number(self.seed, numbers.Integral):",
+     "if False:", "a float seed is refused only by the audit, after every other stage"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
