@@ -138,7 +138,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
-    ver = Verification(load_instance(args.instance), seed=args.seed)
+    ver = Verification(load_instance(args.instance))
     ang, audit = ver.angular, ver.audit
     rows = list(zip(*(a.tolist() for a in (audit.lam, audit.id1, audit.id2, audit.id3))))
     keys = ("lambda", "id1_residual", "id2_residual", "id3_residual")
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-identities", help="identity audit on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check_identities)
 

@@ -206,13 +206,10 @@ class Verification:
     identity audit.
 
     Construction runs the six stages once, in that order; the first stage
-    that raises ends it with its own error. `seed` drives the audit's
-    rotation of degenerate singular bases; one that is not an integer
-    raises ConfigInvalid before any stage runs.
+    that raises ends it with its own error.
     """
 
     block: BlockOperator
-    seed: int = 0
     disposition: SpectralDisposition = field(init=False)
     partition: SpectrumPartition = field(init=False)
     angular: AngularOperator = field(init=False)
@@ -221,15 +218,13 @@ class Verification:
     audit: IdentityResiduals = field(init=False)
 
     def __post_init__(self):
-        if not is_json_number(self.seed, numbers.Integral):
-            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
         block, put = self.block, object.__setattr__
         put(self, "disposition", find_disposition(block))
         put(self, "partition", perturbed_partition(block, self.disposition))
         put(self, "angular", extract_angular_operator(self.partition, block))
         put(self, "distance", projection_distance(block, self.partition))
         put(self, "bound", m_total(self.disposition.D, self.disposition.d, block.v_norm))
-        put(self, "audit", verify_lemma_identities(self.angular, block, seed=self.seed))
+        put(self, "audit", verify_lemma_identities(self.angular, block))
 
 
 def run_trial(cfg: GenConfig) -> TrialReport:
@@ -237,7 +232,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
     against the fixed-point solver."""
     start = time.perf_counter()
     block, _ = generate_instance(cfg)
-    ver = Verification(block, seed=cfg.seed)
+    ver = Verification(block)
     cross = None
     if 0.0 < cfg.ratio <= CROSS_CHECK_RATIO:
         try:

@@ -27,8 +27,17 @@ from .errors import (
 )
 
 
-def _as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+def as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
+    """The entries as a 2-dimensional float array: DimensionMismatch for
+    complex, non-numeric, ragged or non-finite entries and for another
+    number of dimensions."""
+    try:
+        arr = np.asarray(entries)
+        if arr.dtype.kind == "c":
+            raise DimensionMismatch(f"{name} has complex entries")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} entries are not real numbers: {exc}") from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -83,8 +92,9 @@ class EigenSystem:
 
     @classmethod
     def of(cls, M: np.ndarray, spectrum: Optional[tuple] = None) -> "EigenSystem":
-        """The checked eigensystem of an exactly symmetric matrix M, values
-        ascending: eigh's (NoConvergence if it fails), or a supplied
+        """The checked eigensystem of an exactly symmetric matrix M
+        (DimensionMismatch unless square and nonempty), values ascending:
+        eigh's (NoConvergence if it fails), or a supplied
         spectrum=(values, vectors), eigenvectors as columns, kept as
         read-only copies after a check that it has M's shapes, ascends and
         has ||V^T V - I||_F <= EIG_GRAM_TOL (ResidualTooLarge otherwise): an
@@ -96,6 +106,9 @@ class EigenSystem:
         eigenvalue. eigh's V is not checked for orthonormality; the in-gap
         basis of L is, by SpectrumPartition.
         """
+        shape = np.shape(M)
+        if len(shape) != 2 or not 1 <= shape[0] == shape[1]:
+            raise DimensionMismatch(f"eigensystem of an empty or non-square matrix, shape {shape}")
         if spectrum is None:
             try:
                 values, vectors = np.linalg.eigh(M)
@@ -147,7 +160,7 @@ class SymMatrix:
     eig: EigenSystem = field(init=False)
 
     def __post_init__(self, spectrum):
-        arr = _as_float_matrix(self.entries, "SymMatrix")
+        arr = as_float_matrix(self.entries, "SymMatrix")
         n, m = arr.shape
         if n != m or n < 1:
             raise DimensionMismatch(f"SymMatrix must be square and nonempty, got {arr.shape}")
@@ -186,7 +199,7 @@ class BlockOperator:
         for name in ("A0", "A1"):
             if not isinstance(getattr(self, name), SymMatrix):
                 object.__setattr__(self, name, SymMatrix(getattr(self, name)))
-        B = _as_float_matrix(self.B, "B")
+        B = as_float_matrix(self.B, "B")
         if B.shape != (self.A0.n, self.A1.n):
             raise DimensionMismatch(
                 f"B must be {self.A0.n}x{self.A1.n}, got {B.shape[0]}x{B.shape[1]}"

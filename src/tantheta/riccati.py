@@ -1,10 +1,9 @@
 """Angular operator construction and validation: graph-subspace extraction
-from the perturbed projector, an independent Sylvester fixed-point solver,
+from the in-gap eigenbasis, an independent Sylvester fixed-point solver,
 and the eigenvalue/eigenvector identity audit for the modulus of X."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from .errors import (
     FIXED_POINT_TOL,
     KERNEL_CUTOFF,
     RESIDUAL_REL_TOL,
-    ConfigInvalid,
     DimensionMismatch,
     DispositionViolated,
     GraphExtractionFailed,
@@ -24,7 +22,7 @@ from .errors import (
     ResidualTooLarge,
     require,
 )
-from .model import BlockOperator, SpectralDisposition, frobenius, is_json_number, spectral_norm
+from .model import BlockOperator, SpectralDisposition, as_float_matrix, frobenius, spectral_norm
 from .spectral import SpectrumPartition
 
 # Iteration cap of the fixed-point cross-check.
@@ -41,6 +39,7 @@ class AngularOperator:
     on ker X), and `polar` the dim1 x dim0 matrix U W of polar images: its
     column c is X W[:, c] / eigenvalues_abs[c], and zero where that
     eigenvalue is at most KERNEL_CUTOFF ||X||. All arrays are read-only.
+    Construction raises DimensionMismatch unless the shapes agree with X's.
     """
 
     X: np.ndarray
@@ -50,6 +49,13 @@ class AngularOperator:
     riccati_residual: float
 
     def __post_init__(self):
+        dim0 = self.X.shape[1:]  # (dim0,) for the dim1 x dim0 X
+        shapes = (self.polar.shape, self.eigenvalues_abs.shape, self.right_basis.shape)
+        if shapes != (self.X.shape, dim0, dim0 * 2):
+            raise DimensionMismatch(
+                f"an X of shape {self.X.shape} has polar, eigenvalues and right basis of "
+                f"shapes {shapes}"
+            )
         for arr in (self.X, self.polar, self.eigenvalues_abs, self.right_basis):
             arr.setflags(write=False)
 
@@ -67,7 +73,7 @@ def riccati_residual(X, block: BlockOperator) -> float:
     """Operator norm of X (A0 + B X) - (B^T + A1 X), the lower block of
     L G - G (A0 + B X) for the graph basis G = [I; X], whose upper block is
     zero: Ran G is invariant under L exactly when this vanishes."""
-    X = np.asarray(X, dtype=float)
+    X = as_float_matrix(X, "X")
     if X.shape != (block.dim1, block.dim0):
         raise DimensionMismatch(f"X must be {block.dim1}x{block.dim0}, got shape {X.shape}")
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
@@ -175,8 +181,9 @@ def solve_riccati_fixed_point(block: BlockOperator, disp: SpectralDisposition) -
 @dataclass(frozen=True, eq=False)
 class IdentityResiduals:
     """Normalized residuals of the three eigenpair identities: entry c of
-    the read-only arrays id1, id2 and id3 belongs to the c-th audited
-    eigenpair of |X|, whose eigenvalue is lam[c]. The read-only lambda0 is
+    the read-only arrays id1, id2 and id3 belongs to the eigenpair of |X|
+    with eigenvalue lam[c] = X.eigenvalues_abs[c], raised on a degenerate
+    cluster to the cluster's worst on its span. The read-only lambda0 is
     the matrix they read, (I + |X|^2)^{1/2} (A0 + B X) (I + |X|^2)^{-1/2} in
     the eigenbasis W = X.right_basis of |X|, D W^T (A0 + B X) W D^{-1} with
     D = diag sqrt(1 + eigenvalues_abs^2), held as the exactly symmetric part
@@ -194,17 +201,25 @@ class IdentityResiduals:
             arr.setflags(write=False)
 
 
-def _pair_residuals(lam, P, Q, L0u) -> np.ndarray:
-    """Residuals of the identities for the eigenpairs (lam[c], w_c) of |X|,
-    all columns at once, from the block columns of L applied to w_c and to
-    its polar image u_c, P[:, c] = [A0; B^T] w_c and Q[:, c] = [B; A1] u_c,
-    and from L0u[:, c] = Lambda0 w_c (in the eigenbasis of |X|): a
-    3 x len(lam) array whose rows are id1, id2 and id3."""
+def _column_dots(a, b) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
 
-    def dots(a, b):
-        return np.einsum("ij,ij->j", a, b)
 
-    cross, nP, nQ, nL0u = dots(P, Q), dots(P, P), dots(Q, Q), dots(L0u, L0u)
+def _symmetric_gram(a, b) -> np.ndarray:
+    G = a.T @ b
+    return G / 2.0 + G.T / 2.0
+
+
+def _pair_residuals(lam, P, Q, L0u, pair) -> np.ndarray:
+    """Residuals of the identities for the eigenpairs (lam, w) of |X|, from
+    the block columns of L applied to w and to its polar image u,
+    P = [A0; B^T] w and Q = [B; A1] u, and from L0u = Lambda0 w (in the
+    eigenbasis of |X|), rows id1, id2 and id3. Paired by _column_dots,
+    column c is the eigenpair (lam[c], w_c). Paired by _symmetric_gram, the
+    columns span one eigenspace of lam, where each identity is a quadratic
+    form in the coordinates of a unit vector: entry [k, a, b] is that of the
+    symmetric Gram combination of identity k + 1."""
+    cross, nP, nQ, nL0u = pair(P, Q), pair(P, P), pair(Q, Q), pair(L0u, L0u)
     # Row c holds the two sides of identity c + 1, normalized in one pass.
     lhs = np.array([lam * cross, lam * (nP - nQ), lam * lam * (nQ - nL0u)])
     rhs = np.array([nL0u - nP, (1.0 - lam * lam) * cross, nP - nL0u])
@@ -218,19 +233,17 @@ def verify_lemma_identities(
     """Audit the three identities satisfied by every eigenpair of |X|.
 
     Every eigenvector of |X| (including the kernel, where the polar
-    isometry is zero) is checked. Within clusters of degenerate singular
-    values a random orthogonal rotation of the basis is audited as well, so
-    the identities are verified basis-independently; the rotation seed is
-    explicit for reproducibility and must be an integer in [0, 2^64);
-    ConfigInvalid otherwise. An X of another block's shape raises
-    DimensionMismatch. Uses the polar decomposition held by X, and Lambda0
-    (lambda0 on the record) formed from X.X, not from it: ResidualTooLarge
-    if its asymmetry is not round-off, also when it is not finite. Squared
-    norms overflow once entries near 2^510; a residual that is not finite
-    then raises ResidualTooLarge, without a floating-point warning.
+    isometry is zero) is checked. A cluster of degenerate singular values
+    is checked on its whole span: a member's residuals are the larger of
+    its own and the largest in its row of the cluster's Gram residuals.
+    `seed` is ignored: the audit draws nothing. An X of another block's
+    shape raises DimensionMismatch. Uses the polar decomposition held by X,
+    and Lambda0 (lambda0 on the record) formed from X.X, not from it:
+    ResidualTooLarge if its asymmetry is not round-off, also when it is not
+    finite. Squared norms overflow once entries near 2^510; a residual that
+    is not finite then raises ResidualTooLarge, without a floating-point
+    warning.
     """
-    if not (is_json_number(seed, numbers.Integral) and 0 <= seed < 1 << 64):
-        raise ConfigInvalid(f"audit seed must be a 64-bit unsigned integer, got {seed!r}")
     if X.X.shape != (block.dim1, block.dim0):
         raise DimensionMismatch(f"X must be {block.dim1}x{block.dim0}, got shape {X.X.shape}")
     W, U, s_full = X.right_basis, X.polar, X.eigenvalues_abs
@@ -243,31 +256,21 @@ def verify_lemma_identities(
     require("Lambda0 asymmetry", frobenius(M - M.T), RESIDUAL_REL_TOL * scale, ResidualTooLarge)
     Lam0 = M / 2.0 + M.T / 2.0
     P, Q = np.vstack((A0, B.T)) @ W, np.vstack((B, A1)) @ U
-    lams = [s_full]
-    residuals = [_pair_residuals(s_full, P, Q, Lam0)]
+    table = _pair_residuals(s_full, P, Q, Lam0, _column_dots)
 
-    # Degenerate clusters: rotate the singular basis within each cluster and
-    # re-audit, since any orthonormal eigenbasis of |X| must satisfy the
-    # identities; the operands' columns turn with it. The generator is built
-    # at the first cluster; each call starts a fresh stream, so the
-    # rotations do not depend on when.
-    rng = None
+    # Degenerate clusters, audited on their span with the cluster's first
+    # value as the eigenvalue; the operands' columns already span it.
     i = 0
     while i < dim0:
         j = i + 1
         while j < dim0 and abs(s_full[j] - s_full[i]) <= DEGENERACY_TOL * (1.0 + s_full[i]):
             j += 1
         if j - i > 1:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            R, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
-            lams.append(np.full(j - i, s_full[i]))
-            Pr, Qr, L0r = P[:, i:j] @ R, Q[:, i:j] @ R, Lam0[:, i:j] @ R
-            residuals.append(_pair_residuals(lams[-1], Pr, Qr, L0r))
+            span = _pair_residuals(s_full[i], P[:, i:j], Q[:, i:j], Lam0[:, i:j], _symmetric_gram)
+            table[:, i:j] = np.maximum(table[:, i:j], span.max(axis=2))
         i = j
 
-    table = np.concatenate(residuals, axis=1)
     max_residual = float(table.max())
     if not math.isfinite(max_residual):
         raise ResidualTooLarge(f"identity residual {max_residual:g} is not finite")
-    return IdentityResiduals(np.concatenate(lams), *table, Lam0, max_residual)
+    return IdentityResiduals(s_full, *table, Lam0, max_residual)

@@ -48,8 +48,9 @@ class SpectrumPartition:
     eigenvectors Y = [Y0; Y1] (n x k, columns), a basis of the spectral
     subspace, and lower_svd = (U1, s, Wt), the SVD of Y1 = Y[k:].
 
-    Construction checks that Y is 2-dimensional (DimensionMismatch) and
-    ||Y^T Y - I||_F <= EIG_GRAM_TOL (NotAProjector), then takes the SVD.
+    Construction checks that Y is 2-dimensional with one value of omega0
+    per column (DimensionMismatch) and ||Y^T Y - I||_F <= EIG_GRAM_TOL
+    (NotAProjector), then takes the SVD.
     Its singular values s (descending) are the sines of the principal
     angles between the subspace and the span of the first k coordinate
     vectors. U1 and s are thin and Wt is square (k x k), so that its rows
@@ -66,6 +67,8 @@ class SpectrumPartition:
         if Y.ndim != 2:
             raise DimensionMismatch(f"range basis must be 2-dimensional, got shape {Y.shape}")
         k = Y.shape[1]
+        if self.omega0.shape != (k,):
+            raise DimensionMismatch(f"omega0 of shape {self.omega0.shape} for {k} basis vectors")
         gram_defect = frobenius(Y.T @ Y - np.eye(k))
         require("range basis Gram defect", gram_defect, EIG_GRAM_TOL, NotAProjector)
         Y1 = Y[k:]

@@ -93,10 +93,10 @@ def test_3_identity_audit(trial_records):
     records, _ = trial_records
     ok = all(r.lemma_max_residual <= 1e-8 for r in records)
 
-    def audit(block, seed=0):
+    def audit(block):
         part = perturbed_partition(block, find_disposition(block))
         ang = extract_angular_operator(part, block)
-        return verify_lemma_identities(ang, block, seed=seed).max_residual
+        return verify_lemma_identities(ang, block).max_residual
 
     # both example families, generic and bound-attaining parameters
     ok = ok and audit(rank_one_build(2.0, 1.0, 0.6, 0.5)) <= 1e-8
@@ -105,11 +105,11 @@ def test_3_identity_audit(trial_records):
     ok = ok and audit(circulant_build(2.0, 1.0, 0.3, 0.4)) <= 1e-8
     _, b1, b2 = circulant_case_params(2.0, 1.0, 1.0)
     ok = ok and audit(circulant_build(2.0, 1.0, b1, b2)) <= 1e-8
-    # repeated singular values: every rotated eigenbasis must pass
+    # repeated singular values: the identities hold on their whole span
     degenerate = BlockOperator(
         np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2)
     )
-    ok = ok and all(audit(degenerate, seed=s) <= 1e-8 for s in (0, 1, 2))
+    ok = ok and audit(degenerate) <= 1e-8
     _verdict(3, "eigenpair identity residuals <= 1e-8", ok)
     assert ok
 

@@ -207,14 +207,15 @@ class TestCapsHaveTeeth:
         assert classify_region(4.0, 1.0, v * (1.0 + 1e-6)) is Region.OMEGA2
         assert classify_region(4.0, 1.0, v * (1.0 + 1e-12)) is Region.BOUNDARY_OMEGA12
 
-    @pytest.mark.parametrize("split, audited", [(1e-11, 4), (1e-6, 2)])
-    def test_degenerate_cluster_width(self, split, audited):
+    @pytest.mark.parametrize("split, clustered", [(1e-11, True), (1e-6, False)])
+    def test_degenerate_cluster_width(self, split, clustered):
         # Singular values of X a relative 1e-11 apart form a cluster, whose
-        # rotated basis is audited beside the two base pairs; 1e-6 apart
-        # they are two simple values.
+        # span is audited with the first as the eigenvalue of both: the
+        # split shows in the rows, at about 2e-12. 1e-6 apart they are two
+        # simple values, audited to round-off.
         B = np.diag([0.4, 0.4 * (1.0 + split)])
         ver = harness.Verification(BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), B))
-        assert ver.audit.lam.size == audited
+        assert (ver.audit.max_residual > 1e-13) == clustered
         assert ver.audit.max_residual <= 1e-10
 
     def test_radicand_guard(self):

@@ -240,7 +240,7 @@ class TestRunTrial:
         # -0.0 singular value for it.
         cfg = base_cfg(dim0=3, dim1=5, ratio=0.0, conjugate=True, seed=seed)
         rep = run_trial(cfg)
-        ver = Verification(generate_instance(cfg)[0], seed=seed)
+        ver = Verification(generate_instance(cfg)[0])
         assert not np.signbit([rep.distance, rep.x_norm]).any()
         assert not np.signbit(ver.angular.eigenvalues_abs).any()
 
@@ -274,17 +274,6 @@ class TestVerificationPipeline:
         # Generation reads its disposition off the drawn block first.
         run_trial(base_cfg())
         assert calls == list(self.STAGES) + ["find_disposition"] + list(self.STAGES)
-
-    @pytest.mark.parametrize("seed", [1.5, -0.0, "3", None])
-    def test_seed_that_is_not_an_integer_raises_before_any_stage(self, seed):
-        # The degenerate block draws the audit's rotation from the seed; the
-        # other has no finite gap, so its first stage raises. Both refuse the
-        # seed first.
-        cluster = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
-        no_gap = BlockOperator([[0.0]], np.diag([1.0, 2.0]), [[0.0, 0.0]])
-        for block in (cluster, no_gap):
-            with pytest.raises(ConfigInvalid, match="seed must be an integer"):
-                Verification(block, seed=seed)
 
     def test_first_failing_stage_reports_its_error(self, monkeypatch):
         def failing(error):
@@ -363,7 +352,7 @@ class TestDecompositionCount:
         assert report.cross_method_deviation is not None  # the fixed point ran
 
         block, _ = generate_instance(cfg)
-        X = Verification(block, seed=cfg.seed).angular.X
+        X = Verification(block).angular.X
         n = block.n
         square = [(name, M.shape) for name, M in calls if M.shape == (n, n)]
         assert square == [("eigh", (n, n))]
@@ -400,7 +389,7 @@ class TestDecompositionCount:
 
         # The only SVD of a trial is the one of Y1, the lower block of the
         # in-gap eigenvectors, and no 2-norm is SVD-based.
-        Y1 = Verification(block, seed=cfg.seed).partition.basis[block.dim0 :]
+        Y1 = Verification(block).partition.basis[block.dim0 :]
         svds = [M for name, M in calls if name == "svd"]
         assert len(svds) == 1 and np.array_equal(svds[0], Y1)
         assert not any(name == "norm" for name, _ in calls)
@@ -436,7 +425,7 @@ class TestGeneratedSpectra:
             self.assert_values_match_eigvalsh(block.A0)
             self.assert_values_match_eigvalsh(block.A1)
             rebuilt = BlockOperator(block.A0.entries, block.A1.entries, block.B)
-            one, two = Verification(block, seed=seed), Verification(rebuilt, seed=seed)
+            one, two = Verification(block), Verification(rebuilt)
             assert (one.disposition.D, one.disposition.d) == (disp.D, disp.d)
             for name in ("D", "d"):
                 mine, ref = getattr(one.disposition, name), getattr(two.disposition, name)

@@ -51,6 +51,25 @@ class TestSymMatrix:
         with pytest.raises(DimensionMismatch):
             SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.eye(2) * 1j, "SymMatrix has complex entries"),
+        ([[1.0, 1j], [1j, 1.0]], "SymMatrix has complex entries"),
+        ("ab", "SymMatrix entries are not real numbers: could not convert string"),
+        ([[1, 2], [3]], "SymMatrix entries are not real numbers: setting an array element"),
+        (np.array([[1.0, 1j]], dtype=object), "SymMatrix entries are not real numbers"),
+    ])
+    def test_entries_that_are_not_real_raise(self, entries, message):
+        # Never truncated to their real parts, which numpy only warns of.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=message):
+                SymMatrix(entries)
+
+    @pytest.mark.parametrize("M", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0))])
+    def test_eigensystem_of_a_matrix_that_is_not_square_raises(self, M):
+        with pytest.raises(DimensionMismatch, match="empty or non-square"):
+            EigenSystem.of(M)
+
     def test_symmetrizes_near_overflow(self):
         S = SymMatrix(np.diag([1e308, 1.7e308]))
         assert np.array_equal(S.eig.values, [1e308, 1.7e308])
@@ -163,6 +182,16 @@ class TestBlockOperatorFromArrays:
     def test_shape_violation(self):
         with pytest.raises(DimensionMismatch):
             BlockOperator(np.eye(2), np.eye(2), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("B, message", [
+        ([["a", 0]], "B entries are not real numbers"),
+        ([[0.3j, 0.4]], "B has complex entries"),
+    ])
+    def test_coupling_entries_that_are_not_real_raise(self, B, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=message):
+                BlockOperator([[0.5]], np.diag([-2.0, 2.0]), B)
 
     @pytest.mark.parametrize("source", ["rank_one", "circulant", "generated", "loaded"])
     def test_arrays_give_the_symmatrix_blocks(self, source, tmp_path):

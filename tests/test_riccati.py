@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tantheta import (
+    AngularOperator,
     BlockOperator,
-    ConfigInvalid,
     DimensionMismatch,
     GenConfig,
     GraphExtractionFailed,
@@ -63,10 +63,40 @@ class TestRiccatiResidual:
         with pytest.raises(DimensionMismatch):
             riccati_residual(np.zeros((1, 2)), block)
 
+    @pytest.mark.parametrize("X, message", [
+        (np.zeros((2, 1)) * 1j, "X has complex entries"),
+        ("ab", "X entries are not real numbers: could not convert string"),
+        ([[0.0], []], "X entries are not real numbers: setting an array element"),
+    ])
+    def test_entries_that_are_not_real_are_a_dimension_mismatch(self, X, message):
+        block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=message):
+                riccati_residual(X, block)
+
     def test_one_dimensional_X_is_a_dimension_mismatch(self):
         block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])
-        with pytest.raises(DimensionMismatch, match=re.escape("X must be 2x1, got shape (2,)")):
+        message = re.escape("X must be 2-dimensional, got shape (2,)")
+        with pytest.raises(DimensionMismatch, match=message):
             riccati_residual(np.zeros(2), block)
+
+
+class TestAngularOperatorShapes:
+    """An angular operator's parts must have the shapes its X gives them."""
+
+    @pytest.mark.parametrize("part, value", [
+        ("polar", np.zeros((3, 1))),
+        ("eigenvalues_abs", np.zeros(3)),
+        ("right_basis", np.eye(2)),
+    ])
+    def test_part_of_another_shape_is_a_dimension_mismatch(self, part, value):
+        ang = pipeline(BlockOperator([[0.5]], np.diag([-2.0, 2.0]), [[0.3, 0.4]]))[2]
+        parts = {name: getattr(ang, name) for name in
+                 ("X", "polar", "eigenvalues_abs", "right_basis", "riccati_residual")}
+        AngularOperator(**parts)
+        with pytest.raises(DimensionMismatch, match=re.escape("an X of shape (2, 1) has")):
+            AngularOperator(**{**parts, part: value})
 
 
 class TestExtraction:
@@ -280,7 +310,7 @@ class TestLemmaIdentities:
         assert audit.lam.size >= 2
         assert audit.max_residual <= 1e-8
 
-    def test_degenerate_singular_values_with_rotations(self):
+    def test_degenerate_singular_values_on_their_span(self):
         # equal-magnitude couplings on symmetric spectra force a doubly
         # degenerate singular value of X
         c = 0.4
@@ -289,11 +319,10 @@ class TestLemmaIdentities:
         )
         _, _, ang = pipeline(block)
         assert ang.eigenvalues_abs[0] == pytest.approx(ang.eigenvalues_abs[1], rel=1e-12)
-        for seed in (0, 1, 2):
-            audit = verify_lemma_identities(ang, block, seed=seed)
-            # rotated cluster bases are audited in addition to the SVD basis
-            assert audit.lam.size > 2
-            assert audit.max_residual <= 1e-8
+        audit = verify_lemma_identities(ang, block)
+        # one row per eigenpair, the cluster's span read into them
+        assert audit.lam is ang.eigenvalues_abs
+        assert audit.max_residual <= 1e-8
 
     def test_angular_operator_of_another_block_is_a_dimension_mismatch(self):
         _, _, ang = pipeline(BlockOperator([[0.0]], np.diag([-2.0, 2.0]), [[0.5, 0.0]]))
@@ -301,31 +330,26 @@ class TestLemmaIdentities:
         with pytest.raises(DimensionMismatch, match=re.escape("X must be 2x2, got shape (2, 1)")):
             verify_lemma_identities(ang, other)
 
-    @pytest.mark.parametrize("seed, raises", [
-        (-1, True), (2**64, True), (2**64 - 1, False), (1.5, True), (-0.0, True), (True, True),
-    ])
-    def test_seed_range(self, seed, raises):
-        # the degenerate block draws a rotation from the seeded generator
-        block = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
-        _, _, ang = pipeline(block)
-        if raises:
-            with pytest.raises(ConfigInvalid):
-                verify_lemma_identities(ang, block, seed=seed)
-        else:
-            assert verify_lemma_identities(ang, block, seed=seed).max_residual <= 1e-8
-
-    def test_seed_unused_without_degenerate_cluster(self):
-        cfg = GenConfig(dim0=4, dim1=6, D=4.0, d=1.0, ratio=0.8, conjugate=True, seed=31)
+    def test_span_check_reads_a_tampered_kernel_cluster(self):
+        # The kernel of |X| of the 6x3 record is a cluster of three. With X
+        # moved by N(0, 1) 10^U(-9, -5) (seed 391), the record reaches the
+        # identities, and they read the kernel's span almost five times
+        # worse than its three basis vectors; the base pairs keep theirs.
+        cfg = GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9)
         block, _ = generate_instance(cfg)
-        _, _, ang = pipeline(block)
-        s = ang.eigenvalues_abs
-        assert np.all(s[:-1] - s[1:] > riccati.DEGENERACY_TOL * (1.0 + s[:-1]))
-        first = verify_lemma_identities(ang, block, seed=0)
-        last = verify_lemma_identities(ang, block, seed=2**64 - 1)
-        assert first.lam.size == block.dim0
-        for name in ("lam", "id1", "id2", "id3"):
-            assert np.array_equal(getattr(first, name), getattr(last, name)), name
-        assert first.max_residual == last.max_residual
+        ang = pipeline(block)[2]
+        rng = np.random.default_rng(391)
+        E = rng.standard_normal(ang.X.shape) * 10 ** rng.uniform(-9, -5)
+        W, U, s = ang.right_basis, ang.polar, ang.eigenvalues_abs
+        audit = verify_lemma_identities(AngularOperator(ang.X + E, U, s, W, 0.0), block)
+        Lam0 = W @ audit.lambda0 @ W.T
+        per_pair = np.array([
+            reference_pair_residuals(s[c], W[:, c], U[:, c], block, Lam0) for c in range(6)
+        ]).T
+        got = np.array([audit.id1, audit.id2, audit.id3])
+        assert list(s[3:]) == [0.0, 0.0, 0.0]
+        assert np.allclose(got[:, :3], per_pair[:, :3], rtol=0.0, atol=1e-14)
+        assert got[:, 3:].max() > 4.0 * per_pair[:, 3:].max()
 
     def test_zero_solution_degenerate_case(self):
         block = BlockOperator(np.diag([-0.5, 0.5]), np.diag([-2.0, 2.0]), np.zeros((2, 2)))
@@ -362,11 +386,15 @@ class TestAuditOverflow:
 
 
 def reference_pair_residuals(lam, u, Uu, block, Lam0):
-    """The identities for one eigenpair, one matrix-vector product at a time."""
+    """The identities for one eigenpair, one matrix-vector product at a time.
+    Given instead the columns u of one eigenspace of lam and their polar
+    images Uu, the residual matrices of the identities' Gram combinations,
+    symmetrized: an identity holds on the span when its matrix vanishes."""
     A0, A1, B = block.A0.entries, block.A1.entries, block.B
     A0u, Btu, A1Uu, BUu, L0u = A0 @ u, B.T @ u, A1 @ Uu, B @ Uu, Lam0 @ u
-    cross = A0u @ BUu + Btu @ A1Uu
-    nA0u, nBtu, nA1Uu, nBUu, nL0u = (x @ x for x in (A0u, Btu, A1Uu, BUu, L0u))
+    cross = A0u.T @ BUu + Btu.T @ A1Uu
+    cross = (cross + cross.T) / 2.0
+    nA0u, nBtu, nA1Uu, nBUu, nL0u = (x.T @ x for x in (A0u, Btu, A1Uu, BUu, L0u))
 
     def normalized(lhs, rhs):
         return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
@@ -413,43 +441,47 @@ class TestAgainstReferences:
                 expected = reference_pair_residuals(audit.lam[c], W[:, c], Uu, block, Lam0)
                 got = (audit.id1[c], audit.id2[c], audit.id3[c])
                 assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
-        # Rotated degenerate clusters too: a kernel of dimension 3, X = 0,
-        # and a plain draw. The entries past the base eigenpairs belong to
-        # the columns of W[:, i:j] R, one cluster i:j after another, with R
-        # rebuilt from the audit's seeded generator in cluster order.
-        cluster_configs = (
+        # Degenerate clusters too: a kernel of dimension 3, X = 0, a plain
+        # draw, and the 2x2 cluster with its polar images moved by 1e-7,
+        # which gives its Gram combinations an antisymmetric part. A member's
+        # entries are the larger of its own residuals and its row maximum of
+        # the cluster's residual matrices.
+        records = []
+        for cfg in (
             GenConfig(dim0=6, dim1=3, D=4.0, d=1.0, ratio=0.7, conjugate=True, seed=9),
             GenConfig(dim0=4, dim1=6, D=2.5, d=1.0, ratio=0.0, conjugate=True, seed=3),
             GenConfig(dim0=5, dim1=2, D=4.0, d=1.0, ratio=0.5, seed=4),
-        )
-        rotated = 0
-        for cfg in cluster_configs:
+        ):
             block, _ = generate_instance(cfg)
-            _, _, ang = pipeline(block)
-            audit = verify_lemma_identities(ang, block, seed=17)
-            W, s = ang.right_basis, ang.eigenvalues_abs
+            records.append((block, pipeline(block)[2]))
+        block = BlockOperator(np.zeros((2, 2)), np.diag([-1.0, 1.0]), 0.4 * np.eye(2))
+        ang = pipeline(block)[2]
+        polar = ang.polar + 1e-7 * np.random.default_rng(5).standard_normal(ang.polar.shape)
+        records.append((block, AngularOperator(
+            ang.X, polar, ang.eigenvalues_abs, ang.right_basis, ang.riccati_residual)))
+        clustered = 0
+        for block, ang in records:
+            audit = verify_lemma_identities(ang, block)
+            W, U, s = ang.right_basis, ang.polar, ang.eigenvalues_abs
             Lam0 = W @ audit.lambda0 @ W.T
-            cutoff = KERNEL_CUTOFF * ang.norm
-            pairs = [(s[c], W[:, c]) for c in range(block.dim0)]
-            rng = np.random.default_rng(17)
+            assert audit.lam is s
+            expected = np.array([
+                reference_pair_residuals(s[c], W[:, c], U[:, c], block, Lam0)
+                for c in range(block.dim0)
+            ]).T
             i = 0
             while i < block.dim0:
                 j = i + 1
                 while j < block.dim0 and abs(s[j] - s[i]) <= riccati.DEGENERACY_TOL * (1.0 + s[i]):
                     j += 1
                 if j - i > 1:
-                    R, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
-                    pairs += [(s[i], w) for w in (W[:, i:j] @ R).T]
+                    span = reference_pair_residuals(s[i], W[:, i:j], U[:, i:j], block, Lam0)
+                    expected[:, i:j] = np.maximum(expected[:, i:j], np.max(span, axis=2))
+                    clustered += j - i
                 i = j
-            assert audit.lam.size == len(pairs) > block.dim0
-            rotated += len(pairs) - block.dim0
-            for c, (lam, w) in enumerate(pairs):
-                Uu = ang.X @ w / lam if lam > cutoff else np.zeros(block.dim1)
-                assert audit.lam[c] == lam
-                expected = reference_pair_residuals(lam, w, Uu, block, Lam0)
-                got = (audit.id1[c], audit.id2[c], audit.id3[c])
-                assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
-        assert rotated == 10
+            got = np.array([audit.id1, audit.id2, audit.id3])
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+        assert clustered == 12
 
     def test_eigenbasis_fixed_point_matches_original_basis_iteration(self):
         for block in random_blocks(10, seed=700):

@@ -298,6 +298,11 @@ class TestBasisRoute:
         with pytest.raises(DimensionMismatch, match=re.escape("got shape (3,)")):
             SpectrumPartition(np.zeros(1), np.zeros(3))
 
+    @pytest.mark.parametrize("omega0", [np.zeros(5), np.zeros(0), np.zeros((1, 1))])
+    def test_one_eigenvalue_per_basis_vector(self, omega0):
+        with pytest.raises(DimensionMismatch, match="for 1 basis vectors"):
+            SpectrumPartition(omega0, np.eye(3, 1))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(NotAProjector):
             projection_distance(rank_one_build(2.0, 1.0, 0.0, 0.5),
@@ -307,7 +312,7 @@ class TestBasisRoute:
         count = 0
         for cfg in oracle_instances():
             block, disp = generate_instance(cfg)
-            ver = Verification(block, seed=cfg.seed)
+            ver = Verification(block)
             dense = dense_projection_distance(unperturbed_projector(block), ver.partition.basis)
             assert abs(projection_distance(block, ver.partition) - dense) <= 1e-12
             # independent oracle: ||Y1|| from a fresh eigendecomposition of L
@@ -333,7 +338,7 @@ class TestCosineSineRoute:
         count = 0
         for cfg in oracle_instances():
             block, _ = generate_instance(cfg)
-            ver = Verification(block, seed=cfg.seed)
+            ver = Verification(block)
             Y = ver.partition.basis
             Y0, Y1 = Y[: block.dim0], Y[block.dim0 :]
             X_ref = np.linalg.solve(Y0.T, Y1.T).T

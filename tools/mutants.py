@@ -42,9 +42,9 @@ MUTANTS = (
     ("src/tantheta/spectral.py", "d = min(lo0 - gamma_l", "d = max(lo0 - gamma_l",
      "d taken as the larger distance to the gap edges"),
     ("src/tantheta/riccati.py", "if j - i > 1:", "if False:",
-     "no audit of rotated degenerate singular clusters"),
-    ("src/tantheta/riccati.py", "residuals = [_pair_residuals(s_full, P, Q, Lam0)]",
-     "residuals = [np.zeros((3, dim0))]", "the audit skips its base eigenpairs"),
+     "no audit of degenerate singular clusters on their span"),
+    ("src/tantheta/riccati.py", "table = _pair_residuals(s_full, P, Q, Lam0, _column_dots)",
+     "table = np.zeros((3, dim0))", "the audit skips its base eigenpairs"),
     ("src/tantheta/spectral.py", "collar = es.residual + block.A1.eig.residual",
      "collar = 1e-6 * (1.0 + es.norm)", "gap-edge collar widened past the certified errors"),
     ("src/tantheta/spectral.py", "collar = es.residual + block.A1.eig.residual",
@@ -156,12 +156,12 @@ MUTANTS = (
     ("src/tantheta/riccati.py", "spectral_norm(X @ (A0 + B @ X) - (B.T + A1 @ X))",
      "spectral_norm(X @ (A0 + B @ X) - A1 @ X)",
      "the Riccati residual's lower block drops B^T"),
-    ("src/tantheta/riccati.py", "Lam0[:, i:j] @ R", "Lam0[:, i:j]",
-     "the cluster re-audit reads Lambda0's columns unrotated"),
-    ("src/tantheta/riccati.py", "Q[:, i:j] @ R,", "Q[:, i:j],",
-     "the cluster re-audit rotates P but not Q"),
-    ("src/tantheta/riccati.py", "P[:, i:j] @ R,", "P[:, i:j],",
-     "the cluster re-audit rotates Q but not P"),
+    ("src/tantheta/riccati.py", "P[:, i:j], Q[:, i:j]", "P[:, i:j], P[:, i:j]",
+     "the span check reads P's Gram matrix for Q's"),
+    ("src/tantheta/riccati.py", "_pair_residuals(s_full[i],", "_pair_residuals(0.0,",
+     "the span check takes the cluster's eigenvalue as 0"),
+    ("src/tantheta/riccati.py", "return G / 2.0 + G.T / 2.0", "return G",
+     "the span check leaves the Gram matrices unsymmetrized"),
     ("src/tantheta/model.py", "except (ValueError, RecursionError) as exc:",
      "except ValueError as exc:", "a JSON file nested past the recursion limit escapes untyped"),
     ("src/tantheta/bounds.py", "b_lo = math.sqrt(0.5 * (gamma - a)) * math.sqrt(a)",
@@ -181,10 +181,19 @@ MUTANTS = (
      "a one-dimensional partition basis escapes as an untyped IndexError"),
     ("src/tantheta/riccati.py", "if X.X.shape != (block.dim1, block.dim0):", "if False:",
      "another block's angular operator audited, escaping as numpy's ValueError"),
-    ("src/tantheta/riccati.py", "(is_json_number(seed, numbers.Integral) and 0 <= seed < 1 << 64)",
-     "(0 <= seed < 1 << 64)", "a float audit seed reaches default_rng, whose TypeError escapes"),
-    ("src/tantheta/harness.py", "if not is_json_number(self.seed, numbers.Integral):",
-     "if False:", "a float seed is refused only by the audit, after every other stage"),
+    ("src/tantheta/spectral.py", "if self.omega0.shape != (k,):", "if False:",
+     "a partition with another number of eigenvalues than basis vectors"),
+    ("src/tantheta/riccati.py", "if shapes != (self.X.shape, dim0, dim0 * 2):", "if False:",
+     "an angular operator whose parts disagree with X's shape, escaping as numpy's ValueError"),
+    ("src/tantheta/model.py", 'if arr.dtype.kind == "c":', "if False:",
+     "complex entries truncated to their real parts with only numpy's warning"),
+    ("src/tantheta/model.py", "    except (TypeError, ValueError) as exc:\n        raise DimensionMismatch",
+     "    except ZeroDivisionError as exc:\n        raise DimensionMismatch",
+     "non-numeric or ragged entries escape as numpy's ValueError"),
+    ("src/tantheta/riccati.py", 'X = as_float_matrix(X, "X")', "X = np.asarray(X, dtype=float)",
+     "riccati_residual truncates a complex X and lets a non-numeric one escape untyped"),
+    ("src/tantheta/model.py", "if len(shape) != 2 or not 1 <= shape[0] == shape[1]:", "if False:",
+     "an eigensystem of a matrix that is not square reported as an eigensolver failure"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
