@@ -28,18 +28,21 @@ from .errors import (
 
 
 def as_float_matrix(entries, name: str = "matrix") -> np.ndarray:
-    """The entries as a 2-dimensional float array: DimensionMismatch for
-    complex, non-numeric, ragged or non-finite entries and for another
-    number of dimensions."""
+    """The entries as a 2-dimensional float array: the one rule for every
+    real array the library accepts. DimensionMismatch unless the entries are
+    of a numeric dtype (integer or float; not bool, complex, string or
+    object), finite and 2-dimensional; also for ragged rows."""
     try:
         arr = np.asarray(entries)
-        if arr.dtype.kind == "c":
-            raise DimensionMismatch(f"{name} has complex entries")
-        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} entries are not real numbers: {exc}") from None
+    if arr.dtype.kind == "c":
+        raise DimensionMismatch(f"{name} has complex entries")
+    if arr.dtype.kind not in "fiu":
+        raise DimensionMismatch(f"{name} entries are not real numbers: dtype {arr.dtype}")
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return arr
@@ -59,15 +62,11 @@ def spectral_norm(M) -> float:
     Computed as m sqrt(lambda_max(S^T S)), S = M / m with m = max|M|, over
     the smaller of the two dimensions: the largest eigenvalue of the Gram
     matrix carries a relative error of a few ulps, like the SVD route, and
-    the scaling keeps S^T S clear of overflow and underflow. Raises
-    DimensionMismatch on non-finite entries.
+    the scaling keeps S^T S clear of overflow and underflow. M is read by
+    as_float_matrix.
     """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0.0
-    m = float(np.abs(M).max())
-    if not math.isfinite(m):
-        raise DimensionMismatch("spectral norm of a matrix with non-finite entries")
+    M = as_float_matrix(M)
+    m = float(np.abs(M).max(initial=0.0))  # 0 for an empty M
     if m == 0.0:
         return 0.0
     S = M / m
@@ -94,30 +93,34 @@ class EigenSystem:
     def of(cls, M: np.ndarray, spectrum: Optional[tuple] = None) -> "EigenSystem":
         """The checked eigensystem of an exactly symmetric matrix M
         (DimensionMismatch unless square and nonempty), values ascending:
-        eigh's (NoConvergence if it fails), or a supplied
-        spectrum=(values, vectors), eigenvectors as columns, kept as
-        read-only copies after a check that it has M's shapes, ascends and
-        has ||V^T V - I||_F <= EIG_GRAM_TOL (ResidualTooLarge otherwise): an
-        orthonormal V with a small residual certifies each value to within
-        the residual, as eigh's own output does, while V = 0 has residual 0
-        and certifies nothing. Both routes then enforce ||M V - V diag(w)||_F
-        <= EIG_RESIDUAL_TOL (1 + max|w|), which bounds the operator-norm
-        residual; ResidualTooLarge is raised beyond it and for a non-finite
-        eigenvalue. eigh's V is not checked for orthonormality; the in-gap
-        basis of L is, by SpectrumPartition.
+        eigh's (NoConvergence if it fails, ResidualTooLarge for a non-finite
+        eigenvalue), or a supplied spectrum=(values, vectors), eigenvectors
+        as columns, kept as read-only copies after a check that it has M's
+        shapes, ascends and has ||V^T V - I||_F <= EIG_GRAM_TOL
+        (ResidualTooLarge otherwise): an orthonormal V with a small residual
+        certifies each value to within the residual, as eigh's own output
+        does, while V = 0 has residual 0 and certifies nothing. M and a
+        supplied spectrum are read by as_float_matrix. Both routes then
+        enforce ||M V - V diag(w)||_F <= EIG_RESIDUAL_TOL (1 + max|w|), which
+        bounds the operator-norm residual; ResidualTooLarge is raised beyond
+        it. eigh's V is not checked for orthonormality; the in-gap basis of
+        L is, by SpectrumPartition.
         """
-        shape = np.shape(M)
-        if len(shape) != 2 or not 1 <= shape[0] == shape[1]:
-            raise DimensionMismatch(f"eigensystem of an empty or non-square matrix, shape {shape}")
+        M = as_float_matrix(M, "eigensystem matrix")
+        n = M.shape[0]
+        if not 1 <= n == M.shape[1]:
+            raise DimensionMismatch(f"eigensystem of an empty or non-square matrix, shape {M.shape}")
         if spectrum is None:
             try:
                 values, vectors = np.linalg.eigh(M)
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+            if not np.isfinite(values).all():
+                raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
         else:
-            n = M.shape[0]
-            values = np.array(spectrum[0], dtype=float)
-            vectors = np.array(spectrum[1], dtype=float)
+            # The values go through the matrix rule as a row; both are copies.
+            values = as_float_matrix([spectrum[0]], "supplied eigenvalue row")[0]
+            vectors = as_float_matrix(spectrum[1], "supplied eigenvector matrix").copy()
             if values.shape != (n,) or vectors.shape != (n, n):
                 raise DimensionMismatch(
                     f"spectrum of shapes {values.shape}, {vectors.shape} for n={n}"
@@ -128,8 +131,6 @@ class EigenSystem:
             gram.reshape(-1)[:: n + 1] -= 1.0  # the diagonal, in place
             require("supplied eigenbasis Gram defect", frobenius(gram), EIG_GRAM_TOL,
                     ResidualTooLarge)
-        if not np.isfinite(values).all():
-            raise ResidualTooLarge("eigendecomposition has non-finite eigenvalues")
         # The values ascend, so the largest magnitude is at one end.
         norm = max(abs(float(values[0])), abs(float(values[-1])))
         R = M @ vectors
@@ -194,19 +195,20 @@ class BlockOperator:
     A0: SymMatrix
     A1: SymMatrix
     B: np.ndarray
+    _v_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("A0", "A1"):
             if not isinstance(getattr(self, name), SymMatrix):
                 object.__setattr__(self, name, SymMatrix(getattr(self, name)))
-        B = as_float_matrix(self.B, "B")
+        B = as_float_matrix(self.B, "B").copy()
         if B.shape != (self.A0.n, self.A1.n):
             raise DimensionMismatch(
                 f"B must be {self.A0.n}x{self.A1.n}, got {B.shape[0]}x{B.shape[1]}"
             )
-        B = B.copy()
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "_v_norm", spectral_norm(B))
 
     @property
     def dim0(self) -> int:
@@ -220,16 +222,12 @@ class BlockOperator:
     def n(self) -> int:
         return self.dim0 + self.dim1
 
-    # A plain property with its own cache: perfbench times it by rewrapping
-    # the getter it reads from `.fget`.
+    # A property, not a field: perfbench times it by rewrapping its `.fget`.
     @property
     def v_norm(self) -> float:
         """Norm of the perturbation, equal to the largest singular value of
-        B; computed once per block."""
-        cache = self.__dict__
-        if "_v_norm" not in cache:
-            cache["_v_norm"] = spectral_norm(self.B)
-        return cache["_v_norm"]
+        B; computed once, on construction."""
+        return self._v_norm
 
     def assemble_perturbed(self) -> np.ndarray:
         """Dense n x n matrix of L = A + V."""

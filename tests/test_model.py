@@ -54,9 +54,14 @@ class TestSymMatrix:
     @pytest.mark.parametrize("entries, message", [
         (np.eye(2) * 1j, "SymMatrix has complex entries"),
         ([[1.0, 1j], [1j, 1.0]], "SymMatrix has complex entries"),
-        ("ab", "SymMatrix entries are not real numbers: could not convert string"),
+        ("ab", "SymMatrix entries are not real numbers: dtype <U2"),
         ([[1, 2], [3]], "SymMatrix entries are not real numbers: setting an array element"),
         (np.array([[1.0, 1j]], dtype=object), "SymMatrix entries are not real numbers"),
+        # Never converted: a numeric string, a boolean, a float held as an object.
+        ([["2"]], "SymMatrix entries are not real numbers: dtype <U1"),
+        (np.array([[True]]), "SymMatrix entries are not real numbers: dtype bool"),
+        (np.array([[1.0]], dtype=object), "SymMatrix entries are not real numbers: dtype object"),
+        ([[None]], "SymMatrix entries are not real numbers: dtype object"),
     ])
     def test_entries_that_are_not_real_raise(self, entries, message):
         # Never truncated to their real parts, which numpy only warns of.
@@ -65,9 +70,15 @@ class TestSymMatrix:
             with pytest.raises(DimensionMismatch, match=message):
                 SymMatrix(entries)
 
-    @pytest.mark.parametrize("M", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0))])
-    def test_eigensystem_of_a_matrix_that_is_not_square_raises(self, M):
-        with pytest.raises(DimensionMismatch, match="empty or non-square"):
+    @pytest.mark.parametrize("M, message", [
+        (np.zeros(3), "eigensystem matrix must be 2-dimensional"),
+        (np.zeros((2, 3)), "empty or non-square"),
+        (np.zeros((0, 0)), "empty or non-square"),
+        ([["1"]], "eigensystem matrix entries are not real numbers: dtype <U1"),
+        ([[True]], "eigensystem matrix entries are not real numbers: dtype bool"),
+    ])
+    def test_eigensystem_of_a_matrix_that_is_not_square_raises(self, M, message):
+        with pytest.raises(DimensionMismatch, match=message):
             EigenSystem.of(M)
 
     def test_symmetrizes_near_overflow(self):
@@ -157,6 +168,16 @@ class TestKnownSpectrum:
         with pytest.raises(ResidualTooLarge, match="ascend"):
             SymMatrix(A, spectrum=(sigma[::-1], Q[:, ::-1]))
 
+    @pytest.mark.parametrize("spectrum, message", [
+        ((["1"], [["1"]]), "supplied eigenvalue row entries are not real numbers: dtype <U1"),
+        (([True], [[True]]), "supplied eigenvalue row entries are not real numbers: dtype bool"),
+        (([1.0], [[True]]), "supplied eigenvector matrix entries are not real numbers: dtype bool"),
+        (([np.nan], [[1.0]]), "supplied eigenvalue row contains non-finite entries"),
+    ])
+    def test_values_and_vectors_outside_the_matrix_rule_raise(self, spectrum, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            SymMatrix([[1.0]], spectrum=spectrum)
+
     def test_wrong_shapes_raise(self):
         A, sigma, Q = self.conjugated()
         with pytest.raises(DimensionMismatch):
@@ -186,12 +207,23 @@ class TestBlockOperatorFromArrays:
     @pytest.mark.parametrize("B, message", [
         ([["a", 0]], "B entries are not real numbers"),
         ([[0.3j, 0.4]], "B has complex entries"),
+        ([["0.3", 0]], "B entries are not real numbers: dtype <U"),
     ])
     def test_coupling_entries_that_are_not_real_raise(self, B, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DimensionMismatch, match=message):
                 BlockOperator([[0.5]], np.diag([-2.0, 2.0]), B)
+
+    def test_coupling_norm_is_computed_once_on_construction(self, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(G) or eigvalsh(G))
+        block = BlockOperator([[0.5]], np.diag([-2.0, 2.0]), [[0.3, 0.4]])
+        assert len(calls) == 1
+        assert block.v_norm == block.v_norm == pytest.approx(0.5, rel=1e-15)
+        assert len(calls) == 1
+        # perfbench times v_norm by rewrapping the property's getter.
+        assert isinstance(BlockOperator.__dict__["v_norm"], property)
 
     @pytest.mark.parametrize("source", ["rank_one", "circulant", "generated", "loaded"])
     def test_arrays_give_the_symmatrix_blocks(self, source, tmp_path):
@@ -573,6 +605,15 @@ class TestSpectralNorm:
     def test_zero_and_empty(self):
         assert spectral_norm(np.zeros((4, 3))) == 0.0
         assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+    @pytest.mark.parametrize("M, message", [
+        (np.array([3.0, 4.0]), "must be 2-dimensional, got shape \\(2,\\)"),
+        (5.0, "must be 2-dimensional, got shape \\(\\)"),
+        ([["a"]], "entries are not real numbers: dtype <U1"),
+    ])
+    def test_argument_that_is_not_a_real_matrix_raises(self, M, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            spectral_norm(M)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_raises_typed_error(self, bad):

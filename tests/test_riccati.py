@@ -65,8 +65,9 @@ class TestRiccatiResidual:
 
     @pytest.mark.parametrize("X, message", [
         (np.zeros((2, 1)) * 1j, "X has complex entries"),
-        ("ab", "X entries are not real numbers: could not convert string"),
+        ("ab", "X entries are not real numbers: dtype <U2"),
         ([[0.0], []], "X entries are not real numbers: setting an array element"),
+        (np.zeros((2, 1), dtype=bool), "X entries are not real numbers: dtype bool"),
     ])
     def test_entries_that_are_not_real_are_a_dimension_mismatch(self, X, message):
         block = BlockOperator([[0.0]], np.diag([-1.0, 1.0]), [[0.3, 0.4]])

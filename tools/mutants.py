@@ -192,8 +192,15 @@ MUTANTS = (
      "non-numeric or ragged entries escape as numpy's ValueError"),
     ("src/tantheta/riccati.py", 'X = as_float_matrix(X, "X")', "X = np.asarray(X, dtype=float)",
      "riccati_residual truncates a complex X and lets a non-numeric one escape untyped"),
-    ("src/tantheta/model.py", "if len(shape) != 2 or not 1 <= shape[0] == shape[1]:", "if False:",
+    ("src/tantheta/model.py", "if not 1 <= n == M.shape[1]:", "if False:",
      "an eigensystem of a matrix that is not square reported as an eigensolver failure"),
+    ("src/tantheta/model.py", 'if arr.dtype.kind not in "fiu":', "if False:",
+     "the dtype check narrowed back to complex only: numeric strings and booleans converted"),
+    ("src/tantheta/model.py", "    M = as_float_matrix(M)\n", "    M = np.asarray(M, dtype=float)\n",
+     "spectral_norm without the converter: a 1-dimensional M escapes as numpy's IndexError"),
+    ("src/tantheta/model.py", '"_v_norm", spectral_norm(B))',
+     '"_v_norm", float(np.abs(B).max(initial=0.0)))',
+     "||B|| stored as the largest entry of B rather than its operator norm"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
