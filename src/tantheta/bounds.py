@@ -46,12 +46,12 @@ def unit_scaled(*values: float, names: str = "D, d, v") -> tuple:
     first coordinate |x| in [1, 2). The scaling is exact unless a coordinate
     falls below the normal range, so a function homogeneous of degree 0
     gives the same bits at the scaled point, where products such as d D and
-    v^2 neither overflow nor underflow. A coordinate the scaling lifts past
-    the float range raises DomainError naming it."""
+    v^2 neither overflow nor underflow; -0.0 comes back as +0.0. A coordinate
+    the scaling lifts past the float range raises DomainError naming it."""
     require_finite(names, *values)
     e = unit_exponent(values[0])
     try:
-        return tuple(math.ldexp(x, e) for x in values)
+        return tuple(math.ldexp(x, e) + 0.0 for x in values)
     except OverflowError:
         name, x = max(zip(names.split(", "), values), key=lambda pair: abs(pair[1]))
         raise DomainError(f"{name} = {x!r} overflows at the scale 2^{e}") from None
@@ -179,7 +179,7 @@ def m_total(D: float, d: float, v: float) -> BoundEvaluation:
         M2=M2,
         M=M,
         projection_bound=sin_arctan(M),
-        apriori_bound=sin_arctan(v / d) if v < SQRT2 * d else None,
+        apriori_bound=sin_arctan(v / d + 0.0) if v < SQRT2 * d else None,
     )
 
 
@@ -191,7 +191,7 @@ def apriori_bound(d: float, v: float) -> float:
         raise DomainError(f"d must be positive, got {d}")
     if v < 0.0 or v >= SQRT2 * d:
         raise DomainError(f"v = {v} is outside [0, sqrt(2) d) with d = {d}")
-    return sin_arctan(v / d)
+    return sin_arctan(v / d + 0.0)
 
 
 def require_in_gap(gamma: float, a: float) -> None:

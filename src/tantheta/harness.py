@@ -311,43 +311,31 @@ def report_to_json_line(report: TrialReport) -> str:
     return json.dumps({name: getattr(report, name) for name in REPORT_FIELDS})
 
 
-def failure_to_json_line(rec: FailureRecord) -> str:
-    return json.dumps(asdict(rec))
-
-
-def summary_to_json_line(summary: SweepSummary) -> str:
-    return json.dumps({"summary": True, **asdict(summary)})
-
-
 def write_reports(records, summary: SweepSummary, path, fmt: str = "jsonl") -> None:
-    """Write the report stream plus a trailing summary record.
+    """Write the report stream plus a trailing summary record through
+    json.dumps or csv.DictWriter; every line ends in a bare newline.
 
     In CSV a failure row carries `failed:<error>` in the region column and
     the summary row lists trials, failures, min margin and max
-    distance/bound ratio after the word `summary`.
+    distance/bound ratio after the word `summary`; the other cells are empty.
     """
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
+    if fmt not in ("jsonl", "csv"):
+        raise ConfigInvalid(f"unknown report format: {fmt}")
+    with open(path, "w", newline="") as fh:
+        if fmt == "jsonl":
             for rec in records:
                 if isinstance(rec, FailureRecord):
-                    fh.write(failure_to_json_line(rec) + "\n")
+                    fh.write(json.dumps(asdict(rec)) + "\n")
                 else:
                     fh.write(report_to_json_line(rec) + "\n")
-            fh.write(summary_to_json_line(summary) + "\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(REPORT_FIELDS)
+            fh.write(json.dumps({"summary": True, **asdict(summary)}) + "\n")
+        else:
+            out = csv.DictWriter(fh, REPORT_FIELDS, lineterminator="\n")
+            out.writeheader()
             for rec in records:
                 if isinstance(rec, FailureRecord):
-                    row = {"seed": rec.seed, "region": f"failed:{rec.error}"}
-                    out.writerow([row.get(name) for name in REPORT_FIELDS])
+                    out.writerow({"seed": rec.seed, "region": f"failed:{rec.error}"})
                 else:
-                    out.writerow([
-                        "x".join(map(str, rec.dims)) if name == "dims" else getattr(rec, name)
-                        for name in REPORT_FIELDS
-                    ])
-            head = ["summary", *astuple(summary)]
-            out.writerow(head + [None] * (len(REPORT_FIELDS) - len(head)))
-    else:
-        raise ConfigInvalid(f"unknown report format: {fmt}")
+                    row = {name: getattr(rec, name) for name in REPORT_FIELDS}
+                    out.writerow({**row, "dims": "x".join(map(str, rec.dims))})
+            out.writerow(dict(zip(REPORT_FIELDS, ["summary", *astuple(summary)])))

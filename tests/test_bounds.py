@@ -119,11 +119,15 @@ class TestMTotal:
             assert ev.M == pytest.approx(v, rel=1e-12, abs=1e-12)
             assert ev.projection_bound == pytest.approx(sin_arctan(v), rel=1e-12, abs=1e-12)
 
-    def test_zero_point(self):
-        ev = m_total(4.0, 1.0, 0.0)
-        assert ev.M == 0.0
-        assert ev.projection_bound == 0.0
-        assert ev.kappa == 0.0
+    @pytest.mark.parametrize("v", [0.0, -0.0])
+    def test_zero_point(self, v):
+        # Every computed field is +0.0, sign included; v echoes the caller's.
+        ev = m_total(4.0, 1.0, v)
+        assert ev.M2 is None
+        for name in ("r_V", "kappa", "M1", "M", "projection_bound", "apriori_bound"):
+            value = getattr(ev, name)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
+        assert math.copysign(1.0, ev.v) == math.copysign(1.0, v)
 
     def test_outer_region_dispatch(self):
         ev = m_total(4.0, 1.0, 1.9)

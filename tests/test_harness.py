@@ -34,10 +34,10 @@ from tantheta.harness import (
     MARGIN_FAILURE_THRESHOLD,
     REPORT_FIELDS,
     FailureRecord,
+    SweepSummary,
     TrialReport,
     report_to_json_line,
     splitmix64,
-    summary_to_json_line,
     trial_seed,
 )
 
@@ -571,6 +571,7 @@ class TestRunSweep:
         records, summary = run_sweep(base_cfg(), trials=1, ratio_grid=[0.5])
         with pytest.raises(ConfigInvalid):
             write_reports(records, summary, tmp_path / "x", fmt="yaml")
+        assert not (tmp_path / "x").exists()
 
 
 class TestSerialization:
@@ -584,7 +585,8 @@ class TestSerialization:
             assert obj["v"] == rec.v
             assert obj["distance"] == rec.distance
             assert "elapsed_ms" not in obj
-        obj = json.loads(summary_to_json_line(summary))
+        write_reports(records, summary, tmp_path / "r.jsonl")
+        obj = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[-1])
         assert obj["summary"] is True
         assert obj["trials"] == 2
 
@@ -615,10 +617,9 @@ class TestSerialization:
     def test_failure_record_stream(self, tmp_path):
         import json
 
-        from tantheta.harness import failure_to_json_line
-
         rec = FailureRecord(7, "NoConvergence", 'iteration "stalled"\nat 3')
-        obj = json.loads(failure_to_json_line(rec))
+        write_reports([rec], SweepSummary(1, 1, None, None), tmp_path / "r.jsonl")
+        obj = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[0])
         assert obj["seed"] == 7
         assert obj["error"] == "NoConvergence"
         assert obj["message"] == 'iteration "stalled"\nat 3'
@@ -626,11 +627,53 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "message", ["tab\there", "carriage\rreturn", "nul\x00byte", "accent é"]
     )
-    def test_failure_record_control_characters(self, message):
+    def test_failure_record_control_characters(self, message, tmp_path):
         import json
 
-        from tantheta.harness import failure_to_json_line
-
-        line = failure_to_json_line(FailureRecord(7, "NoConvergence", message))
-        assert "\n" not in line
+        rec = FailureRecord(7, "NoConvergence", message)
+        write_reports([rec], SweepSummary(1, 1, None, None), tmp_path / "r.jsonl")
+        line, summary, end = (tmp_path / "r.jsonl").read_bytes().decode().split("\n")
+        assert "\r" not in line and end == ""
         assert json.loads(line)["message"] == message
+        assert json.loads(summary)["summary"] is True
+
+    def test_layout_of_literal_records(self, tmp_path):
+        # The exact bytes of both formats: None as null or an empty cell, a
+        # failure's message escaped on one JSONL line, "\n" line ends.
+        records = [
+            TrialReport(seed=3, dims=(2, 3), D=2.0, d=1.0, v=1.5, region="OMEGA2",
+                        distance=0.5, bound=0.75, margin=0.25, apriori=None,
+                        x_norm=0.5773502691896257, riccati_residual=1e-16,
+                        lemma_max_residual=2.5e-15, elapsed_ms=9.0),
+            FailureRecord(5, "NoConvergence", 'stalled, "twice"\nat 3'),
+            TrialReport(seed=2**64 - 1, dims=(4, 6), D=2.5, d=1.0, v=0.2, region="OMEGA1_0",
+                        distance=0.1, bound=0.125, margin=0.025, apriori=0.19611613513818404,
+                        x_norm=0.1, riccati_residual=0.0, lemma_max_residual=1.25e-16,
+                        elapsed_ms=1.0, cross_method_deviation=3e-17),
+        ]
+        summary = SweepSummary(trials=3, failures=1, min_margin=None,
+                               max_distance_bound_ratio=0.8)
+        write_reports(records, summary, tmp_path / "r.jsonl")
+        write_reports(records, summary, tmp_path / "r.csv", fmt="csv")
+        assert (tmp_path / "r.jsonl").read_bytes().decode() == (
+            '{"seed": 3, "dims": [2, 3], "D": 2.0, "d": 1.0, "v": 1.5, "region": "OMEGA2", '
+            '"distance": 0.5, "bound": 0.75, "margin": 0.25, "apriori": null, '
+            '"x_norm": 0.5773502691896257, "riccati_residual": 1e-16, '
+            '"lemma_max_residual": 2.5e-15, "cross_method_deviation": null}\n'
+            '{"seed": 5, "error": "NoConvergence", "message": "stalled, \\"twice\\"\\nat 3"}\n'
+            '{"seed": 18446744073709551615, "dims": [4, 6], "D": 2.5, "d": 1.0, "v": 0.2, '
+            '"region": "OMEGA1_0", "distance": 0.1, "bound": 0.125, "margin": 0.025, '
+            '"apriori": 0.19611613513818404, "x_norm": 0.1, "riccati_residual": 0.0, '
+            '"lemma_max_residual": 1.25e-16, "cross_method_deviation": 3e-17}\n'
+            '{"summary": true, "trials": 3, "failures": 1, "min_margin": null, '
+            '"max_distance_bound_ratio": 0.8}\n'
+        )
+        assert (tmp_path / "r.csv").read_bytes().decode() == (
+            "seed,dims,D,d,v,region,distance,bound,margin,apriori,x_norm,riccati_residual,"
+            "lemma_max_residual,cross_method_deviation\n"
+            "3,2x3,2.0,1.0,1.5,OMEGA2,0.5,0.75,0.25,,0.5773502691896257,1e-16,2.5e-15,\n"
+            "5,,,,,failed:NoConvergence,,,,,,,,\n"
+            "18446744073709551615,4x6,2.5,1.0,0.2,OMEGA1_0,0.1,0.125,0.025,"
+            "0.19611613513818404,0.1,0.0,1.25e-16,3e-17\n"
+            "summary,3,1,,0.8,,,,,,,,,\n"
+        )

@@ -117,8 +117,10 @@ MUTANTS = (
      "except ZeroDivisionError as exc:", "an eigensolver failure escapes untyped"),
     ("src/tantheta/harness.py", "except NoConvergence:", "except ZeroDivisionError:",
      "a cross-check without convergence fails the trial"),
-    ("src/tantheta/harness.py", 'fh.write(failure_to_json_line(rec) + "\\n")', "pass",
+    ("src/tantheta/harness.py", 'fh.write(json.dumps(asdict(rec)) + "\\n")', "pass",
      "failure records left out of a JSONL report"),
+    ("src/tantheta/harness.py", '"region": f"failed:{rec.error}"', '"region": rec.error',
+     "a CSV failure row without its failed: prefix"),
     ("src/tantheta/harness.py", '    def __post_init__(self):\n        for name in ("dim0"',
      '    def _unused_checks(self):\n        for name in ("dim0"',
      "nothing checks a GenConfig when it is built"),
