@@ -42,16 +42,10 @@ def _emit(pairs, as_json: bool) -> None:
             print(f"{key}: {'-' if value is None else value}")
 
 
-def _bound_pairs(D: float, d: float, v: float):
-    ev = m_total(D, d, v)
-    return [
-        (f.name, ev.region.name if f.name == "region" else getattr(ev, f.name))
-        for f in fields(ev)
-    ]
-
-
 def cmd_bound(args) -> int:
-    _emit(_bound_pairs(args.D, args.d, args.v), args.json)
+    ev = m_total(args.D, args.d, args.v)
+    _emit([(f.name, ev.region.name if f.name == "region" else getattr(ev, f.name))
+           for f in fields(ev)], args.json)
     return 0
 
 
@@ -65,14 +59,13 @@ def cmd_trial(args) -> int:
 # A sweep config holds GenConfig's fields but `ratio`, plus `trials` and
 # `ratio_grid`; a field with a default may be left out.
 _SWEEP_FIELDS = [f.name for f in fields(GenConfig) if f.name != "ratio"] + ["trials", "ratio_grid"]
-_SWEEP_DEFAULTS = {f.name: f.default for f in fields(GenConfig) if f.default is not MISSING}
 
 
 def _sweep_fields(raw) -> dict:
-    """The fields of a sweep config, as given or defaulted; ConfigInvalid
-    if it is not a JSON object, names an unknown field, lacks a required
-    one or has a `ratio_grid` that is not a JSON array. GenConfig's
-    construction and run_sweep decide the types and ranges of the rest."""
+    """The fields of a sweep config as given; ConfigInvalid if it is not a
+    JSON object, names an unknown field, lacks a required one or has a
+    `ratio_grid` that is not a JSON array. GenConfig applies the defaults;
+    it and run_sweep decide the types and ranges of the rest."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("a sweep config must be a JSON object")
     unknown = sorted(set(raw) - set(_SWEEP_FIELDS))
@@ -80,13 +73,14 @@ def _sweep_fields(raw) -> dict:
         raise ConfigInvalid(
             f"unknown config field {unknown[0]!r}; the fields are {', '.join(_SWEEP_FIELDS)}"
         )
-    missing = [key for key in _SWEEP_FIELDS if key not in raw and key not in _SWEEP_DEFAULTS]
+    required = [f.name for f in fields(GenConfig) if f.default is MISSING and f.name != "ratio"]
+    missing = [key for key in required + ["trials", "ratio_grid"] if key not in raw]
     if missing:
         raise ConfigInvalid(f"config field {missing[0]!r} is missing")
     grid = raw["ratio_grid"]
     if not isinstance(grid, list):
         raise ConfigInvalid(f"config field 'ratio_grid' must be a JSON array, got {grid!r}")
-    return {**_SWEEP_DEFAULTS, **raw}
+    return raw
 
 
 def cmd_sweep(args) -> int:
@@ -121,7 +115,6 @@ def cmd_example(args) -> int:
             ver = Verification(circulant_build(gamma, a, b1, b2))
         expected = m_total(ver.disposition.D, ver.disposition.d, b).projection_bound
     disp, distance = ver.disposition, ver.distance
-    bound = ver.bound.projection_bound
     pairs = [
         ("family", args.family),
         ("D", disp.D),
@@ -129,12 +122,12 @@ def cmd_example(args) -> int:
         ("v", ver.block.v_norm),
         ("distance", distance),
         ("closed_form", expected),
-        ("bound", bound),
+        ("bound", ver.bound.projection_bound),
         ("distance_minus_closed_form", distance - expected),
-        ("margin", bound - distance),
+        ("margin", ver.margin),
     ]
     _emit(pairs, args.json)
-    return 1 if margin_fails(bound - distance) else 0
+    return 1 if margin_fails(ver.margin) else 0
 
 
 def cmd_check_identities(args) -> int:
@@ -176,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--span", type=float, default=1.0)
+    p.add_argument("--span", type=float, default=GenConfig.span)
     p.add_argument("--conjugate", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_trial)

@@ -226,6 +226,11 @@ class Verification:
         put(self, "bound", m_total(self.disposition.D, self.disposition.d, block.v_norm))
         put(self, "audit", verify_lemma_identities(self.angular, block))
 
+    @property
+    def margin(self) -> float:
+        """bound - distance, the value margin_fails judges."""
+        return self.bound.projection_bound - self.distance
+
 
 def run_trial(cfg: GenConfig) -> TrialReport:
     """Full pipeline: generate, verify, and (for small ratio) cross-check
@@ -251,7 +256,7 @@ def run_trial(cfg: GenConfig) -> TrialReport:
         region=ev.region.name,
         distance=ver.distance,
         bound=ev.projection_bound,
-        margin=ev.projection_bound - ver.distance,
+        margin=ver.margin,
         apriori=ev.apriori_bound,
         x_norm=ver.angular.norm,
         riccati_residual=ver.angular.riccati_residual,

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from tantheta import (
-    BlockOperator, GenConfig, circulant_build, generate_instance, run_sweep, save_instance,
+    BlockOperator, GenConfig, Verification, circulant_build, circulant_case_params,
+    generate_instance, rank_one_build, rank_one_outer_params, run_sweep, save_instance,
 )
 from tantheta.harness import REPORT_FIELDS
 from tantheta.cli import main
@@ -369,6 +370,24 @@ class TestExample:
     def test_missing_parameter_exits_2(self, capsys):
         assert main(["example", "circulant", "--gamma", "2", "--a", "1"]) == 2
 
+    @pytest.mark.parametrize("family, gamma, a, b", [
+        ("rank1-inner", 2.0, 1.0, 0.5),
+        ("rank1-outer", 2.0, 1.0, 1.8),
+        ("rank1-outer", 1.0, 0.99999998, 0.00019999999990890288),
+        ("circulant", 2.0, 1.0, 1.0),
+    ])
+    def test_margin_is_verifications(self, capsys, family, gamma, a, b):
+        main(["example", family, "--gamma", repr(gamma), "--a", repr(a), "--b", repr(b),
+              "--json"])
+        if family == "rank1-inner":
+            block = rank_one_build(gamma, a, 0.0, b)
+        elif family == "rank1-outer":
+            block = rank_one_build(gamma, a, *rank_one_outer_params(gamma, a, b)[2:])
+        else:
+            block = circulant_build(gamma, a, *circulant_case_params(gamma, a, b)[1:])
+        margin = json.loads(capsys.readouterr().out)["margin"]
+        assert margin.hex() == Verification(block).margin.hex()
+
     def test_rank1_outer_at_tiny_a(self, capsys):
         # h = (2 gamma^2 - b^2) / (2a) is 2.8e199 here: its square overflows.
         rc = main(["example", "rank1-outer", "--gamma", "1", "--a", "1e-200", "--b", "1.2",
@@ -388,6 +407,15 @@ class TestExample:
         )
         assert done.returncode == 0, done.stderr
         assert "margin: -3.2" in done.stdout
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 19: the witness attains the bound exactly (80-digit "
+        "test_bound_referee), but the float distance exceeds it by 1.1e-8 "
+        "and the -1e-8 margin rule fails it; a certified verdict is to pass it"))
+    def test_false_violation_at_d_over_d_1e8_does_not_exit_1(self, capsys):
+        rc = main(["example", "rank1-outer", "--gamma", "1", "--a", "0.99999998",
+                   "--b", "0.00019999999990890288"])
+        assert rc != 1
 
     def test_gap_past_the_float_range_exits_2_under_warnings_as_errors(self):
         # D = 2e308 overflows: the partition's edge distances overflow too,

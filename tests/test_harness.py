@@ -245,6 +245,20 @@ class TestRunTrial:
         assert not np.signbit(ver.angular.eigenvalues_abs).any()
 
 
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("ratio", [0.5, 1.2])
+@pytest.mark.parametrize("geometry", [(2, 3, 2.0, 1.0, False), (4, 6, 2.5, 1.0, True)])
+def test_one_margin(geometry, ratio, index):
+    # Campaign geometries and seeds, plain and conjugated: the trial's
+    # margin is Verification's, which is bound - distance, bit for bit.
+    dim0, dim1, D, d, conjugate = geometry
+    cfg = GenConfig(dim0=dim0, dim1=dim1, D=D, d=d, ratio=ratio, conjugate=conjugate,
+                    seed=trial_seed(1000, index))
+    ver = Verification(generate_instance(cfg)[0])
+    margins = (run_trial(cfg).margin, ver.margin, ver.bound.projection_bound - ver.distance)
+    assert len({m.hex() for m in margins}) == 1, margins
+
+
 class TestVerificationPipeline:
     """Verification runs its six stage functions once each, in pipeline
     order, and the first stage that raises ends it with its own error."""

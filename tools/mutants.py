@@ -203,6 +203,10 @@ MUTANTS = (
     ("src/tantheta/model.py", '"_v_norm", spectral_norm(B))',
      '"_v_norm", float(np.abs(B).max(initial=0.0)))',
      "||B|| stored as the largest entry of B rather than its operator norm"),
+    ("src/tantheta/harness.py", "return self.bound.projection_bound - self.distance",
+     "return self.bound.projection_bound", "the margin judged is the bound, not bound - distance"),
+    ("src/tantheta/cli.py", "f.default is MISSING", "True",
+     "a sweep config must give every GenConfig field, defaulted ones too"),
 )
 
 DOC_TEST = "tests/test_readme.py::test_tolerance_table_lists_every_constant_of_the_table_with_its_value"
